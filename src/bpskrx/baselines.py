@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 
-from .optimize import GridSearchSpec, maximize_grid
-from .photostatistics import DetectorModel, hl_difference_pmf
+import numpy as np
+
+from .optimize import GridSearchSpec, maximize_grid_batch
+from .photostatistics import DetectorModel, exp_rows, hl_sign_error
 
 __all__ = [
     "sql_error",
@@ -89,9 +91,11 @@ def hynore_error(alpha: float, resolution: int):
     with reflected amplitudes r_k = -sqrt(1-tau) * alpha_k is minimized
     over tau in [0, 1] and z in [0, 5 + 4 alpha]. tau = 1 is always part
     of the search, where the bracket sums to one and the Kennedy receiver
-    is recovered.
+    is recovered. Half the bracket is the HL pre-measurement error e0 of
+    the HFFRE (``hl_sign_error``), so each grid round is evaluated as one
+    batch of e0 e^(-4 tau alpha^2).
     """
-    from .feedforward import EvalResult, ReceiverParams, gain, ratio
+    from .feedforward import EvalResult, ReceiverParams, _hybrid_initial_error, gain, ratio
 
     alpha = _check_alpha(alpha)
     model = DetectorModel(resolution=resolution)
@@ -100,12 +104,9 @@ def hynore_error(alpha: float, resolution: int):
         return EvalResult(p_err=0.5, params=params, per_step_correct=(0.5,),
                           ratio=ratio(0.5, 0.0), gain=gain(0.5, 0.0))
 
-    def objective(tau: float, z: float) -> float:
-        reflected = math.sqrt(max(0.0, 1.0 - tau)) * alpha
-        pmf_r0 = hl_difference_pmf(reflected, z, model)   # hypothesis "-alpha"
-        pmf_r1 = hl_difference_pmf(-reflected, z, model)  # hypothesis "+alpha"
-        bracket = pmf_r0.mass_negative() + pmf_r1.mass_nonnegative()
-        return -0.5 * math.exp(-4.0 * tau * alpha * alpha) * bracket
+    def objective(tau: np.ndarray, z: np.ndarray) -> np.ndarray:
+        reflected = np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha
+        return -(hl_sign_error(reflected, z, model) * exp_rows(-4.0 * tau * alpha * alpha))
 
     spec = GridSearchSpec(
         bounds=((0.0, 1.0), (0.0, 5.0 + 4.0 * alpha)),
@@ -114,8 +115,9 @@ def hynore_error(alpha: float, resolution: int):
         shrink_factor=8.0,
         mandatory=((1.0, 0.0),),
     )
-    (tau_opt, z_opt), neg_p = maximize_grid(objective, spec)
-    p_err = -neg_p
+    (tau_opt, z_opt), _ = maximize_grid_batch(objective, spec)
+    e0 = _hybrid_initial_error(alpha, tau_opt, z_opt, model)
+    p_err = e0 * math.exp(-4.0 * tau_opt * alpha * alpha)
     params = ReceiverParams(tau=tau_opt, z=z_opt, betas=(), n_th=1)
     return EvalResult(p_err=p_err, params=params, per_step_correct=(1.0 - p_err,),
                       ratio=ratio(p_err, alpha), gain=gain(p_err, alpha))

@@ -49,6 +49,7 @@ CSV_COLUMNS = (
 FIGURE_IDS = ("4", "5a", "5b", "6", "7a", "7b", "8a", "8b", "9a", "9b")
 FIGURE_POINTS = 60
 FIGURE_ALPHA2_RANGE = (0.01, 10.0)
+MC_MIN_EXPECTED_ERRORS = 10
 
 
 @dataclass(frozen=True)
@@ -537,17 +538,27 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = FeedForwardConfig(n_copies, model, kind)
     alpha = math.sqrt(args.alpha2)
     p_hat, std_err = estimate_error(alpha, result.params, cfg, args.mc_trials, RngSpec(args.seed))
-    sigmas = abs(p_hat - result.p_err) / std_err if std_err > 0 else 0.0
+    # The deviation is measured in the analytic standard error, which
+    # unlike the sample one stays nonzero when no error is observed; with
+    # fewer than MC_MIN_EXPECTED_ERRORS expected errors it resolves nothing.
+    p = result.p_err
+    expected_errors = args.mc_trials * p
+    resolvable = expected_errors >= MC_MIN_EXPECTED_ERRORS
+    sigmas = abs(p_hat - p) / math.sqrt(p * (1.0 - p) / args.mc_trials) if resolvable else None
     payload = _result_payload(args.receiver, args.alpha2, model, n_copies, result)
-    payload.update({"mc_trials": args.mc_trials, "seed": args.seed,
-                    "mc_p_hat": p_hat, "mc_std_err": std_err, "mc_sigmas": sigmas})
+    payload.update({"mc_trials": args.mc_trials, "seed": args.seed, "mc_p_hat": p_hat,
+                    "mc_std_err": std_err, "mc_resolvable": resolvable, "mc_sigmas": sigmas})
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        print(f"analytic p_err {result.p_err!r}")
+        print(f"analytic p_err {p!r}")
         print(f"mc p_hat       {p_hat!r}")
         print(f"mc std_err     {std_err!r}")
-        print(f"deviation      {sigmas:.2f} sigma ({args.mc_trials} trials, seed {args.seed})")
+        if resolvable:
+            print(f"deviation      {sigmas:.2f} sigma ({args.mc_trials} trials, seed {args.seed})")
+        else:
+            print(f"deviation      not resolvable (expected errors {expected_errors:.3g} "
+                  f"< {MC_MIN_EXPECTED_ERRORS}; {args.mc_trials} trials, seed {args.seed})")
     return 0
 
 

@@ -37,9 +37,25 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .baselines import helstrom_bound, sql_error
-from .optimize import GridSearchSpec, ScalarSearchSpec, maximize_grid, maximize_scalar, scan_discrete
-from .photostatistics import DetectorModel, hl_difference_pmf, q_off, q_on, q_thresh
+from .baselines import _check_alpha, helstrom_bound, sql_error
+from .optimize import (
+    GridSearchSpec,
+    ScalarSearchSpec,
+    maximize_grid_batch,
+    maximize_scalar,
+    maximize_scalar_batch,
+    scan_discrete,
+)
+from .photostatistics import (
+    DetectorModel,
+    hl_difference_pmf,
+    hl_sign_error,
+    q_above_rows,
+    q_below_rows,
+    q_off,
+    q_on,
+    q_thresh,
+)
 
 __all__ = [
     "Receiver",
@@ -66,6 +82,13 @@ BETA_MARGIN = 5.0
 TAU_Z_POINTS = 41
 TAU_Z_ROUNDS = 4
 TAU_Z_SHRINK = 8.0
+# Per copy, the window within which batched (tau, z) values are settled
+# by the scalar recursion: twice the batch/scalar difference allowed,
+# relative, plus absolute for the 1 - q0 tail at n_th >= 2. Measured
+# differences per copy: at most 2.5e-15 relative (ideal, N = 6,
+# alpha2 = 9) and 1.7e-16 absolute (nu = 1e-3, M = 4, N = 3).
+BATCH_RTOL_PER_COPY = 1e-13
+BATCH_ATOL_PER_COPY = 1e-15
 
 
 class Receiver(Enum):
@@ -125,13 +148,6 @@ class StepRates(NamedTuple):
 
     lambda_plus: float
     lambda_minus: float
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
-    return alpha
 
 
 def step_rates(beta: float, amplitude: float, n_copies: int, xi: float = 1.0) -> StepRates:
@@ -327,12 +343,59 @@ def _hybrid_recursion(
     return _optimized_recursion(math.sqrt(tau) * alpha, cfg.n_copies, cfg.model, n_th, e0)
 
 
+def _negated_step_error_batch(
+    e_prev: np.ndarray, amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``_negated_step_error`` for arrays of (e_prev, amplitude), one beta per element."""
+    a2n = amplitude * amplitude / n_copies
+    cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n_copies)
+    eta, nu = model.eta, model.nu
+    p_prev = 1.0 - e_prev
+
+    def objective(beta: np.ndarray) -> np.ndarray:
+        base = a2n + beta * beta
+        cross = cross_coef * beta
+        false_flip = q_above_rows(eta * (base - cross) + nu, n_th)
+        missed_flip = q_below_rows(eta * (base + cross) + nu, n_th)
+        return -(p_prev * false_flip + e_prev * missed_flip)
+
+    return objective
+
+
+def _hybrid_error_batch(
+    alpha: float, cfg: FeedForwardConfig, n_th: int
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Negated ``_hybrid_recursion`` error at every (tau, z) of a grid round.
+
+    The per-copy beta searches of all grid points run in lockstep. The
+    values agree with the scalar recursion up to the last-bit
+    differences between np.exp and math.exp, which the 1 - q0 tail of
+    a threshold n_th >= 2 can raise to about 1e-16 absolute.
+    """
+    model, n = cfg.model, cfg.n_copies
+
+    def objective(tau: np.ndarray, z: np.ndarray) -> np.ndarray:
+        errors = hl_sign_error(np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha, z, model)
+        amplitude = np.sqrt(tau) * alpha
+        hi = amplitude / math.sqrt(n) + BETA_MARGIN
+        for _ in range(n):
+            step = _negated_step_error_batch(errors, amplitude, n, model, n_th)
+            _, negated = maximize_scalar_batch(step, 0.0, hi, BETA_COARSE_POINTS, BETA_TOL)
+            errors = -negated
+        return -errors
+
+    return objective
+
+
 def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     """Hybrid feed-forward receiver error probability, optimized over (tau, z).
 
     The search box is tau in [0, 1], z in [0, 5 + 4 alpha]; tau = 1 is a
     mandatory grid point, so up to optimizer tolerance the result never
-    exceeds the DFFRE one.
+    exceeds the DFFRE one. Each grid round is evaluated as one batch;
+    the scalar recursion settles near-ties between its values, and the
+    reported error, betas and trace come from it, so the result is the
+    one a point-by-point scalar search gives.
     """
     alpha = _check_alpha(alpha)
     if cfg.receiver is not Receiver.HFFRE:
@@ -347,19 +410,31 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
         shrink_factor=TAU_Z_SHRINK,
         mandatory=((1.0, 0.0),),
     )
-    best: dict[int, tuple[tuple[float, float], float]] = {}
+    best: dict[int, tuple[float, float]] = {}
 
     def scan_threshold(n_th: int) -> float:
-        def objective(tau: float, z: float) -> float:
-            return -_hybrid_recursion(alpha, cfg, tau, z, n_th)[0][-1]
+        final_error: dict[tuple[float, float], float] = {}
 
-        best[n_th] = maximize_grid(objective, spec)
-        return best[n_th][1]
+        def exact(tau: float, z: float) -> float:
+            # z acts only through e0, so the tau = 1 column (no tap) costs
+            # one recursion per distinct rounding of e0 = 1/2
+            e0 = _hybrid_initial_error(alpha, tau, z, cfg.model)
+            if (tau, e0) not in final_error:
+                amplitude = math.sqrt(tau) * alpha
+                final_error[tau, e0] = _optimized_recursion(
+                    amplitude, cfg.n_copies, cfg.model, n_th, e0)[0][-1]
+            return -final_error[tau, e0]
+
+        rtol = BATCH_RTOL_PER_COPY * cfg.n_copies
+        atol = BATCH_ATOL_PER_COPY * cfg.n_copies if n_th > 1 else 0.0
+        best[n_th], negated = maximize_grid_batch(
+            _hybrid_error_batch(alpha, cfg, n_th), spec, exact, rtol, atol)
+        return negated
 
     n_th, _ = scan_discrete(scan_threshold, _threshold_candidates(cfg.model))
-    (tau, z), negated = best[n_th]
+    tau, z = best[n_th]
     errors, betas = _hybrid_recursion(alpha, cfg, tau, z, n_th)
-    p_err = -negated
+    p_err = errors[-1]
     params = ReceiverParams(tau=tau, z=z, betas=betas, n_th=n_th)
     trace = tuple(1.0 - e for e in errors)
     return EvalResult(p_err=p_err, params=params, per_step_correct=trace,
@@ -421,10 +496,24 @@ def switch_conditional_traces(
 
 
 def _saturation(rate: float, n_copies: int, resolution: int) -> float:
-    q0, _ = q_thresh(rate, resolution, resolution)
-    r = q0 - 1.0
-    rn = r**n_copies
-    return 1.0 - (0.5 * rn + (1.0 - rn) / (1.0 - r))
+    # t = P(count >= M). Below the mode the tail is summed term by term,
+    # since 1 - q0 cancels to 0 at small rates. The floor
+    # 1 - [(-t)^N / 2 + (1 - (-t)^N) / (1 + t)] is rearranged so no
+    # difference of nearly equal terms is left.
+    if rate < resolution:
+        term = math.exp(-rate)
+        for s in range(resolution):
+            term *= rate / (s + 1)
+        t = 0.0
+        k = resolution
+        while term > 1e-20 * t:
+            t += term
+            k += 1
+            term *= rate / k
+    else:
+        q0, _ = q_thresh(rate, resolution, resolution)
+        t = 1.0 - q0
+    return (t + (-t) ** n_copies * (1.0 - t) / 2.0) / (1.0 + t)
 
 
 def saturation_dark(nu: float, n_copies: int, resolution: int) -> float:

@@ -4,26 +4,44 @@ Receiver objectives are cheap to evaluate but can be flat or kinked
 (threshold switches), so everything here is grid seeding plus
 golden-section or grid refinement: no derivatives, no randomness.
 Identical inputs always produce bit-identical results; ties are broken
-toward the smallest argument so regression tests stay stable.
+toward the smallest argument (the first point evaluated) so regression
+tests stay stable.
+
+The box search ``maximize_grid_batch`` hands each round's whole grid to
+an array objective in one call, and ``maximize_scalar_batch`` runs one
+bounded 1-D search per array element in lockstep: the coarse grid one
+column at a time, then golden-section steps with finished elements
+frozen. Element for element they make the same comparisons as the
+scalar searches. Where the array objective only approximates a scalar
+one (numpy's exp may differ from math.exp in the last bit), the box
+search settles each round's near-ties with the scalar objective, so it
+still chooses what a point-by-point search would. ``maximize_scalar``
+stays the search for single objectives, where an array of one element
+would only add overhead; ``maximize_grid`` adapts a scalar objective to
+the box search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = [
     "ScalarSearchSpec",
     "GridSearchSpec",
     "maximize_scalar",
+    "maximize_scalar_batch",
     "maximize_grid",
+    "maximize_grid_batch",
     "scan_discrete",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_LOG_INV_PHI = math.log(_INV_PHI)
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,15 @@ def _checked(f: Callable, x, label: str) -> float:
     return value
 
 
+def _checked_batch(values, points: Callable[[int], object], label: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"objective returned non-finite value {values[i]!r} at {label} = {points(i)!r}")
+    return values
+
+
 def _axis_grid(lo: float, hi: float, n: int) -> list[float]:
     step = (hi - lo) / (n - 1)
     grid = [lo + i * step for i in range(n)]
@@ -128,7 +155,7 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
     yc = _checked(f, c, "x")
     yd = _checked(f, d, "x")
     best_x, best_f = (c, yc) if yc >= yd else (d, yd)
-    steps = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+    steps = int(math.ceil(math.log(tol / h) / _LOG_INV_PHI))
     for _ in range(steps):
         if yc > yd:
             b, d, yd = d, c, yc
@@ -151,20 +178,104 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
     return best_x, best_f
 
 
-def maximize_grid(f: Callable[..., float], spec: GridSearchSpec) -> tuple[tuple[float, ...], float]:
+def maximize_scalar_batch(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    coarse_points: int,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One ``maximize_scalar`` per element of lo, hi; returns (x_star, f_star) arrays.
+
+    f maps an array of abscissae, one per element, to the objective
+    values of the elements. Each element sees exactly the comparisons
+    and abscissae of ``maximize_scalar`` with ScalarSearchSpec(lo, hi,
+    coarse_points, tol); elements whose golden-section steps are done
+    keep their state while the others continue.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    last = coarse_points - 1
+    step = (hi - lo) / last
+
+    def grid(i):
+        return np.where(i == last, hi, lo + i * step)
+
+    def checked(x):
+        return _checked_batch(f(x), lambda i: float(x[i]), "x")
+
+    best_f = checked(grid(0))
+    best_i = np.zeros(lo.shape, dtype=int)
+    for i in range(1, coarse_points):
+        v = checked(grid(i))
+        better = v > best_f
+        best_f = np.where(better, v, best_f)
+        best_i[better] = i
+    best_x = grid(best_i)
+
+    a = grid(np.maximum(best_i - 1, 0))
+    b = grid(np.minimum(best_i + 1, last))
+    h = b - a
+    if np.any(h <= tol):
+        raise ValueError("tol must be smaller than one coarse-grid step")
+    c = a + _INV_PHI2 * h
+    d = a + _INV_PHI * h
+    yc = checked(c)
+    yd = checked(d)
+    first = yc >= yd
+    gold_x = np.where(first, c, d)
+    gold_f = np.where(first, yc, yd)
+    # math.log, as in the scalar search, so every element runs its step
+    # count; brackets repeat across elements, so only distinct ones are logged
+    widths, which = np.unique(h, return_inverse=True)
+    steps = np.array([math.ceil(math.log(tol / w) / _LOG_INV_PHI) for w in widths.tolist()])[which]
+    for it in range(int(steps.max())):
+        active = steps > it
+        left = yc > yd
+        h = np.where(active, h * _INV_PHI, h)
+        x = np.where(left, a + _INV_PHI2 * h, c + _INV_PHI * h)
+        y = checked(x)
+        # the two branches of _golden_max: keep [a, d] or keep [c, b]
+        moved = (np.where(left, a, c), np.where(left, d, b), np.where(left, x, d),
+                 np.where(left, c, x), np.where(left, y, yd), np.where(left, yc, y))
+        a, b, c, d, yc, yd = (np.where(active, new, old)
+                              for new, old in zip(moved, (a, b, c, d, yc, yd)))
+        better = active & (y > gold_f)
+        gold_x = np.where(better, x, gold_x)
+        gold_f = np.where(better, y, gold_f)
+    mid = 0.5 * (a + b)
+    vm = checked(mid)
+    better = vm > gold_f
+    gold_x = np.where(better, mid, gold_x)
+    gold_f = np.where(better, vm, gold_f)
+
+    better = gold_f > best_f
+    return np.where(better, gold_x, best_x), np.where(better, gold_f, best_f)
+
+
+def maximize_grid_batch(
+    f: Callable[..., np.ndarray],
+    spec: GridSearchSpec,
+    exact: Callable[..., float] | None = None,
+    rtol: float = 0.0,
+    atol: float = 0.0,
+) -> tuple[tuple[float, ...], float]:
     """Maximize f over a box; returns (x_star, f_star).
 
-    Mandatory points are evaluated before the grid so they win ties;
-    refinement rounds only ever improve the incumbent and never step
-    outside the original bounds.
+    f takes one coordinate array per axis and returns the objective at
+    every point. Each round is one call: round 0 holds the mandatory
+    points followed by the grid in ``itertools.product`` order, so the
+    mandatory points win ties. Refinement rounds only ever improve the
+    incumbent and never step outside the original bounds.
+
+    When f only approximates a scalar objective ``exact``, to within
+    half of rtol * |f| + atol, the points of a round that come within
+    that window of the round's best batch value are evaluated again with
+    exact(*point), in order, and the choice and f_star follow exact.
+    The search then returns what the same search on exact alone would,
+    at a few exact evaluations per round.
     """
     best_x: tuple[float, ...] | None = None
     best_f = -math.inf
-    for point in spec.mandatory:
-        v = _checked(f, tuple(point), "x")
-        if v > best_f:
-            best_x, best_f = tuple(point), v
-
     widths = [hi - lo for lo, hi in spec.bounds]
     center = [0.5 * (lo + hi) for lo, hi in spec.bounds]
     for round_idx in range(spec.refinement_rounds + 1):
@@ -177,12 +288,31 @@ def maximize_grid(f: Callable[..., float], spec: GridSearchSpec) -> tuple[tuple[
                 half = 0.5 * w / shrink
                 boxes.append((max(lo0, c - half), min(hi0, c + half)))
         axes = [_axis_grid(lo, hi, n) for (lo, hi), n in zip(boxes, spec.points)]
-        for point in product(*axes):
-            v = _checked(f, point, "x")
+        coords = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]
+        if round_idx == 0 and spec.mandatory:
+            head = np.array(spec.mandatory, dtype=float).T
+            coords = [np.concatenate((m, c)) for m, c in zip(head, coords)]
+
+        def point(i: int) -> tuple[float, ...]:
+            return tuple(float(c[i]) for c in coords)
+
+        values = _checked_batch(f(*coords), point, "x")
+        top = float(values.max())
+        for i in np.flatnonzero(values >= top - (rtol * abs(top) + atol)).tolist():
+            v = float(values[i]) if exact is None else _checked(exact, point(i), "x")
             if v > best_f:
-                best_x, best_f = point, v
+                best_x, best_f = point(i), v
         center = list(best_x)
     return best_x, best_f
+
+
+def maximize_grid(f: Callable[..., float], spec: GridSearchSpec) -> tuple[tuple[float, ...], float]:
+    """``maximize_grid_batch`` for a scalar objective f(*point) -> float."""
+
+    def batch(*coords: np.ndarray) -> np.ndarray:
+        return np.array([float(f(*p)) for p in zip(*(c.tolist() for c in coords))])
+
+    return maximize_grid_batch(batch, spec)
 
 
 def scan_discrete(f: Callable[[int], float], domain: Sequence[int]) -> tuple[int, float]:

@@ -31,10 +31,14 @@ __all__ = [
     "pnr_pmf",
     "branch_means",
     "hl_difference_pmf",
+    "hl_sign_error",
     "skellam_pmf",
     "q_off",
     "q_on",
     "q_thresh",
+    "q_below_rows",
+    "q_above_rows",
+    "exp_rows",
 ]
 
 
@@ -185,6 +189,71 @@ def hl_difference_pmf(zeta: float, z: float, model: DetectorModel) -> Difference
     return DifferencePmf(resolution=m, probs=probs)
 
 
+def exp_rows(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.exp`` of a 1-D array.
+
+    np.exp can differ from math.exp in the last bit; this keeps the
+    row-wise kernels bit-identical to the scalar ones, so a batched
+    search breaks ties between grid points exactly as a scalar one.
+    """
+    return np.array([math.exp(v) for v in x.tolist()], dtype=float)
+
+
+def _pnr_rows(mu: np.ndarray, resolution: int) -> np.ndarray:
+    """``pnr_pmf`` of every rate in mu, one PMF per row (same arithmetic)."""
+    probs = np.empty((mu.size, resolution + 1), dtype=float)
+    term = exp_rows(-mu)
+    partial = 0.0
+    for n in range(resolution):
+        probs[:, n] = term
+        partial = partial + term
+        term = term * (mu / (n + 1))
+    probs[:, resolution] = np.minimum(1.0, np.maximum(0.0, 1.0 - partial))
+    return probs
+
+
+def _diagonal_mass(p_plus: np.ndarray, p_minus: np.ndarray, deltas: range) -> np.ndarray:
+    """Row-wise sum of the HL difference probabilities at ``deltas``.
+
+    Each probability is summed along its diagonal of the outer product
+    and the probabilities are then summed in order, as
+    ``hl_difference_pmf`` and the ``DifferencePmf`` masses do.
+    """
+    m = p_plus.shape[1] - 1
+    columns = []
+    for delta in deltas:
+        lo = max(0, delta)
+        hi = min(m, m + delta)
+        columns.append((p_plus[:, lo : hi + 1] * p_minus[:, lo - delta : hi - delta + 1]).sum(axis=1))
+    return np.stack(columns, axis=1).sum(axis=1)
+
+
+def hl_sign_error(reflected: np.ndarray, z: np.ndarray, model: DetectorModel) -> np.ndarray:
+    """Row-wise probability that the sign of the HL difference picks the wrong hypothesis.
+
+    Element k measures the signal amplitude -reflected[k] (hypothesis
+    "+alpha") or +reflected[k] (hypothesis "-alpha") against the local
+    oscillator z[k]. A nonnegative Delta infers "-alpha" (ties go with
+    it), so the error, the HFFRE's e0, is
+
+        0.5 * [ P(Delta >= 0 | -reflected) + P(Delta < 0 | reflected) ],
+
+    bit for bit the value built from two ``hl_difference_pmf`` calls.
+    The two hypotheses swap the branch means, so two PNR PMFs per
+    element suffice.
+    """
+    if np.any(z < 0.0):
+        raise ValueError("z must be >= 0")
+    base = reflected * reflected + z * z
+    cross = 2.0 * model.xi * z * reflected
+    p_plus = _pnr_rows(model.eta * (0.5 * (base + cross)) + model.nu, model.resolution)
+    p_minus = _pnr_rows(model.eta * (0.5 * (base - cross)) + model.nu, model.resolution)
+    m = model.resolution
+    nonnegative = _diagonal_mass(p_minus, p_plus, range(0, m + 1))  # hypothesis "+alpha"
+    negative = _diagonal_mass(p_plus, p_minus, range(-m, 0))        # hypothesis "-alpha"
+    return 0.5 * (nonnegative + negative)
+
+
 def skellam_pmf(delta: int, mu_plus: float, mu_minus: float) -> float:
     """Skellam probability of a difference of two untruncated Poisson counts.
 
@@ -262,3 +331,22 @@ def q_thresh(x: float, n_th: int, resolution: int | None = None) -> tuple[float,
         term *= x / (s + 1)
     q0 = min(1.0, q0)
     return q0, 1.0 - q0
+
+
+def q_below_rows(x: np.ndarray, n_th: int) -> np.ndarray:
+    """q0 of ``q_thresh`` for every rate in x (same recurrence, np.exp)."""
+    if n_th == 1:
+        return np.exp(-x)
+    term = np.exp(-x)
+    q0 = 0.0
+    for s in range(n_th):
+        q0 = q0 + term
+        term = term * (x / (s + 1))
+    return np.minimum(1.0, q0)
+
+
+def q_above_rows(x: np.ndarray, n_th: int) -> np.ndarray:
+    """q1 of ``q_thresh`` for every rate in x (same formulas, np.expm1)."""
+    if n_th == 1:
+        return -np.expm1(-x)
+    return 1.0 - q_below_rows(x, n_th)

@@ -229,6 +229,27 @@ class TestMonteCarlo:
         assert payload["mc_sigmas"] <= 4.0
         assert payload["mc_std_err"] > 0
 
+    def test_unresolvable_point_reports_no_sigma(self):
+        # p = 1.03e-9 at alpha^2 = 5: 1e5 trials expect 1e-4 errors and see
+        # none, which says nothing about agreement.
+        args = ("montecarlo", "--receiver", "DFFRE", "--alpha2", "5",
+                "--mc-trials", "100000", "--seed", "0")
+        result = run_cli(*args)
+        assert result.returncode == 0
+        assert "not resolvable (expected errors 0.000103 < 10" in result.stdout
+        assert "sigma" not in result.stdout
+        payload = json.loads(run_cli(*args, "--json").stdout)
+        assert payload["mc_resolvable"] is False
+        assert payload["mc_sigmas"] is None
+        assert payload["mc_p_hat"] == 0.0
+
+    def test_resolvable_point_reports_sigma(self):
+        result = run_cli("montecarlo", "--receiver", "DFFRE", "--alpha2", "0.5",
+                         "--mc-trials", "50000", "--seed", "3")
+        assert result.returncode == 0
+        assert "sigma (50000 trials, seed 3)" in result.stdout
+        assert "not resolvable" not in result.stdout
+
 
 class TestValidate:
     def test_fast_suite_reports_and_exit_code(self):

@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
-from bpskrx.baselines import helstrom_bound, kennedy_error, sql_error
+from bpskrx.baselines import helstrom_bound, hynore_error, kennedy_error, sql_error
 from bpskrx.feedforward import (
     FeedForwardConfig,
     Receiver,
@@ -22,6 +23,7 @@ from bpskrx.feedforward import (
     step_rates,
     switch_conditional_traces,
 )
+from bpskrx.feedforward import _hybrid_error_batch, _hybrid_recursion
 from bpskrx.photostatistics import DetectorModel
 
 IDEAL2 = DetectorModel(2)
@@ -216,6 +218,80 @@ class TestHffre:
             assert hybrid.p_err <= sql_error(alpha) and disp.p_err <= sql_error(alpha)
 
 
+DARK2 = DetectorModel(2, nu=1e-3)
+
+# (tau, z, n_th, betas, p_err) of the scalar per-point grid search that
+# the batched one replaced, as repr literals.
+PINNED_HFFRE = [
+    (0.4, 1, IDEAL2, ("0.91632080078125", "1.3619767991166503", 1,
+                      ("0.7384633072957204",), "0.07211906631924177")),
+    (1.0, 2, DetectorModel(2, eta=0.7), ("0.961046142578125", "1.6265258789062502", 1,
+                                         ("0.8726105030546233", "0.7245357372379736"),
+                                         "0.020891826316181666")),
+    (3.0, 1, DARK2, ("0.9791625976562501", "1.3673314506091576", 2,
+                     ("1.7565165723667566",), "2.7761210565935826e-05")),
+    # Near-ties the batch alone breaks differently: two last-round grid
+    # values 1.5e-10 apart (the 1 - q0 tail at n_th = 2), and the tau = 1
+    # column, where only the rounding of e0 = 1/2 separates the z values.
+    (6.260516572014826, 2, DARK2, ("0.991402587890625", "1.3657249788633161", 2,
+                                   ("1.7957570755697154", "1.7616345975255074"),
+                                   "5.005472546249615e-07")),
+    (4.437690356997562, 1, DetectorModel(4, nu=1e-3), ("1.0", "0.0", 2, ("2.1080248049001353",),
+                                                       "4.318084976038311e-07")),
+]
+PINNED_HYNORE = [
+    (0.05, ("0.0", "1.3649570777986868", "0.3446970250751855")),
+    (3.0, ("0.97995849609375", "1.3667490188108042", "2.5833738761465776e-06")),
+]
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("alpha2", [0.05, 1.0, 5.0])
+    @pytest.mark.parametrize("model, n_th", [(IDEAL2, 1), (DARK2, 1), (DARK2, 2)])
+    def test_round_zero_grid_matches_scalar_recursion(self, alpha2, model, n_th):
+        # Equal up to last-bit differences of np.exp and math.exp; the
+        # absolute part is the resolution of the 1 - q0 tail at n_th = 2.
+        alpha = math.sqrt(alpha2)
+        c = cfg(2, model, Receiver.HFFRE)
+        tau, z = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 5.0 + 4.0 * alpha, 41),
+                             indexing="ij")
+        tau, z = tau.ravel(), z.ravel()
+        batch = _hybrid_error_batch(alpha, c, n_th)(tau, z)
+        scalar = [-_hybrid_recursion(alpha, c, t, osc, n_th)[0][-1]
+                  for t, osc in zip(tau.tolist(), z.tolist())]
+        np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("alpha2, n, model, expected", PINNED_HFFRE)
+    def test_hffre_pinned_to_scalar_search(self, alpha2, n, model, expected):
+        result = hffre_error(math.sqrt(alpha2), cfg(n, model, Receiver.HFFRE))
+        p = result.params
+        got = (repr(p.tau), repr(p.z), p.n_th, tuple(repr(b) for b in p.betas), repr(result.p_err))
+        assert got == expected
+
+    @pytest.mark.parametrize("alpha2, expected", PINNED_HYNORE)
+    def test_hynore_pinned_to_scalar_search(self, alpha2, expected):
+        result = hynore_error(math.sqrt(alpha2), 2)
+        assert (repr(result.params.tau), repr(result.params.z), repr(result.p_err)) == expected
+
+    @pytest.mark.parametrize("model", [IDEAL2, DetectorModel(2, eta=0.7), DARK2,
+                                       DetectorModel(2, xi=0.998)])
+    def test_hffre_against_dense_grid_oracle(self, model):
+        # The 41-point grid with four refinement rounds must get within
+        # 1e-6 of a dense 401 x 401 scan over (tau, z) and the thresholds.
+        alpha = 1.0
+        c = cfg(1, model, Receiver.HFFRE)
+        taus = np.arange(401) / 400
+        zs = 9.0 * np.arange(401) / 400
+        thresholds = (1,) if model.nu == 0.0 and model.xi == 1.0 else (1, 2)
+        dense = math.inf
+        for n_th in thresholds:
+            objective = _hybrid_error_batch(alpha, c, n_th)
+            for rows in np.array_split(taus, 20):
+                tau, z = np.meshgrid(rows, zs, indexing="ij")
+                dense = min(dense, -float(objective(tau.ravel(), z.ravel()).max()))
+        assert abs(hffre_error(alpha, c).p_err - dense) <= 1e-6
+
+
 class TestSaturation:
     def test_dark_floor_trivial(self):
         assert saturation_dark(0.0, 3, 2) == 0.0
@@ -224,13 +300,28 @@ class TestSaturation:
         # (1 - q0(nu))/2 with q0 at threshold M, 40-digit reference
         assert saturation_dark(1e-3, 1, 2) == pytest.approx(2.4983339581667013829e-07, rel=1e-9)
 
+    @staticmethod
+    def dark_floor_reference(nu, n):
+        # 1 - (r^N/2 + (1 - r^N)/(1 - r)), r = q0 - 1, at 50 digits: the
+        # cancellation that costs a double-precision evaluation up to
+        # 5e-9 relative leaves more than 20 digits here.
+        with mpmath.workdps(50):
+            nu = mpmath.mpf(nu)
+            r = mpmath.exp(-nu) * (1 + nu) - 1  # threshold M = 2 -> counts {0, 1}
+            return float(1 - (r**n / 2 + (1 - r**n) / (1 - r)))
+
     def test_dark_floor_against_independent_formula(self):
         for nu in (1e-4, 1e-3, 1e-2):
             for n in (1, 2, 5):
-                q0 = poisson.cdf(1, nu)  # threshold M = 2 -> counts {0, 1}
-                r = q0 - 1.0
-                expected = 1.0 - (r**n / 2.0 + (1.0 - r**n) / (1.0 - r))
-                assert saturation_dark(nu, n, 2) == pytest.approx(expected, rel=1e-12)
+                expected = self.dark_floor_reference(nu, n)
+                assert saturation_dark(nu, n, 2) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_dark_floor_at_small_rates(self):
+        # 1 - q0 cancels to 0 here; the tail must be summed directly.
+        for nu in (1e-12, 1e-8, 1e-6):
+            for n in (1, 2, 5):
+                expected = self.dark_floor_reference(nu, n)
+                assert saturation_dark(nu, n, 2) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_dark_floor_non_decreasing_in_copies(self):
         # Exact arithmetic shows a dip of r^2/2 ~ 1.2e-13 from N=2 to N=3

@@ -2,13 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from bpskrx.optimize import (
     GridSearchSpec,
     ScalarSearchSpec,
     maximize_grid,
+    maximize_grid_batch,
     maximize_scalar,
+    maximize_scalar_batch,
     scan_discrete,
 )
 
@@ -82,6 +85,32 @@ class TestMaximizeScalar:
             ScalarSearchSpec(0.0, 1.0, tol=2.0)
 
 
+class TestMaximizeScalarBatch:
+    def test_each_element_equals_scalar_search(self):
+        # Two-humped quartics, one per element, with only + - * so numpy
+        # and Python floats round alike: the lockstep search must then pick
+        # the scalar search's abscissa and value bit for bit, including
+        # elements whose golden-section step counts differ.
+        rng = np.random.default_rng(3)
+        c = rng.uniform(0.0, 3.0, 300)
+        d = rng.uniform(0.5, 4.0, 300)
+        hi = rng.uniform(0.3, 8.0, 300)
+
+        def batch(x):
+            return -((x - c) * (x - c)) * ((x - d) * (x - d)) + 0.3 * x
+
+        xs, fs = maximize_scalar_batch(batch, 0.0, hi, 64, 1e-7)
+        for k in range(300):
+            ck, dk = float(c[k]), float(d[k])
+            spec = ScalarSearchSpec(0.0, float(hi[k]), coarse_points=64, tol=1e-7)
+            x, f = maximize_scalar(lambda x: -((x - ck) * (x - ck)) * ((x - dk) * (x - dk)) + 0.3 * x, spec)
+            assert (xs[k], fs[k]) == (x, f)
+
+    def test_non_finite_objective_reported(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            maximize_scalar_batch(lambda x: np.where(x > 0.5, np.nan, 0.0), 0.0, np.ones(3), 5, 1e-7)
+
+
 class TestMaximizeGrid:
     def test_two_dimensional_quadratic(self):
         spec = GridSearchSpec(
@@ -146,6 +175,44 @@ class TestMaximizeGrid:
         )
         engine = baselines.hynore_error(alpha, 2).p_err
         assert abs(engine - dense) <= 1e-6
+
+    def test_batch_objective_sees_each_round_at_once(self):
+        rounds = []
+
+        def batch(x, y):
+            rounds.append(x.size)
+            return -((x - 0.3) * (x - 0.3)) - (y - 2.0) * (y - 2.0)
+
+        spec = GridSearchSpec(bounds=((0.0, 1.0), (0.0, 4.0)), points=(11, 7),
+                              refinement_rounds=2, mandatory=((0.3, 2.0), (0.0, 0.0)))
+        (x, y), f = maximize_grid_batch(batch, spec)
+        assert rounds == [2 + 77, 77, 77]
+        assert (x, y, f) == (0.3, 2.0, 0.0)  # the mandatory point wins the tie
+
+    def test_exact_objective_settles_near_ties(self):
+        # exact has plateaus of tied values; the batch sees it with noise
+        # below half the window, which alone would pick a random point of
+        # the best plateau. The settled search must return what the same
+        # search on exact alone returns.
+        def exact(x, y):
+            return -round((x - 0.3) ** 2 + (y - 0.6) ** 2, 2)
+
+        rng = np.random.default_rng(7)
+
+        def noisy(x, y):
+            values = np.array([exact(*p) for p in zip(x.tolist(), y.tolist())])
+            return values + rng.uniform(-4e-4, 4e-4, values.size)
+
+        spec = GridSearchSpec(bounds=((0.0, 1.0), (0.0, 2.0)), points=(21, 21),
+                              refinement_rounds=2, mandatory=((1.0, 0.0),))
+        expected = maximize_grid(exact, spec)
+        assert maximize_grid_batch(noisy, spec, exact, 0.0, 1e-3) == expected
+        assert maximize_grid_batch(noisy, spec) != expected
+
+    def test_non_finite_batch_reported(self):
+        spec = GridSearchSpec(bounds=((0.0, 1.0),), points=(5,))
+        with pytest.raises(ValueError, match="non-finite"):
+            maximize_grid_batch(lambda x: np.where(x > 0.6, np.inf, x), spec)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,10 @@ from bpskrx.photostatistics import (
     DetectorModel,
     branch_means,
     hl_difference_pmf,
+    hl_sign_error,
     pnr_pmf,
+    q_above_rows,
+    q_below_rows,
     q_off,
     q_on,
     q_thresh,
@@ -176,6 +179,32 @@ class TestHlDifferencePmf:
             hl_difference_pmf(0.0, 0.0, IDEAL2).prob(3)
 
 
+class TestHlSignError:
+    @pytest.mark.parametrize("model", [
+        DetectorModel(1), IDEAL2, DetectorModel(4), DetectorModel(2, nu=1e-3),
+        DetectorModel(3, eta=0.7, nu=1e-4, xi=0.998), DetectorModel(16),
+    ])
+    def test_bit_identical_to_scalar_masses(self, model):
+        rng = np.random.default_rng(5)
+        reflected = np.concatenate(([0.0, 0.0, 1.2], rng.uniform(0.0, 3.0, 200)))
+        z = np.concatenate(([0.0, 2.0, 0.0], rng.uniform(0.0, 9.0, 200)))
+        expected = [
+            0.5 * (hl_difference_pmf(-r, osc, model).mass_nonnegative()
+                   + hl_difference_pmf(r, osc, model).mass_negative())
+            for r, osc in zip(reflected.tolist(), z.tolist())
+        ]
+        assert hl_sign_error(reflected, z, model).tolist() == expected
+
+    def test_no_tap_is_a_coin_flip(self):
+        # reflected = 0 carries no information: e0 = 1/2 up to rounding.
+        e0 = hl_sign_error(np.zeros(5), np.linspace(0.0, 4.0, 5), IDEAL2)
+        assert np.all(np.abs(e0 - 0.5) <= 1e-15)
+
+    def test_negative_oscillator_rejected(self):
+        with pytest.raises(ValueError):
+            hl_sign_error(np.array([1.0]), np.array([-0.1]), IDEAL2)
+
+
 class TestSkellam:
     def test_degenerate(self):
         assert skellam_pmf(0, 0.0, 0.0) == 1.0
@@ -249,6 +278,16 @@ class TestClickProbabilities:
     def test_q0_non_decreasing_in_threshold(self, x, ns):
         lo, hi = sorted(ns)
         assert q_thresh(x, hi)[0] >= q_thresh(x, lo)[0] - 1e-14
+
+    @pytest.mark.parametrize("n_th", [1, 2, 3, 8])
+    def test_rows_match_scalar(self, n_th):
+        x = np.array([0.0, 1e-9, 0.03, 0.4, 1.0, 3.0, 25.0])
+        below, above = q_below_rows(x, n_th), q_above_rows(x, n_th)
+        for i, xi in enumerate(x.tolist()):
+            q0, q1 = q_thresh(xi, n_th)
+            # np.exp may differ from math.exp in the last bit
+            assert below[i] == pytest.approx(q0, rel=4e-16, abs=0.0)
+            assert above[i] == pytest.approx(q1, rel=1e-12, abs=1e-16)
 
     def test_threshold_domain_errors(self):
         with pytest.raises(ValueError):
