@@ -41,6 +41,7 @@ from .baselines import _check_alpha, helstrom_bound, sql_error
 from .optimize import (
     GridSearchSpec,
     ScalarSearchSpec,
+    coarse_abscissae,
     maximize_grid_batch,
     maximize_scalar,
     maximize_scalar_batch,
@@ -190,35 +191,58 @@ def _step_objective(
     return objective
 
 
+def _flip_probabilities(
+    amplitude: float, n_copies: int, model: DetectorModel, n_th: int
+) -> Callable[[float], tuple[float, float]]:
+    """Per-copy switch flip probabilities, as a function of beta.
+
+    Returns (false_flip, missed_flip) = (Q1(rate_minus), Q0(rate_plus)):
+    the probability that a copy flips a correct switch, and that it
+    fails to flip a wrong one. Neither depends on the switch's error
+    probability, so one table of them on the coarse beta grid serves
+    every copy of a recursion.
+    """
+    a2n = amplitude * amplitude / n_copies
+    cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n_copies)
+    eta, nu = model.eta, model.nu
+    if n_th == 1:
+        def flips(beta: float) -> tuple[float, float]:
+            base = a2n + beta * beta
+            cross = cross_coef * beta
+            return (-math.expm1(-(eta * (base - cross) + nu)),
+                    math.exp(-(eta * (base + cross) + nu)))
+    else:
+        def flips(beta: float) -> tuple[float, float]:
+            base = a2n + beta * beta
+            cross = cross_coef * beta
+            _, false_flip = q_thresh(eta * (base - cross) + nu, n_th)
+            missed_flip, _ = q_thresh(eta * (base + cross) + nu, n_th)
+            return false_flip, missed_flip
+    return flips
+
+
 def _negated_step_error(
-    e_prev: float, amplitude: float, n_copies: int, model: DetectorModel, n_th: int
-) -> Callable[[float], float]:
-    """Negated error probability after one more copy, as a function of beta.
+    e_prev: float,
+    flips: Callable[[float], tuple[float, float]],
+    table: Sequence[tuple[float, float]],
+) -> tuple[Callable[[float], float], list[float]]:
+    """Negated error probability after one more copy: as a function of beta, and on a grid.
 
     Identical algebra to the correct-probability bracket, rearranged as
     e' = (1 - e) Q1(rate_minus) + e Q0(rate_plus) so error probabilities
     far below the double-precision resolution of 1 - P stay accurate.
     Returned negated so the maximizers can be reused for minimization.
+    ``table`` holds ``flips`` at the grid's abscissae; the grid values
+    use the objective's arithmetic, so they equal it there bit for bit.
     """
-    a2n = amplitude * amplitude / n_copies
-    cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n_copies)
-    eta, nu = model.eta, model.nu
     p_prev = 1.0 - e_prev
-    if n_th == 1:
-        def objective(beta: float) -> float:
-            base = a2n + beta * beta
-            cross = cross_coef * beta
-            false_flip = -math.expm1(-(eta * (base - cross) + nu))
-            missed_flip = math.exp(-(eta * (base + cross) + nu))
-            return -(p_prev * false_flip + e_prev * missed_flip)
-    else:
-        def objective(beta: float) -> float:
-            base = a2n + beta * beta
-            cross = cross_coef * beta
-            _, false_flip = q_thresh(eta * (base - cross) + nu, n_th)
-            missed_flip, _ = q_thresh(eta * (base + cross) + nu, n_th)
-            return -(p_prev * false_flip + e_prev * missed_flip)
-    return objective
+
+    def objective(beta: float) -> float:
+        false_flip, missed_flip = flips(beta)
+        return -(p_prev * false_flip + e_prev * missed_flip)
+
+    coarse = [-(p_prev * false_flip + e_prev * missed_flip) for false_flip, missed_flip in table]
+    return objective, coarse
 
 
 def step_correct_prob(
@@ -274,11 +298,13 @@ def _optimized_recursion(
         coarse_points=BETA_COARSE_POINTS,
         tol=BETA_TOL,
     )
+    flips = _flip_probabilities(amplitude, n_copies, model, n_th)
+    table = [flips(beta) for beta in spec.coarse_grid()]
     errors = [e_initial]
     betas: list[float] = []
     for _ in range(n_copies):
-        objective = _negated_step_error(errors[-1], amplitude, n_copies, model, n_th)
-        beta, negated = maximize_scalar(objective, spec)
+        objective, coarse = _negated_step_error(errors[-1], flips, table)
+        beta, negated = maximize_scalar(objective, spec, coarse)
         betas.append(beta)
         errors.append(-negated)
     return errors, tuple(betas)
@@ -343,23 +369,45 @@ def _hybrid_recursion(
     return _optimized_recursion(math.sqrt(tau) * alpha, cfg.n_copies, cfg.model, n_th, e0)
 
 
-def _negated_step_error_batch(
-    e_prev: np.ndarray, amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``_negated_step_error`` for arrays of (e_prev, amplitude), one beta per element."""
+def _flip_rows(
+    amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th: int
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``_flip_probabilities`` for arrays; beta broadcasts against amplitude."""
     a2n = amplitude * amplitude / n_copies
     cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n_copies)
     eta, nu = model.eta, model.nu
-    p_prev = 1.0 - e_prev
 
-    def objective(beta: np.ndarray) -> np.ndarray:
+    def flips(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         base = a2n + beta * beta
         cross = cross_coef * beta
-        false_flip = q_above_rows(eta * (base - cross) + nu, n_th)
-        missed_flip = q_below_rows(eta * (base + cross) + nu, n_th)
+        return (q_above_rows(eta * (base - cross) + nu, n_th),
+                q_below_rows(eta * (base + cross) + nu, n_th))
+
+    return flips
+
+
+def _negated_step_error_batch(
+    e_prev: np.ndarray,
+    flips: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    table: tuple[np.ndarray, np.ndarray],
+    rows: np.ndarray,
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[int], np.ndarray]]:
+    """``_negated_step_error`` for an array of e_prev, one beta per element.
+
+    ``table`` holds ``flips`` on the coarse grid, one row per grid index
+    and one column per distinct grid; element k reads column rows[k].
+    """
+    p_prev = 1.0 - e_prev
+    false_table, missed_table = table
+
+    def objective(beta: np.ndarray) -> np.ndarray:
+        false_flip, missed_flip = flips(beta)
         return -(p_prev * false_flip + e_prev * missed_flip)
 
-    return objective
+    def coarse_column(i: int) -> np.ndarray:
+        return -(p_prev * false_table[i, rows] + e_prev * missed_table[i, rows])
+
+    return objective, coarse_column
 
 
 def _hybrid_error_batch(
@@ -367,20 +415,28 @@ def _hybrid_error_batch(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Negated ``_hybrid_recursion`` error at every (tau, z) of a grid round.
 
-    The per-copy beta searches of all grid points run in lockstep. The
-    values agree with the scalar recursion up to the last-bit
+    The per-copy beta searches of all grid points run in lockstep. A
+    point's coarse beta grid depends on tau only, so the flip
+    probabilities on it are tabulated once per distinct tau of the
+    round. The values agree with the scalar recursion up to the last-bit
     differences between np.exp and math.exp, which the 1 - q0 tail of
     a threshold n_th >= 2 can raise to about 1e-16 absolute.
     """
     model, n = cfg.model, cfg.n_copies
+    indices = np.arange(BETA_COARSE_POINTS)[:, None]
 
     def objective(tau: np.ndarray, z: np.ndarray) -> np.ndarray:
         errors = hl_sign_error(np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha, z, model)
         amplitude = np.sqrt(tau) * alpha
         hi = amplitude / math.sqrt(n) + BETA_MARGIN
+        taus, rows = np.unique(tau, return_inverse=True)
+        amplitudes = np.sqrt(taus) * alpha
+        grid = coarse_abscissae(0.0, amplitudes / math.sqrt(n) + BETA_MARGIN, BETA_COARSE_POINTS)
+        table = _flip_rows(amplitudes, n, model, n_th)(grid(indices))
+        flips = _flip_rows(amplitude, n, model, n_th)
         for _ in range(n):
-            step = _negated_step_error_batch(errors, amplitude, n, model, n_th)
-            _, negated = maximize_scalar_batch(step, 0.0, hi, BETA_COARSE_POINTS, BETA_TOL)
+            step, coarse = _negated_step_error_batch(errors, flips, table, rows)
+            _, negated = maximize_scalar_batch(step, 0.0, hi, BETA_COARSE_POINTS, BETA_TOL, coarse)
             errors = -negated
         return -errors
 

@@ -19,6 +19,14 @@ still chooses what a point-by-point search would. ``maximize_scalar``
 stays the search for single objectives, where an array of one element
 would only add overhead; ``maximize_grid`` adapts a scalar objective to
 the box search.
+
+Both 1-D searches accept the objective's values on the coarse grid from
+the caller (``ScalarSearchSpec.coarse_grid``, ``coarse_abscissae``):
+a caller that runs many searches on one grid, with objectives built
+from the same per-abscissa terms, tabulates those terms once instead of
+calling f at every coarse point of every search. The values must equal
+f on the grid; they only change who computes them, and the search from
+there on, with its checks and tie rule, is the same.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ __all__ = [
     "maximize_grid",
     "maximize_grid_batch",
     "scan_discrete",
+    "coarse_abscissae",
 ]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -60,6 +69,10 @@ class ScalarSearchSpec:
             raise ValueError("coarse_points must be >= 3")
         if not (0.0 < self.tol < self.hi - self.lo):
             raise ValueError("tol must be positive and smaller than the interval")
+
+    def coarse_grid(self) -> list[float]:
+        """The abscissae at which ``maximize_scalar`` seeds its search, in order."""
+        return _axis_grid(self.lo, self.hi, self.coarse_points)
 
 
 @dataclass(frozen=True)
@@ -98,11 +111,25 @@ class GridSearchSpec:
                     raise ValueError(f"mandatory point {point} lies outside the bounds")
 
 
+def _non_finite(value, x, label: str) -> ValueError:
+    return ValueError(f"objective returned non-finite value {value!r} at {label} = {x!r}")
+
+
 def _checked(f: Callable, x, label: str) -> float:
     value = float(f(*x) if isinstance(x, tuple) else f(x))
     if not math.isfinite(value):
-        raise ValueError(f"objective returned non-finite value {value!r} at {label} = {x!r}")
+        raise _non_finite(value, x, label)
     return value
+
+
+def _checked_values(values: Sequence[float], points: Sequence, label: str) -> list[float]:
+    values = list(map(float, values))
+    if len(values) != len(points):
+        raise ValueError(f"expected {len(points)} objective values, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        i = next(i for i, value in enumerate(values) if not math.isfinite(value))
+        raise _non_finite(values[i], points[i], label)
+    return values
 
 
 def _checked_batch(values, points: Callable[[int], object], label: str) -> np.ndarray:
@@ -110,7 +137,7 @@ def _checked_batch(values, points: Callable[[int], object], label: str) -> np.nd
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"objective returned non-finite value {values[i]!r} at {label} = {points(i)!r}")
+        raise _non_finite(values[i], points(i), label)
     return values
 
 
@@ -121,22 +148,32 @@ def _axis_grid(lo: float, hi: float, n: int) -> list[float]:
     return grid
 
 
-def maximize_scalar(f: Callable[[float], float], spec: ScalarSearchSpec) -> tuple[float, float]:
+def maximize_scalar(
+    f: Callable[[float], float],
+    spec: ScalarSearchSpec,
+    coarse_values: Sequence[float] | None = None,
+) -> tuple[float, float]:
     """Maximize f on [lo, hi]; returns (x_star, f_star).
 
     The result is at least as good as the best coarse-grid point: the
     golden-section refinement runs inside the bracket around the coarse
     argmax and its candidate replaces the incumbent only on strict
     improvement.
+
+    ``coarse_values``, when given, are f at ``spec.coarse_grid()``, in
+    order, computed by the caller; they must equal f there. The search
+    then calls f only for its golden-section steps, and a non-finite
+    value is reported as if f had returned it.
     """
-    grid = _axis_grid(spec.lo, spec.hi, spec.coarse_points)
-    best_x = grid[0]
-    best_f = _checked(f, grid[0], "x")
-    best_i = 0
-    for i in range(1, len(grid)):
-        v = _checked(f, grid[i], "x")
-        if v > best_f:
-            best_x, best_f, best_i = grid[i], v, i
+    grid = spec.coarse_grid()
+    if coarse_values is None:
+        values = [_checked(f, x, "x") for x in grid]
+    else:
+        values = _checked_values(coarse_values, grid, "x")
+    # max keeps the first of equal values, as a strict-> scan does
+    best_f = max(values)
+    best_i = values.index(best_f)
+    best_x = grid[best_i]
     a = grid[max(best_i - 1, 0)]
     b = grid[min(best_i + 1, len(grid) - 1)]
     x, v = _golden_max(f, a, b, spec.tol)
@@ -178,20 +215,13 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
     return best_x, best_f
 
 
-def maximize_scalar_batch(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    coarse_points: int,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One ``maximize_scalar`` per element of lo, hi; returns (x_star, f_star) arrays.
+def coarse_abscissae(lo, hi, coarse_points: int) -> Callable[[int | np.ndarray], np.ndarray]:
+    """Coarse grid of ``maximize_scalar_batch`` on [lo, hi], as a function of the grid index.
 
-    f maps an array of abscissae, one per element, to the objective
-    values of the elements. Each element sees exactly the comparisons
-    and abscissae of ``maximize_scalar`` with ScalarSearchSpec(lo, hi,
-    coarse_points, tol); elements whose golden-section steps are done
-    keep their state while the others continue.
+    Index i gives the i-th coarse abscissa of every element of
+    broadcast(lo, hi); an index array broadcasts against them, so
+    ``coarse_abscissae(lo, hi, n)(np.arange(n)[:, None])`` is the whole
+    grid, one row per index.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     last = coarse_points - 1
@@ -200,13 +230,45 @@ def maximize_scalar_batch(
     def grid(i):
         return np.where(i == last, hi, lo + i * step)
 
+    return grid
+
+
+def maximize_scalar_batch(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    coarse_points: int,
+    tol: float,
+    coarse_values: Callable[[int], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One ``maximize_scalar`` per element of lo, hi; returns (x_star, f_star) arrays.
+
+    f maps an array of abscissae, one per element, to the objective
+    values of the elements. Each element sees exactly the comparisons
+    and abscissae of ``maximize_scalar`` with ScalarSearchSpec(lo, hi,
+    coarse_points, tol); elements whose golden-section steps are done
+    keep their state while the others continue.
+
+    ``coarse_values(i)``, when given, returns f at coarse column i, that
+    is at ``coarse_abscissae(lo, hi, coarse_points)(i)``, computed by the
+    caller; it must equal f there. The search then calls f only for its
+    golden-section steps.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    last = coarse_points - 1
+    grid = coarse_abscissae(lo, hi, coarse_points)
+
     def checked(x):
         return _checked_batch(f(x), lambda i: float(x[i]), "x")
 
-    best_f = checked(grid(0))
+    def coarse_column(i):
+        values = f(grid(i)) if coarse_values is None else coarse_values(i)
+        return _checked_batch(values, lambda j: float(grid(i)[j]), "x")
+
+    best_f = coarse_column(0)
     best_i = np.zeros(lo.shape, dtype=int)
     for i in range(1, coarse_points):
-        v = checked(grid(i))
+        v = coarse_column(i)
         better = v > best_f
         best_f = np.where(better, v, best_f)
         best_i[better] = i

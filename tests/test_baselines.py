@@ -54,7 +54,7 @@ class TestClosedForms:
     def test_limits(self):
         assert sql_error(100.0) == 0.0  # underflows cleanly, no negative values
         assert helstrom_bound(8.0) > 0.0  # stable tail, no catastrophic cancellation
-        assert helstrom_bound(8.0) == pytest.approx(math.exp(-256.0) / 4.0, rel=1e-10)
+        assert helstrom_bound(8.0) == pytest.approx(math.exp(-256.0) / 4.0, rel=1e-10, abs=0.0)
 
     def test_erf_backend_accuracy(self):
         for x, ref in ERF_REFERENCE.items():

@@ -5,19 +5,26 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bpskrx
 from bpskrx import validation
 from bpskrx.cli import CSV_COLUMNS, figure_curves, main
 
+# The subprocess imports the same bpskrx as these tests, installed or not.
+PACKAGE_ROOT = str(Path(bpskrx.__file__).resolve().parents[1])
+
 
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "bpskrx.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
         timeout=600,
     )
 
@@ -52,7 +59,7 @@ class TestSweep:
         assert alpha2s == sorted(alpha2s)
         for row in rows:
             alpha2, p_err = float(row[0]), float(row[1])
-            assert p_err == pytest.approx(math.exp(-4.0 * alpha2) / 2.0, rel=1e-14)
+            assert p_err == pytest.approx(math.exp(-4.0 * alpha2) / 2.0, rel=1e-14, abs=0.0)
             assert row[6] == "" and row[9] == ""  # no tau_opt / betas for closed forms
 
     def test_round_trip_full_precision(self, tmp_path):
@@ -190,7 +197,8 @@ class TestFigure:
         assert any("figure = 4" in line for line in metadata)
         assert any("alpha2_min = 0.01" in line for line in metadata)
         for row in rows:
-            assert float(row[1]) == pytest.approx(math.exp(-4 * float(row[0])) / 2, rel=1e-14)
+            assert float(row[1]) == pytest.approx(math.exp(-4 * float(row[0])) / 2,
+                                                  rel=1e-14, abs=0.0)
 
 
 class TestOptimize:

@@ -23,8 +23,18 @@ from bpskrx.feedforward import (
     step_rates,
     switch_conditional_traces,
 )
-from bpskrx.feedforward import _hybrid_error_batch, _hybrid_recursion
-from bpskrx.photostatistics import DetectorModel
+import bpskrx.feedforward as feedforward
+from bpskrx.feedforward import (
+    BETA_COARSE_POINTS,
+    BETA_MARGIN,
+    BETA_TOL,
+    _flip_probabilities,
+    _hybrid_error_batch,
+    _hybrid_recursion,
+    _negated_step_error,
+)
+from bpskrx.optimize import ScalarSearchSpec, coarse_abscissae
+from bpskrx.photostatistics import DetectorModel, q_thresh
 
 IDEAL2 = DetectorModel(2)
 
@@ -36,13 +46,13 @@ def cfg(n, model=IDEAL2, receiver=Receiver.DFFRE):
 class TestStepRates:
     def test_ideal_reduces_to_squared_sum(self):
         rates = step_rates(0.7, 1.2, 4)
-        assert rates.lambda_plus == pytest.approx((0.7 + 1.2 / 2) ** 2, rel=1e-13)
+        assert rates.lambda_plus == pytest.approx((0.7 + 1.2 / 2) ** 2, rel=1e-13, abs=0.0)
         assert rates.lambda_minus == pytest.approx((0.7 - 1.2 / 2) ** 2, rel=1e-13, abs=1e-15)
 
     def test_visibility_cross_term(self):
         rates = step_rates(0.5, 1.0, 1, xi=0.9)
-        assert rates.lambda_plus == pytest.approx(1.0 + 0.25 + 2 * 0.9 * 0.5, rel=1e-13)
-        assert rates.lambda_minus == pytest.approx(1.0 + 0.25 - 2 * 0.9 * 0.5, rel=1e-13)
+        assert rates.lambda_plus == pytest.approx(1.0 + 0.25 + 2 * 0.9 * 0.5, rel=1e-13, abs=0.0)
+        assert rates.lambda_minus == pytest.approx(1.0 + 0.25 - 2 * 0.9 * 0.5, rel=1e-13, abs=0.0)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
@@ -69,7 +79,7 @@ class TestStepCorrectProb:
         s = math.sqrt(eta)
         lossy = step_correct_prob(0.8, 0.6, 1.1, 2, DetectorModel(2, eta=eta))
         ideal = step_correct_prob(0.8, s * 0.6, s * 1.1, 2, IDEAL2)
-        assert lossy == pytest.approx(ideal, rel=1e-12)
+        assert lossy == pytest.approx(ideal, rel=1e-12, abs=0.0)
 
     def test_threshold_with_dark_counts(self):
         model = DetectorModel(2, nu=1e-3)
@@ -78,7 +88,7 @@ class TestStepCorrectProb:
             1, rates.lambda_plus + 1e-3
         )
         assert step_correct_prob(0.4, 0.9, 1.0, 1, model, n_th=2) == pytest.approx(
-            expected, rel=1e-12
+            expected, rel=1e-12, abs=0.0
         )
 
     def test_domain_errors(self):
@@ -292,13 +302,117 @@ class TestBatchedSearch:
         assert abs(hffre_error(alpha, c).p_err - dense) <= 1e-6
 
 
+def reference_step_error(e_prev, amplitude, n, model, n_th):
+    """The negated step error, written out as before the flips were tabulated."""
+    a2n = amplitude * amplitude / n
+    cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n)
+    p_prev = 1.0 - e_prev
+
+    def objective(beta):
+        base = a2n + beta * beta
+        cross = cross_coef * beta
+        if n_th == 1:
+            false_flip = -math.expm1(-(model.eta * (base - cross) + model.nu))
+            missed_flip = math.exp(-(model.eta * (base + cross) + model.nu))
+        else:
+            _, false_flip = q_thresh(model.eta * (base - cross) + model.nu, n_th)
+            missed_flip, _ = q_thresh(model.eta * (base + cross) + model.nu, n_th)
+        return -(p_prev * false_flip + e_prev * missed_flip)
+
+    return objective
+
+
+# repr literals of the search that evaluated every coarse point per copy:
+# (alpha2, N, model, (n_th, first beta, last beta, p_err)). The negative
+# ideal value at alpha2 = 150 is the cancelling nulled-branch rate.
+PINNED_DFFRE = [
+    (0.1, 5, IDEAL2, (1, "0.7118555655462361", "0.25639313274962744", "0.2236270880758591")),
+    (3.0, 5, IDEAL2, (1, "0.882267299690762", "0.7746005951995418", "2.5418407912899836e-06")),
+    (150.0, 5, IDEAL2, (1, "5.477225560348831", "5.477225560348831", "-7.105427357601078e-15")),
+    (0.1, 50, DetectorModel(8, nu=1e-3),
+     (1, "0.7075785181657576", "0.08189300310389631", "0.22748970461334544")),
+    (3.0, 50, DetectorModel(8, nu=1e-3),
+     (1, "0.721564084005444", "0.24674583789075644", "0.004631933050097478")),
+    (150.0, 50, DetectorModel(8, nu=1e-3),
+     (5, "2.3871453664198925", "1.7521601614480564", "1.7609846695996015e-111")),
+]
+
+
+class TestCoarseTable:
+    @pytest.mark.parametrize("model", [IDEAL2, DetectorModel(2, eta=0.7), DARK2,
+                                       DetectorModel(8, nu=1e-3), DetectorModel(2, xi=0.998)])
+    @pytest.mark.parametrize("amplitude, n", [(1.0, 1), (math.sqrt(3.0), 5)])
+    def test_coarse_values_equal_objective(self, model, amplitude, n):
+        spec = ScalarSearchSpec(0.0, amplitude / math.sqrt(n) + BETA_MARGIN,
+                                BETA_COARSE_POINTS, BETA_TOL)
+        grid = spec.coarse_grid()
+        for n_th in range(1, model.resolution + 1):
+            flips = _flip_probabilities(amplitude, n, model, n_th)
+            table = [flips(beta) for beta in grid]
+            for e_prev in (0.5, 1e-3, 1e-300, 0.0):
+                objective, coarse = _negated_step_error(e_prev, flips, table)
+                reference = reference_step_error(e_prev, amplitude, n, model, n_th)
+                assert coarse == [objective(beta) for beta in grid]
+                assert coarse == [reference(beta) for beta in grid]
+
+    @pytest.mark.parametrize("model", [IDEAL2, DARK2, DetectorModel(8, nu=1e-3),
+                                       DetectorModel(2, xi=0.998)])
+    def test_recursion_hands_search_the_objective_on_its_grid(self, model, monkeypatch):
+        search = feedforward.maximize_scalar
+        copies = []
+
+        def comparing(f, spec, coarse):
+            assert coarse == [f(beta) for beta in spec.coarse_grid()]
+            copies.append(spec.hi)
+            return search(f, spec, coarse)
+
+        monkeypatch.setattr(feedforward, "maximize_scalar", comparing)
+        dffre_error(1.3, cfg(3, model))
+        assert len(copies) == 3 * len(feedforward._threshold_candidates(model))
+
+    @pytest.mark.parametrize("model, n_th",
+                             [(IDEAL2, 1), (DARK2, 2), (DetectorModel(2, xi=0.998), 2)])
+    def test_tabulated_columns_equal_evaluated_columns(self, model, n_th, monkeypatch):
+        # Every coarse column the lockstep search reads from the per-tau
+        # table equals the objective there, and the search returns what
+        # it returns when it evaluates every column itself.
+        search = feedforward.maximize_scalar_batch
+        copies = []
+
+        def comparing(f, lo, hi, coarse_points, tol, coarse):
+            grid = coarse_abscissae(lo, hi, coarse_points)
+            for i in range(coarse_points):
+                assert np.array_equal(coarse(i), f(grid(i)))
+            result = search(f, lo, hi, coarse_points, tol, coarse)
+            evaluated = search(f, lo, hi, coarse_points, tol)
+            assert all(np.array_equal(r, e) for r, e in zip(result, evaluated))
+            copies.append(grid(0).size)
+            return result
+
+        monkeypatch.setattr(feedforward, "maximize_scalar_batch", comparing)
+        alpha = 1.0
+        c = cfg(2, model, Receiver.HFFRE)
+        tau, z = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 5.0 + 4.0 * alpha, 41),
+                             indexing="ij")
+        tau, z = np.concatenate(([1.0], tau.ravel())), np.concatenate(([0.0], z.ravel()))
+        _hybrid_error_batch(alpha, c, n_th)(tau, z)
+        assert copies == [1682, 1682]
+
+    @pytest.mark.parametrize("alpha2, n, model, expected", PINNED_DFFRE)
+    def test_dffre_pinned(self, alpha2, n, model, expected):
+        result = dffre_error(math.sqrt(alpha2), cfg(n, model))
+        betas = result.params.betas
+        assert (result.params.n_th, repr(betas[0]), repr(betas[-1]), repr(result.p_err)) == expected
+
+
 class TestSaturation:
     def test_dark_floor_trivial(self):
         assert saturation_dark(0.0, 3, 2) == 0.0
 
     def test_dark_floor_single_copy_value(self):
         # (1 - q0(nu))/2 with q0 at threshold M, 40-digit reference
-        assert saturation_dark(1e-3, 1, 2) == pytest.approx(2.4983339581667013829e-07, rel=1e-9)
+        assert saturation_dark(1e-3, 1, 2) == pytest.approx(2.4983339581667013829e-07,
+                                                            rel=1e-9, abs=0.0)
 
     @staticmethod
     def dark_floor_reference(nu, n):
@@ -345,7 +459,7 @@ class TestSaturation:
         r = q0 - 1.0
         expected = 1.0 - (r**2 / 2.0 + (1.0 - r**2) / (1.0 - r))
         assert saturation_visibility(0.998, math.sqrt(10.0), 2, 2) == pytest.approx(
-            expected, rel=1e-12
+            expected, rel=1e-12, abs=0.0
         )
 
     def test_domain_errors(self):
@@ -357,7 +471,7 @@ class TestSaturation:
 
 class TestMetrics:
     def test_ratio_of_helstrom_is_one(self):
-        assert ratio(helstrom_bound(1.0), 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert ratio(helstrom_bound(1.0), 1.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_gain_of_sql_is_zero(self):
         assert gain(sql_error(1.0), 1.0) == pytest.approx(0.0, abs=1e-14)

@@ -8,6 +8,7 @@ import pytest
 from bpskrx.optimize import (
     GridSearchSpec,
     ScalarSearchSpec,
+    coarse_abscissae,
     maximize_grid,
     maximize_grid_batch,
     maximize_scalar,
@@ -83,6 +84,74 @@ class TestMaximizeScalar:
             ScalarSearchSpec(0.0, 1.0, coarse_points=2)
         with pytest.raises(ValueError):
             ScalarSearchSpec(0.0, 1.0, tol=2.0)
+
+
+def step_bracket(beta):
+    return 0.5 * math.exp(-((beta - 0.4) ** 2)) + 0.5 * (1.0 - math.exp(-((beta + 0.4) ** 2)))
+
+
+# The objectives of TestMaximizeScalar, plus a plateau and a tie between
+# two separated maxima, both on coarse points.
+SCALAR_CASES = [
+    (lambda x: -((x - 1.0) ** 2), ScalarSearchSpec(0.0, 3.0, coarse_points=16, tol=1e-7)),
+    (lambda x: 7.5, ScalarSearchSpec(2.0, 5.0, coarse_points=8, tol=1e-6)),
+    (step_bracket, ScalarSearchSpec(0.0, 5.4, coarse_points=64, tol=1e-7)),
+    (lambda x: math.sin(5.0 * x) + 0.3 * math.cos(17.0 * x),
+     ScalarSearchSpec(0.0, 4.0, coarse_points=32, tol=1e-7)),
+    (lambda x: math.sin(3.0 * x) * math.exp(-x),
+     ScalarSearchSpec(0.0, 2.0, coarse_points=11, tol=1e-8)),
+    (lambda x: x, ScalarSearchSpec(0.0, 1.0, coarse_points=5, tol=1e-7)),
+    (lambda x: min(x, 1.0), ScalarSearchSpec(0.0, 3.0, coarse_points=7, tol=1e-7)),
+    (lambda x: -min((x - 0.5) ** 2, (x - 2.5) ** 2),
+     ScalarSearchSpec(0.0, 3.0, coarse_points=7, tol=1e-7)),
+]
+
+
+class TestCoarseValues:
+    @pytest.mark.parametrize("f, spec", SCALAR_CASES)
+    def test_supplied_values_reproduce_search(self, f, spec):
+        seen = []
+
+        def recording(x):
+            seen.append(x)
+            return f(x)
+
+        expected = maximize_scalar(recording, spec)
+        grid = spec.coarse_grid()
+        assert seen[:spec.coarse_points] == grid
+        refinement = seen[spec.coarse_points:]
+        seen.clear()
+        assert maximize_scalar(recording, spec, [f(x) for x in grid]) == expected
+        assert seen == refinement
+
+    def test_non_finite_value_names_abscissa(self):
+        spec = ScalarSearchSpec(0.0, 1.0, coarse_points=5, tol=1e-7)
+        with pytest.raises(ValueError, match=r"non-finite value nan at x = 0\.5"):
+            maximize_scalar(lambda x: 0.0, spec, [0.0, 0.0, math.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="expected 5 objective values"):
+            maximize_scalar(lambda x: 0.0, spec, [0.0] * 4)
+
+    def test_batch_columns_reproduce_search(self):
+        rng = np.random.default_rng(5)
+        c = rng.uniform(0.0, 3.0, 200)
+        hi = rng.uniform(0.3, 8.0, 200)
+
+        def batch(x):
+            return -((x - c) * (x - c)) * (x - 0.5 * c) + 0.3 * x
+
+        grid = coarse_abscissae(0.0, hi, 64)
+        columns = batch(grid(np.arange(64)[:, None]))  # the whole table at once
+        expected = maximize_scalar_batch(batch, 0.0, hi, 64, 1e-7)
+        got = maximize_scalar_batch(batch, 0.0, hi, 64, 1e-7, lambda i: columns[i])
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+    def test_batch_non_finite_column_names_abscissa(self):
+        def column(i):
+            return np.where(np.arange(3) == 1, np.nan if i == 2 else 0.0, 0.0)
+
+        with pytest.raises(ValueError, match=r"non-finite value .*nan.* at x = 1\.0"):
+            maximize_scalar_batch(lambda x: 0.0 * x, 0.0, np.array([1.0, 2.0, 3.0]), 5, 1e-7,
+                                  column)
 
 
 class TestMaximizeScalarBatch:

@@ -48,7 +48,7 @@ class TestPnrPmf:
         probs = pnr_pmf(mu, m)
         for n in range(m):
             direct = math.exp(-mu) * mu**n / math.factorial(n)
-            assert probs[n] == pytest.approx(direct, rel=1e-14)
+            assert probs[n] == pytest.approx(direct, rel=1e-14, abs=0.0)
         tail = 1.0 - sum(math.exp(-mu) * mu**j / math.factorial(j) for j in range(m))
         assert probs[m] == pytest.approx(tail, abs=1e-14)
 
@@ -213,7 +213,7 @@ class TestSkellam:
     def test_symmetry_equal_rates(self):
         for delta in range(0, 5):
             assert skellam_pmf(delta, 1.7, 1.7) == pytest.approx(
-                skellam_pmf(-delta, 1.7, 1.7), rel=1e-13
+                skellam_pmf(-delta, 1.7, 1.7), rel=1e-13, abs=0.0
             )
 
     def test_series_oracle(self):
@@ -224,8 +224,8 @@ class TestSkellam:
         expected = sum(
             float(poisson.pmf(m + 1, 2.0) * poisson.pmf(m, 0.5)) for m in range(0, 201)
         )
-        assert skellam_pmf(1, 2.0, 0.5) == pytest.approx(expected, rel=1e-12)
-        assert skellam_pmf(1, 2.0, 0.5) == pytest.approx(0.26113484804805572811, rel=1e-13)
+        assert skellam_pmf(1, 2.0, 0.5) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert skellam_pmf(1, 2.0, 0.5) == pytest.approx(0.26113484804805572811, rel=1e-13, abs=0.0)
 
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
@@ -305,7 +305,7 @@ class TestDetectorModel:
 
     def test_detection_rate_combination(self):
         model = DetectorModel(2, eta=0.7, nu=1e-3)
-        assert model.detection_rate(2.0) == pytest.approx(0.7 * 2.0 + 1e-3, rel=1e-15)
+        assert model.detection_rate(2.0) == pytest.approx(0.7 * 2.0 + 1e-3, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
