@@ -26,6 +26,7 @@ from .feedforward import (
     gain,
     hffre_error,
     hffre_error_at,
+    optimized_error,
     ratio,
     saturation_dark,
     saturation_visibility,
@@ -84,6 +85,7 @@ __all__ = [
     "maximize_grid",
     "maximize_scalar",
     "optimized_displacement_error",
+    "optimized_error",
     "pnr_pmf",
     "q_off",
     "q_on",

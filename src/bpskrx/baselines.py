@@ -95,14 +95,12 @@ def hynore_error(alpha: float, resolution: int):
     the HFFRE (``hl_sign_error``), so each grid round is evaluated as one
     batch of e0 e^(-4 tau alpha^2).
     """
-    from .feedforward import EvalResult, ReceiverParams, _hybrid_initial_error, gain, ratio
+    from .feedforward import _hybrid_initial_error, _result
 
     alpha = _check_alpha(alpha)
     model = DetectorModel(resolution=resolution)
     if alpha == 0.0:
-        params = ReceiverParams(tau=1.0, z=0.0, betas=(), n_th=1)
-        return EvalResult(p_err=0.5, params=params, per_step_correct=(0.5,),
-                          ratio=ratio(0.5, 0.0), gain=gain(0.5, 0.0))
+        return _result(0.0, [0.5])
 
     def objective(tau: np.ndarray, z: np.ndarray) -> np.ndarray:
         reflected = np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha
@@ -117,7 +115,4 @@ def hynore_error(alpha: float, resolution: int):
     )
     (tau_opt, z_opt), _ = maximize_grid_batch(objective, spec)
     e0 = _hybrid_initial_error(alpha, tau_opt, z_opt, model)
-    p_err = e0 * math.exp(-4.0 * tau_opt * alpha * alpha)
-    params = ReceiverParams(tau=tau_opt, z=z_opt, betas=(), n_th=1)
-    return EvalResult(p_err=p_err, params=params, per_step_correct=(1.0 - p_err,),
-                      ratio=ratio(p_err, alpha), gain=gain(p_err, alpha))
+    return _result(alpha, [e0 * math.exp(-4.0 * tau_opt * alpha * alpha)], tau=tau_opt, z=z_opt)

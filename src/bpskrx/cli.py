@@ -24,14 +24,44 @@ import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import __version__, baselines, feedforward
 from .feedforward import EvalResult, FeedForwardConfig, Receiver
 from .montecarlo import RngSpec, estimate_error
 from .photostatistics import DetectorModel
 
-RECEIVERS = ("SQL", "HELSTROM", "KENNEDY", "DISP_OPT", "HYNORE", "DFFRE", "HFFRE")
-MC_RECEIVERS = ("DISP_OPT", "DFFRE", "HFFRE")
+
+class ReceiverEntry(NamedTuple):
+    """How a receiver is evaluated: a closed form for p_err, else an ``EvalResult``.
+
+    ``kind`` names the feed-forward recursion, which alone models detector
+    imperfections and is replayed by the Monte Carlo oracle; ``copies``
+    fixes N where the receiver defines it.
+    """
+
+    closed_form: Callable[[float], float] | None = None
+    kind: Receiver | None = None
+    copies: int | None = None
+
+    def config(self, model: DetectorModel, n_copies: int) -> FeedForwardConfig:
+        return FeedForwardConfig(self.copies or n_copies, model, self.kind)
+
+
+# Callees are looked up through their module at call time, so patched
+# module attributes (a tracer, a test) see every call.
+RECEIVER_TABLE = {
+    "SQL": ReceiverEntry(closed_form=lambda alpha: baselines.sql_error(alpha)),
+    "HELSTROM": ReceiverEntry(closed_form=lambda alpha: baselines.helstrom_bound(alpha)),
+    "KENNEDY": ReceiverEntry(closed_form=lambda alpha: baselines.kennedy_error(alpha)),
+    "DISP_OPT": ReceiverEntry(kind=Receiver.DFFRE, copies=1),
+    "HYNORE": ReceiverEntry(),
+    "DFFRE": ReceiverEntry(kind=Receiver.DFFRE),
+    "HFFRE": ReceiverEntry(kind=Receiver.HFFRE),
+}
+RECEIVERS = tuple(RECEIVER_TABLE)
+MC_RECEIVERS = tuple(n for n, e in RECEIVER_TABLE.items() if e.kind is not None)
+OPTIMIZED_RECEIVERS = tuple(n for n, e in RECEIVER_TABLE.items() if e.closed_form is None)
 CSV_COLUMNS = (
     "alpha2",
     "p_err",
@@ -78,11 +108,10 @@ class SweepConfig:
             raise ValueError(f"--mc-trials is only supported for receivers {MC_RECEIVERS}")
         if self.mc_trials is not None and self.seed is None:
             raise ValueError("--mc-trials requires --seed for reproducibility")
-        model = DetectorModel(self.pnr, self.eta, self.nu, self.xi)
-        if self.receiver not in MC_RECEIVERS and not model.is_ideal:
+        if self.receiver not in MC_RECEIVERS and not self.model.is_ideal:
             raise ValueError(
-                f"receiver {self.receiver} is evaluated with ideal detectors; "
-                "--eta/--nu/--xi apply to DISP_OPT, DFFRE and HFFRE"
+                f"receiver {self.receiver} is evaluated with ideal detectors; --eta/--nu/--xi "
+                f"apply to {', '.join(MC_RECEIVERS[:-1])} and {MC_RECEIVERS[-1]}"
             )
 
     @property
@@ -102,6 +131,16 @@ class SweepConfig:
         return values
 
 
+def evaluate_receiver(name: str, alpha: float, model: DetectorModel, n_copies: int) -> EvalResult:
+    """Optimized evaluation of a receiver without a closed form."""
+    entry = RECEIVER_TABLE[name]
+    if entry.kind is not None:
+        return feedforward.optimized_error(alpha, entry.config(model, n_copies))
+    if not model.is_ideal:  # HYNORE, the one optimized receiver outside the recursion
+        raise ValueError(f"{name} is only evaluated with ideal detectors")
+    return baselines.hynore_error(alpha, model.resolution)
+
+
 def evaluate_point(config: SweepConfig, alpha2: float, row_index: int) -> dict:
     """Evaluate one grid point; returns a column -> value mapping (None = absent)."""
     alpha = math.sqrt(alpha2)
@@ -110,48 +149,27 @@ def evaluate_point(config: SweepConfig, alpha2: float, row_index: int) -> dict:
     row["p_helstrom"] = baselines.helstrom_bound(alpha)
     row["p_sql"] = baselines.sql_error(alpha)
 
-    result: EvalResult | None = None
-    receiver = config.receiver
-    if receiver == "SQL":
-        p_err = row["p_sql"]
-    elif receiver == "HELSTROM":
-        p_err = row["p_helstrom"]
-    elif receiver == "KENNEDY":
-        p_err = baselines.kennedy_error(alpha)
-    elif receiver == "HYNORE":
-        result = baselines.hynore_error(alpha, config.pnr)
+    entry = RECEIVER_TABLE[config.receiver]
+    if entry.closed_form is not None:
+        p_err = entry.closed_form(alpha)
+    else:
+        result = evaluate_receiver(config.receiver, alpha, config.model, config.n_copies)
         p_err = result.p_err
-    elif receiver == "DISP_OPT":
-        result = baselines.optimized_displacement_error(alpha, config.model)
-        p_err = result.p_err
-    elif receiver == "DFFRE":
-        cfg = FeedForwardConfig(config.n_copies, config.model, Receiver.DFFRE)
-        result = feedforward.dffre_error(alpha, cfg)
-        p_err = result.p_err
-    else:  # HFFRE
-        cfg = FeedForwardConfig(config.n_copies, config.model, Receiver.HFFRE)
-        result = feedforward.hffre_error(alpha, cfg)
-        p_err = result.p_err
-
-    row["p_err"] = p_err
-    row["ratio"] = feedforward.ratio(p_err, alpha)
-    row["gain"] = feedforward.gain(p_err, alpha)
-    if result is not None:
         row["tau_opt"] = result.params.tau
-        if receiver in ("HYNORE", "HFFRE"):
+        if entry.kind is not Receiver.DFFRE:  # the DFFRE has no HL local oscillator
             row["z_opt"] = result.params.z
         if result.params.betas:
             row["n_th_opt"] = result.params.n_th
             row["betas"] = ";".join(repr(b) for b in result.params.betas)
+    row["p_err"] = p_err
+    row["ratio"] = feedforward.ratio(p_err, alpha)
+    row["gain"] = feedforward.gain(p_err, alpha)
 
     if config.mc_trials is not None:
-        n_copies = 1 if receiver == "DISP_OPT" else config.n_copies
-        kind = Receiver.DFFRE if receiver in ("DISP_OPT", "DFFRE") else Receiver.HFFRE
-        cfg = FeedForwardConfig(n_copies, config.model, kind)
+        cfg = entry.config(config.model, config.n_copies)
         spec = RngSpec(config.seed, stream_id=row_index)
-        p_hat, std_err = estimate_error(alpha, result.params, cfg, config.mc_trials, spec)
-        row["mc_p_hat"] = p_hat
-        row["mc_std_err"] = std_err
+        row["mc_p_hat"], row["mc_std_err"] = estimate_error(
+            alpha, result.params, cfg, config.mc_trials, spec)
     return row
 
 
@@ -419,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--json", action="store_true")
 
     optimize = sub.add_parser("optimize", help="optimized parameters at one energy")
-    optimize.add_argument("--receiver", choices=("DISP_OPT", "HYNORE", "DFFRE", "HFFRE"),
-                          type=str.upper, required=True)
+    optimize.add_argument("--receiver", choices=OPTIMIZED_RECEIVERS, type=str.upper,
+                          required=True)
     optimize.add_argument("--alpha2", type=float, required=True)
     _add_model_flags(optimize)
     optimize.add_argument("--json", action="store_true")
@@ -460,31 +478,17 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _single_model(args: argparse.Namespace) -> tuple[DetectorModel, int]:
+def _single_point(args: argparse.Namespace) -> tuple[float, DetectorModel, int]:
     model = DetectorModel(
         resolution=args.pnr if args.pnr is not None else 2,
         eta=args.eta if args.eta is not None else 1.0,
         nu=args.nu if args.nu is not None else 0.0,
         xi=args.xi if args.xi is not None else 1.0,
     )
-    n_copies = args.n_copies if args.n_copies is not None else 1
-    return model, n_copies
-
-
-def _evaluate_single(receiver: str, alpha2: float, model: DetectorModel, n_copies: int) -> EvalResult:
-    if alpha2 < 0.0:
+    if args.alpha2 < 0.0:
         raise ValueError("--alpha2 must be >= 0")
-    alpha = math.sqrt(alpha2)
-    if receiver == "DISP_OPT":
-        return baselines.optimized_displacement_error(alpha, model)
-    if receiver == "HYNORE":
-        if not model.is_ideal:
-            raise ValueError("HYNORE is only evaluated with ideal detectors")
-        return baselines.hynore_error(alpha, model.resolution)
-    kind = Receiver[receiver]
-    cfg = FeedForwardConfig(n_copies, model, kind)
-    fn = feedforward.dffre_error if kind is Receiver.DFFRE else feedforward.hffre_error
-    return fn(alpha, cfg)
+    n_copies = args.n_copies if args.n_copies is not None else 1
+    return math.sqrt(args.alpha2), model, n_copies
 
 
 def _result_payload(receiver: str, alpha2: float, model: DetectorModel,
@@ -509,8 +513,8 @@ def _result_payload(receiver: str, alpha2: float, model: DetectorModel,
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    model, n_copies = _single_model(args)
-    result = _evaluate_single(args.receiver, args.alpha2, model, n_copies)
+    alpha, model, n_copies = _single_point(args)
+    result = evaluate_receiver(args.receiver, alpha, model, n_copies)
     payload = _result_payload(args.receiver, args.alpha2, model, n_copies, result)
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -530,13 +534,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    model, n_copies = _single_model(args)
-    if args.receiver == "DISP_OPT":
-        n_copies = 1
-    result = _evaluate_single(args.receiver, args.alpha2, model, n_copies)
-    kind = Receiver.HFFRE if args.receiver == "HFFRE" else Receiver.DFFRE
-    cfg = FeedForwardConfig(n_copies, model, kind)
-    alpha = math.sqrt(args.alpha2)
+    alpha, model, n_copies = _single_point(args)
+    result = evaluate_receiver(args.receiver, alpha, model, n_copies)
+    cfg = RECEIVER_TABLE[args.receiver].config(model, n_copies)
     p_hat, std_err = estimate_error(alpha, result.params, cfg, args.mc_trials, RngSpec(args.seed))
     # The deviation is measured in the analytic standard error, which
     # unlike the sample one stays nonzero when no error is observed; with
@@ -545,7 +545,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     expected_errors = args.mc_trials * p
     resolvable = expected_errors >= MC_MIN_EXPECTED_ERRORS
     sigmas = abs(p_hat - p) / math.sqrt(p * (1.0 - p) / args.mc_trials) if resolvable else None
-    payload = _result_payload(args.receiver, args.alpha2, model, n_copies, result)
+    payload = _result_payload(args.receiver, args.alpha2, model, cfg.n_copies, result)
     payload.update({"mc_trials": args.mc_trials, "seed": args.seed, "mc_p_hat": p_hat,
                     "mc_std_err": std_err, "mc_resolvable": resolvable, "mc_sigmas": sigmas})
     if args.json:
@@ -589,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

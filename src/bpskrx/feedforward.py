@@ -4,23 +4,26 @@ The displacement feed-forward receiver (DFFRE) splits the signal into N
 weak copies. Each copy is displaced by an amplitude beta_j whose sign is
 steered by a switch: every time the PNR(M) detector counts at or above
 the click threshold, the switch flips, and the final switch position is
-the decision. The correct-decision probability after step j obeys a
-scalar recursion
+the decision. Every receiver here runs one error-space step
 
-    P(j) = max_beta_j [ P(j-1) * Q0(rate_minus) + (1 - P(j-1)) * Q1(rate_plus) ]
+    e(j) = min_beta_j [ (1 - e(j-1)) * F(beta_j) + e(j-1) * M(beta_j) ]
 
-with per-step greedy maximization of beta_j; Q0/Q1 are the
+with per-step greedy minimization; F = Q1(rate_minus) flips a correct
+switch and M = Q0(rate_plus) misses a wrong one, where Q0/Q1 are the
 below/at-or-above-threshold probabilities and rate_minus (rate_plus) is
 the detected mean photon number of a copy whose displacement opposes
-(reinforces) the signal.
+(reinforces) the signal. Error probabilities far below the resolution
+of 1 - P stay accurate; correct-decision traces report 1 - e.
 
-The hybrid feed-forward receiver (HFFRE) first taps a fraction 1 - tau
-of the signal, measures it with the homodyne-like difference scheme, and
-uses the sign of the difference outcome to choose the sign of the first
-displacement. That only changes the starting value of the same
-recursion; tau and the HL local-oscillator amplitude z are optimized on
-a grid that always contains tau = 1, where the DFFRE is recovered
-exactly.
+The receivers differ only in where the step starts. The DFFRE starts at
+e(0) = 1/2, and at N = 1 it is the optimized displacement receiver. The
+hybrid feed-forward receiver (HFFRE) first taps a fraction 1 - tau of
+the signal and measures it with the homodyne-like (HL) difference
+scheme, whose sign picks the first displacement: e(0) is the HL sign
+error and the copies carry sqrt(tau) alpha. tau and the HL
+local-oscillator amplitude z are optimized on a grid that always
+contains tau = 1, where the DFFRE is recovered exactly. The
+switch-conditional traces start at e(0) = 0 and 1.
 
 Detector imperfections (efficiency eta, dark counts nu, visibility xi)
 enter through the detected rates; with dark counts or reduced visibility
@@ -53,8 +56,6 @@ from .photostatistics import (
     hl_sign_error,
     q_above_rows,
     q_below_rows,
-    q_off,
-    q_on,
     q_thresh,
 )
 
@@ -70,6 +71,7 @@ __all__ = [
     "dffre_error",
     "hffre_error",
     "hffre_error_at",
+    "optimized_error",
     "switch_conditional_traces",
     "saturation_dark",
     "saturation_visibility",
@@ -166,31 +168,6 @@ def step_rates(beta: float, amplitude: float, n_copies: int, xi: float = 1.0) ->
     return StepRates(base + cross, base - cross)
 
 
-def _step_objective(
-    p_prev: float, amplitude: float, n_copies: int, model: DetectorModel, n_th: int
-) -> Callable[[float], float]:
-    """Correct-decision probability after one more copy, as a function of beta."""
-    a2n = amplitude * amplitude / n_copies
-    cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n_copies)
-    eta, nu = model.eta, model.nu
-    q_prev = 1.0 - p_prev
-    if n_th == 1:
-        def objective(beta: float) -> float:
-            base = a2n + beta * beta
-            cross = cross_coef * beta
-            rate_minus = eta * (base - cross) + nu
-            rate_plus = eta * (base + cross) + nu
-            return p_prev * math.exp(-rate_minus) - q_prev * math.expm1(-rate_plus)
-    else:
-        def objective(beta: float) -> float:
-            base = a2n + beta * beta
-            cross = cross_coef * beta
-            q0, _ = q_thresh(eta * (base - cross) + nu, n_th)
-            _, q1 = q_thresh(eta * (base + cross) + nu, n_th)
-            return p_prev * q0 + q_prev * q1
-    return objective
-
-
 def _flip_probabilities(
     amplitude: float, n_copies: int, model: DetectorModel, n_th: int
 ) -> Callable[[float], tuple[float, float]]:
@@ -228,10 +205,8 @@ def _negated_step_error(
 ) -> tuple[Callable[[float], float], list[float]]:
     """Negated error probability after one more copy: as a function of beta, and on a grid.
 
-    Identical algebra to the correct-probability bracket, rearranged as
-    e' = (1 - e) Q1(rate_minus) + e Q0(rate_plus) so error probabilities
-    far below the double-precision resolution of 1 - P stay accurate.
-    Returned negated so the maximizers can be reused for minimization.
+    The recursion's one step, e' = (1 - e) Q1(rate_minus) + e Q0(rate_plus),
+    returned negated so the maximizers can be reused for minimization.
     ``table`` holds ``flips`` at the grid's abscissae; the grid values
     use the objective's arithmetic, so they equal it there bit for bit.
     """
@@ -245,6 +220,20 @@ def _negated_step_error(
     return objective, coarse
 
 
+def _error_trace(e_initial: float, betas: Sequence[float], amplitude: float, n_copies: int,
+                 model: DetectorModel, n_th: int) -> list[float]:
+    """Error trace e_0..e_N of the recursion's step at fixed displacements."""
+    q_thresh(0.0, n_th, model.resolution)  # validates the threshold range
+    flips = _flip_probabilities(amplitude, n_copies, model, n_th)
+    errors = [e_initial]
+    for beta in betas:
+        if beta < 0.0:
+            raise ValueError(f"beta must be >= 0, got {beta!r}")
+        negated, _ = _negated_step_error(errors[-1], flips, ())
+        errors.append(-negated(float(beta)))
+    return errors
+
+
 def step_correct_prob(
     p_prev: float,
     beta: float,
@@ -256,12 +245,9 @@ def step_correct_prob(
     """One step of the correct-decision recursion at a fixed displacement."""
     if not 0.0 <= p_prev <= 1.0:
         raise ValueError(f"p_prev must be in [0, 1], got {p_prev!r}")
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
-    q_thresh(0.0, n_th, model.resolution)  # validates the threshold range
-    return _step_objective(p_prev, amplitude, n_copies, model, n_th)(beta)
+    return 1.0 - _error_trace(1.0 - p_prev, (beta,), amplitude, n_copies, model, n_th)[-1]
 
 
 def correct_probability_trace(
@@ -274,15 +260,11 @@ def correct_probability_trace(
 ) -> tuple[float, ...]:
     """Correct-decision trace for a fixed displacement sequence (no optimization)."""
     alpha = _check_alpha(alpha)
-    if amplitude is None:
-        amplitude = alpha
-    n = len(betas)
-    if n < 1:
+    if len(betas) < 1:
         raise ValueError("betas must contain at least one amplitude")
-    trace = [float(p_initial)]
-    for beta in betas:
-        trace.append(step_correct_prob(trace[-1], float(beta), amplitude, n, model, n_th))
-    return tuple(trace)
+    amplitude = alpha if amplitude is None else amplitude
+    errors = _error_trace(1.0 - p_initial, betas, amplitude, len(betas), model, n_th)
+    return tuple(1.0 - e for e in errors)
 
 
 def _optimized_recursion(
@@ -318,11 +300,26 @@ def _threshold_candidates(model: DetectorModel) -> list[int]:
     return [1]
 
 
-def _degenerate_result(n_copies: int) -> EvalResult:
-    params = ReceiverParams(tau=1.0, z=0.0, betas=(0.0,) * n_copies, n_th=1)
-    trace = (0.5,) * (n_copies + 1)
-    return EvalResult(p_err=0.5, params=params, per_step_correct=trace,
-                      ratio=ratio(0.5, 0.0), gain=gain(0.5, 0.0))
+def _result(alpha: float, errors: Sequence[float], betas: tuple[float, ...] = (), n_th: int = 1,
+            tau: float = 1.0, z: float = 0.0) -> EvalResult:
+    """The evaluation result of an error trace e_0..e_N and its parameters."""
+    p_err = errors[-1]
+    return EvalResult(p_err=p_err, params=ReceiverParams(tau=tau, z=z, betas=betas, n_th=n_th),
+                      per_step_correct=tuple(1.0 - e for e in errors),
+                      ratio=ratio(p_err, alpha), gain=gain(p_err, alpha))
+
+
+def _threshold_scan(amplitude: float, cfg: FeedForwardConfig,
+                    e_initial: float) -> tuple[list[float], tuple[float, ...], int]:
+    """The optimized recursion at the best click threshold: (errors, betas, n_th)."""
+    runs: dict[int, tuple[list[float], tuple[float, ...]]] = {}
+
+    def negated_error(n_th: int) -> float:
+        runs[n_th] = _optimized_recursion(amplitude, cfg.n_copies, cfg.model, n_th, e_initial)
+        return -runs[n_th][0][-1]
+
+    n_th, _ = scan_discrete(negated_error, _threshold_candidates(cfg.model))
+    return (*runs[n_th], n_th)
 
 
 def dffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
@@ -331,21 +328,8 @@ def dffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     if cfg.receiver is not Receiver.DFFRE:
         raise ValueError("cfg.receiver must be Receiver.DFFRE")
     if alpha == 0.0:
-        return _degenerate_result(cfg.n_copies)
-
-    cache: dict[int, tuple[list[float], tuple[float, ...]]] = {}
-
-    def negated_error(n_th: int) -> float:
-        cache[n_th] = _optimized_recursion(alpha, cfg.n_copies, cfg.model, n_th, 0.5)
-        return -cache[n_th][0][-1]
-
-    n_th, negated = scan_discrete(negated_error, _threshold_candidates(cfg.model))
-    errors, betas = cache[n_th]
-    p_err = -negated
-    params = ReceiverParams(tau=1.0, z=0.0, betas=betas, n_th=n_th)
-    trace = tuple(1.0 - e for e in errors)
-    return EvalResult(p_err=p_err, params=params, per_step_correct=trace,
-                      ratio=ratio(p_err, alpha), gain=gain(p_err, alpha))
+        return _result(0.0, [0.5] * (cfg.n_copies + 1), (0.0,) * cfg.n_copies)
+    return _result(alpha, *_threshold_scan(alpha, cfg, 0.5))
 
 
 def _hybrid_initial_error(alpha: float, tau: float, z: float, model: DetectorModel) -> float:
@@ -457,7 +441,7 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     if cfg.receiver is not Receiver.HFFRE:
         raise ValueError("cfg.receiver must be Receiver.HFFRE")
     if alpha == 0.0:
-        return _degenerate_result(cfg.n_copies)
+        return _result(0.0, [0.5] * (cfg.n_copies + 1), (0.0,) * cfg.n_copies)
 
     spec = GridSearchSpec(
         bounds=((0.0, 1.0), (0.0, BETA_MARGIN + 4.0 * alpha)),
@@ -489,12 +473,7 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
 
     n_th, _ = scan_discrete(scan_threshold, _threshold_candidates(cfg.model))
     tau, z = best[n_th]
-    errors, betas = _hybrid_recursion(alpha, cfg, tau, z, n_th)
-    p_err = errors[-1]
-    params = ReceiverParams(tau=tau, z=z, betas=betas, n_th=n_th)
-    trace = tuple(1.0 - e for e in errors)
-    return EvalResult(p_err=p_err, params=params, per_step_correct=trace,
-                      ratio=ratio(p_err, alpha), gain=gain(p_err, alpha))
+    return _result(alpha, *_hybrid_recursion(alpha, cfg, tau, z, n_th), n_th, tau, z)
 
 
 def hffre_error_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float) -> EvalResult:
@@ -507,20 +486,16 @@ def hffre_error_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float) -
     if z < 0.0:
         raise ValueError(f"z must be >= 0, got {z!r}")
     if alpha == 0.0:
-        return _degenerate_result(cfg.n_copies)
-    cache: dict[int, tuple[list[float], tuple[float, ...]]] = {}
+        return _result(0.0, [0.5] * (cfg.n_copies + 1), (0.0,) * cfg.n_copies)
+    e0 = _hybrid_initial_error(alpha, tau, z, cfg.model)
+    return _result(alpha, *_threshold_scan(math.sqrt(tau) * alpha, cfg, e0), tau, z)
 
-    def negated_error(n_th: int) -> float:
-        cache[n_th] = _hybrid_recursion(alpha, cfg, tau, z, n_th)
-        return -cache[n_th][0][-1]
 
-    n_th, negated = scan_discrete(negated_error, _threshold_candidates(cfg.model))
-    errors, betas = cache[n_th]
-    p_err = -negated
-    params = ReceiverParams(tau=tau, z=z, betas=betas, n_th=n_th)
-    trace = tuple(1.0 - e for e in errors)
-    return EvalResult(p_err=p_err, params=params, per_step_correct=trace,
-                      ratio=ratio(p_err, alpha), gain=gain(p_err, alpha))
+def optimized_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
+    """Optimized error probability of the receiver ``cfg.receiver`` names."""
+    if cfg.receiver is Receiver.HFFRE:
+        return hffre_error(alpha, cfg)
+    return dffre_error(alpha, cfg)
 
 
 def switch_conditional_traces(
@@ -535,20 +510,11 @@ def switch_conditional_traces(
     therefore equals (p00 + p11) / 2.
     """
     alpha = _check_alpha(alpha)
-    n = len(betas)
-    if n < 1:
+    if len(betas) < 1:
         raise ValueError("betas must contain at least one amplitude")
-    p00 = np.empty(n + 1)
-    p11 = np.empty(n + 1)
-    p00[0] = 1.0
-    p11[0] = 0.0
-    for j, beta in enumerate(betas, 1):
-        rates = step_rates(float(beta), alpha, n)
-        stay = q_off(rates.lambda_minus)
-        flip = q_on(rates.lambda_plus)
-        p00[j] = p00[j - 1] * stay + (1.0 - p00[j - 1]) * flip
-        p11[j] = p11[j - 1] * stay + (1.0 - p11[j - 1]) * flip
-    return p00, p11
+    # Given "0" the switch starts right (e = 0), given "1" wrong (e = 1).
+    return tuple(1.0 - np.array(_error_trace(e0, betas, alpha, len(betas), DetectorModel(1), 1))
+                 for e0 in (0.0, 1.0))
 
 
 def _saturation(rate: float, n_copies: int, resolution: int) -> float:

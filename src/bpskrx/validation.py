@@ -296,12 +296,9 @@ def criterion_09(fast: bool = False, seed: int = 1234) -> CheckResult:
     trials = 100_000 if fast else 1_000_000
     points = MC_POINTS[::3] if fast else MC_POINTS
     for index, (name, model_key, alpha2, n_copies) in enumerate(points):
-        model = MC_MODELS[model_key]
-        kind = Receiver[name]
-        cfg = _cfg(n_copies, model, kind)
+        cfg = _cfg(n_copies, MC_MODELS[model_key], Receiver[name])
         alpha = math.sqrt(alpha2)
-        fn = feedforward.dffre_error if kind is Receiver.DFFRE else feedforward.hffre_error
-        res = fn(alpha, cfg)
+        res = feedforward.optimized_error(alpha, cfg)
         p_hat, std_err = montecarlo.estimate_error(
             alpha, res.params, cfg, trials, montecarlo.RngSpec(seed, stream_id=index)
         )

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import bpskrx
-from bpskrx import validation
-from bpskrx.cli import CSV_COLUMNS, figure_curves, main
+from bpskrx import feedforward, validation
+from bpskrx.cli import CSV_COLUMNS, SweepConfig, evaluate_point, figure_curves, main
 
 # The subprocess imports the same bpskrx as these tests, installed or not.
 PACKAGE_ROOT = str(Path(bpskrx.__file__).resolve().parents[1])
@@ -227,6 +227,16 @@ class TestOptimize:
         result = run_cli("optimize", "--receiver", "HYNORE", "--alpha2", "1", "--eta", "0.7")
         assert result.returncode != 0
 
+    def test_arithmetic_error_is_one_line_diagnostic(self, monkeypatch, capsys):
+        def underflowed_bound(p_err, alpha):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(feedforward, "ratio", underflowed_bound)
+        assert main(["optimize", "--receiver", "DFFRE", "--alpha2", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: float division by zero\n"
+
 
 class TestMonteCarlo:
     def test_cross_check_within_four_sigma(self):
@@ -286,3 +296,139 @@ class TestValidate:
         )  # strip wall-clock timings
         assert sanitize(a.stdout) == sanitize(b.stdout)
         assert a.returncode == b.returncode
+
+
+# repr literals of cli.evaluate_point rows (values in CSV_COLUMNS order) as
+# the per-receiver dispatch chains produced them, at row index 1:
+# (receiver, sweep overrides, alpha2, row). The last row pins DISP_OPT's
+# single copy under the Monte Carlo oracle while N = 3 is configured.
+GOLDEN_BASE = {"alpha2_min": 0.05, "alpha2_max": 6.0, "points": 3, "log": True, "n_copies": 2,
+               "pnr": 2, "eta": 1.0, "nu": 0.0, "xi": 1.0, "mc_trials": None, "seed": None}
+GOLDEN_ROWS = [
+    ("SQL", {}, 0.05,
+     "(0.05, 0.3273604230092885, 0.287121368544176, 0.3273604230092885, "
+     "1.1401464985665857, 0.0, None, None, None, None, None, None)"),
+    ("SQL", {}, 1.0,
+     "(1.0, 0.022750131948179198, 0.004600070369588713, 0.022750131948179198, "
+     "4.945605201733742, 0.0, None, None, None, None, None, None)"),
+    ("SQL", {}, 6.0,
+     "(6.0, 4.816785043215479e-07, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "51036.96291269342, 0.0, None, None, None, None, None, None)"),
+    ("HELSTROM", {}, 0.05,
+     "(0.05, 0.287121368544176, 0.287121368544176, 0.3273604230092885, 1.0, "
+     "0.12291972894955216, None, None, None, None, None, None)"),
+    ("HELSTROM", {}, 1.0,
+     "(1.0, 0.004600070369588713, 0.004600070369588713, 0.022750131948179198, 1.0, "
+     "0.7978002773756713, None, None, None, None, None, None)"),
+    ("HELSTROM", {}, 6.0,
+     "(6.0, 9.43783636078685e-12, 9.43783636078685e-12, 4.816785043215479e-07, 1.0, "
+     "0.9999804063576097, None, None, None, None, None, None)"),
+    ("KENNEDY", {}, 0.05,
+     "(0.05, 0.4093653765389909, 0.287121368544176, 0.3273604230092885, "
+     "1.4257572629116477, -0.2505035666066926, None, None, None, None, None, None)"),
+    ("KENNEDY", {}, 1.0,
+     "(1.0, 0.00915781944436709, 0.004600070369588713, 0.022750131948179198, "
+     "1.9907998592608223, 0.597460820656909, None, None, None, None, None, None)"),
+    ("KENNEDY", {}, 6.0,
+     "(6.0, 1.8875672721395556e-11, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "1.9999999999811244, 0.9999608127152197, None, None, None, None, None, None)"),
+    ("DISP_OPT", {}, 0.05,
+     "(0.05, 0.3144444205881926, 0.287121368544176, 0.3273604230092885, "
+     "1.0951620291535797, 0.03945499062581992, 1.0, None, 1, '0.7191103000261652', None, "
+     "None)"),
+    ("DISP_OPT", {}, 1.0,
+     "(1.0, 0.008560780393630067, 0.004600070369588713, 0.022750131948179198, "
+     "1.8610107467541797, 0.62370414320541, 1.0, None, 1, '1.032669080188172', None, None)"),
+    ("DISP_OPT", {}, 6.0,
+     "(6.0, 1.8875670061895752e-11, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "1.9999997181898639, 0.999960812720741, 1.0, None, 1, '2.449489757163279', None, "
+     "None)"),
+    ("HYNORE", {}, 0.05,
+     "(0.05, 0.3446970250751855, 0.287121368544176, 0.3273604230092885, "
+     "1.2005272433150547, -0.05295875997021504, 0.0, 1.3649570777986868, None, None, "
+     "None, None)"),
+    ("HYNORE", {}, 1.0,
+     "(1.0, 0.007700928984886669, 0.004600070369588713, 0.022750131948179198, "
+     "1.6740893869358784, 0.6614995903132328, 0.939869384765625, 1.3667541503906253, "
+     "None, None, None, None)"),
+    ("HYNORE", {}, 6.0,
+     "(6.0, 1.587279767272453e-11, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "1.6818259043645025, 0.9999670469046671, 0.9899780273437498, 1.366806110291451, "
+     "None, None, None, None)"),
+    ("DFFRE", {}, 0.05,
+     "(0.05, 0.30441676105695, 0.287121368544176, 0.3273604230092885, 1.0602372181508772, "
+     "0.07008685332645581, 1.0, None, 1, '0.7130536532213501;0.4125651755964767', None, "
+     "None)"),
+    ("DFFRE", {}, 1.0,
+     "(1.0, 0.007245142086514768, 0.004600070369588713, 0.022750131948179198, "
+     "1.5750067943335717, 0.6815340630543186, 1.0, None, 1, "
+     "'0.8483009063351009;0.7178608265619081', None, None)"),
+    ("DFFRE", {}, 6.0,
+     "(6.0, 1.8875166741912872e-11, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "1.9999463881718769, 0.9999608137656704, 1.0, None, 1, "
+     "'1.7320720960839568;1.7320508277483275', None, None)"),
+    ("HFFRE", {}, 0.05,
+     "(0.05, 0.30204474776593404, 0.287121368544176, 0.3273604230092885, "
+     "1.051975857099824, 0.07733273011635922, 0.9520593261718749, 1.356394616425042, 1, "
+     "'0.610647196605258;0.39649484422749737', None, None)"),
+    ("HFFRE", {}, 1.0,
+     "(1.0, 0.006650187047958846, 0.004600070369588713, 0.022750131948179198, "
+     "1.445670721022781, 0.7076857812030803, 0.9642675781250001, 1.3623596191406253, 1, "
+     "'0.7904830187991227;0.7039813468585429', None, None)"),
+    ("HFFRE", {}, 6.0,
+     "(6.0, 1.5872152853392038e-11, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "1.681757581572303, 0.9999670482433595, 0.9899658203124999, 1.366806110291451, 1, "
+     "'1.7233508466026546;1.7233390518979799', None, None)"),
+    ("DISP_OPT", {"nu": 0.001, "pnr": 4}, 1.0,
+     "(1.0, 0.009051973975512695, 0.004600070369588713, 0.022750131948179198, "
+     "1.9677903267210282, 0.6021133417541709, 1.0, None, 1, '1.032669080188172', None, "
+     "None)"),
+    ("DISP_OPT", {"nu": 0.001, "pnr": 4}, 6.0,
+     "(6.0, 5.053596171114196e-09, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "535.4613046811577, 0.9895083626822163, 1.0, None, 3, '2.4768675202491433', None, "
+     "None)"),
+    ("DISP_OPT", {"eta": 0.7, "n_copies": 3}, 1.0,
+     "(1.0, 0.02630366303814758, 0.004600070369588713, 0.022750131948179198, "
+     "5.718100142998325, -0.1561982628523959, 1.0, None, 1, '1.0971546331504825', None, "
+     "None)"),
+    ("DFFRE", {"nu": 0.001, "pnr": 4}, 1.0,
+     "(1.0, 0.00824097112087429, 0.004600070369588713, 0.022750131948179198, "
+     "1.7914880553470978, 0.6377616121240188, 1.0, None, 1, "
+     "'0.8483009063351009;0.717951948349225', None, None)"),
+    ("DFFRE", {"nu": 0.001, "pnr": 4}, 6.0,
+     "(6.0, 3.400899586992375e-08, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "3603.4737804129886, 0.9293948233836468, 1.0, None, 3, "
+     "'1.971505515109479;1.7681055958813023', None, None)"),
+    ("DFFRE", {"eta": 0.7, "n_copies": 3}, 1.0,
+     "(1.0, 0.020481770547177744, 0.004600070369588713, 0.022750131948179198, "
+     "4.452490701573549, 0.09970761515442561, 1.0, None, 1, "
+     "'0.9167757974250841;0.6493083147843851;0.6023638559234145', None, None)"),
+    ("HFFRE", {"nu": 0.001, "pnr": 4}, 1.0,
+     "(1.0, 0.007541372493668151, 0.004600070369588713, 0.022750131948179198, "
+     "1.6394037238048633, 0.6685130217773649, 0.954432373046875, 1.9436462402343746, 1, "
+     "'0.7792526540026642;0.7002892510206251', None, None)"),
+    ("HFFRE", {"nu": 0.001, "pnr": 4}, 6.0,
+     "(6.0, 3.078199052226415e-08, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "3261.551625344964, 0.9360943238153816, 0.990474853515625, 1.9453029804703146, 3, "
+     "'1.9397666085319407;1.7586760307563076', None, None)"),
+    ("HFFRE", {"eta": 0.7, "n_copies": 3}, 1.0,
+     "(1.0, 0.01965768778664245, 0.004600070369588713, 0.022750131948179198, "
+     "4.27334501589375, 0.13593082310822602, 0.973743896484375, 1.624603271484375, 1, "
+     "'0.823839125576713;0.6351731092825514;0.593334759799981', None, None)"),
+    ("DISP_OPT", {"mc_trials": 10000, "seed": 9, "n_copies": 3}, 0.5,
+     "(0.5, 0.05436143896080257, 0.03506325248390309, 0.07864960352514253, "
+     "1.5503820983452385, 0.30881483791047426, 1.0, None, 1, '0.8483009063351009', "
+     "0.0553, 0.0022856489231725856)"),
+]
+
+
+class TestGoldenRows:
+    @pytest.mark.parametrize(
+        "receiver, overrides, alpha2, expected", GOLDEN_ROWS,
+        ids=[f"{r}-{'-'.join(f'{k}={v}' for k, v in o.items()) or 'ideal'}-{a2}"
+             for r, o, a2, _ in GOLDEN_ROWS],
+    )
+    def test_row_pinned(self, receiver, overrides, alpha2, expected):
+        config = SweepConfig(receiver=receiver, **{**GOLDEN_BASE, **overrides})
+        row = evaluate_point(config, alpha2, 1)
+        assert repr(tuple(row[c] for c in CSV_COLUMNS)) == expected

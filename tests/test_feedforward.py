@@ -134,6 +134,19 @@ class TestTraces:
         replay = correct_probability_trace(math.sqrt(0.5), result.params.betas, IDEAL2)
         assert np.max(np.abs(np.asarray(replay) - np.asarray(result.per_step_correct))) <= 1e-13
 
+    @pytest.mark.parametrize("alpha2, n, model", [
+        (4.0, 10, IDEAL2),
+        (1.0, 10, DetectorModel(2, eta=0.7)),
+        (4.0, 5, DetectorModel(4, nu=1e-3)),  # optimal n_th = 2
+    ])
+    def test_fixed_beta_replay_is_exact(self, alpha2, n, model):
+        # The public trace runs the optimized recursion's own step, so a
+        # replay of its displacements at its threshold repeats it bit for bit.
+        alpha = math.sqrt(alpha2)
+        result = dffre_error(alpha, cfg(n, model))
+        replay = correct_probability_trace(alpha, result.params.betas, model, result.params.n_th)
+        assert replay == result.per_step_correct
+
 
 class TestDffre:
     def test_degenerate_signal(self):
