@@ -23,8 +23,8 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Container, NamedTuple
 
 from . import __version__, baselines, feedforward
 from .feedforward import EvalResult, FeedForwardConfig, Receiver
@@ -44,8 +44,11 @@ class ReceiverEntry(NamedTuple):
     kind: Receiver | None = None
     copies: int | None = None
 
+    def n_copies(self, requested: int) -> int:
+        return self.copies or requested
+
     def config(self, model: DetectorModel, n_copies: int) -> FeedForwardConfig:
-        return FeedForwardConfig(self.copies or n_copies, model, self.kind)
+        return FeedForwardConfig(self.n_copies(n_copies), model, self.kind)
 
 
 # Callees are looked up through their module at call time, so patched
@@ -82,20 +85,33 @@ FIGURE_ALPHA2_RANGE = (0.01, 10.0)
 MC_MIN_EXPECTED_ERRORS = 10
 
 
+def _switch(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes", "on")
+
+
+def _setting(default, parse, help=None):
+    """A sweep setting: its default, the parser of its flag or file value, its flag help."""
+    return field(default=default, metadata={"parse": parse, "help": help})
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    receiver: str
-    alpha2_min: float
-    alpha2_max: float
-    points: int
-    log: bool
-    n_copies: int
-    pnr: int
-    eta: float
-    nu: float
-    xi: float
-    mc_trials: int | None
-    seed: int | None
+    """A sweep's settings, each also the flag ``--<name>`` (``-`` for ``_``)
+    and a config-file key in either spelling; a flag wins over the file,
+    the file over the default. ``log`` is a switch on the command line."""
+
+    receiver: str = _setting(MISSING, str.upper)
+    alpha2_min: float = _setting(0.1, float)
+    alpha2_max: float = _setting(4.0, float)
+    points: int = _setting(20, int)
+    log: bool = _setting(False, _switch, "log-spaced grid")
+    n_copies: int = _setting(1, int, "number of signal copies N")
+    pnr: int = _setting(2, int, "PNR detector resolution M")
+    eta: float = _setting(1.0, float, "quantum efficiency in (0, 1]")
+    nu: float = _setting(0.0, float, "dark-count rate per window")
+    xi: float = _setting(1.0, float, "interference visibility in (0, 1]")
+    mc_trials: int | None = _setting(None, int, "also run the Monte Carlo oracle")
+    seed: int | None = _setting(None, int)
 
     def __post_init__(self) -> None:
         if self.receiver not in RECEIVERS:
@@ -173,18 +189,14 @@ def evaluate_point(config: SweepConfig, alpha2: float, row_index: int) -> dict:
     return row
 
 
-def _evaluate_indexed(args: tuple[SweepConfig, float, int]) -> dict:
-    config, alpha2, index = args
-    return evaluate_point(config, alpha2, index)
-
-
 def run_sweep(config: SweepConfig, workers: int = 1) -> list[dict]:
     """Evaluate the whole grid, in ascending alpha2 order."""
-    tasks = [(config, alpha2, i) for i, alpha2 in enumerate(config.grid())]
+    grid = config.grid()
+    tasks = ([config] * len(grid), grid, range(len(grid)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_evaluate_indexed, tasks))
-    return [_evaluate_indexed(t) for t in tasks]
+            return list(pool.map(evaluate_point, *tasks))
+    return list(map(evaluate_point, *tasks))
 
 
 def _format_value(value) -> str:
@@ -236,20 +248,18 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _config_metadata(config: SweepConfig) -> list[tuple[str, object]]:
-    return [
-        ("receiver", config.receiver),
-        ("alpha2_min", repr(config.alpha2_min)),
-        ("alpha2_max", repr(config.alpha2_max)),
-        ("points", config.points),
-        ("spacing", "log" if config.log else "linear"),
-        ("n_copies", config.n_copies),
-        ("pnr", config.pnr),
-        ("eta", repr(config.eta)),
-        ("nu", repr(config.nu)),
-        ("xi", repr(config.xi)),
-        ("mc_trials", config.mc_trials if config.mc_trials is not None else ""),
-        ("seed", config.seed if config.seed is not None else ""),
-    ]
+    """One pair per setting: floats as ``repr``, None as "", log as spacing, N as evaluated."""
+    pairs: list[tuple[str, object]] = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name == "log":
+            pairs.append(("spacing", "log" if value else "linear"))
+            continue
+        if f.name == "n_copies":
+            value = RECEIVER_TABLE[config.receiver].n_copies(value)
+        pairs.append((f.name, repr(value) if f.metadata["parse"] is float
+                       else "" if value is None else value))
+    return pairs
 
 
 # --- figure datasets -------------------------------------------------------
@@ -261,23 +271,22 @@ def figure_curves(figure_id: str) -> list[tuple[str, dict]]:
     axis is not numerically specified by the figure captions, so sweeps
     cover alpha2 in [0.01, 10] (recorded in the output metadata).
     """
-    ideal = {"eta": 1.0, "nu": 0.0, "xi": 1.0}
     curves: list[tuple[str, dict]] = []
     if figure_id == "4":
         for name in ("SQL", "HELSTROM", "KENNEDY", "HYNORE"):
-            curves.append((name.lower(), {"receiver": name, **ideal}))
-        curves.append(("dffre_n1", {"receiver": "DFFRE", "n_copies": 1, **ideal}))
-        curves.append(("hffre_n1", {"receiver": "HFFRE", "n_copies": 1, **ideal}))
+            curves.append((name.lower(), {"receiver": name}))
+        curves.append(("dffre_n1", {"receiver": "DFFRE", "n_copies": 1}))
+        curves.append(("hffre_n1", {"receiver": "HFFRE", "n_copies": 1}))
     elif figure_id == "5a":
         for receiver in ("DFFRE", "HFFRE"):
             for n in (1, 2, 5):
                 curves.append((f"{receiver.lower()}_n{n}",
-                               {"receiver": receiver, "n_copies": n, **ideal}))
+                               {"receiver": receiver, "n_copies": n}))
     elif figure_id == "5b":
         for m in (1, 2, 4):
             curves.append((f"hffre_n1_m{m}",
-                           {"receiver": "HFFRE", "n_copies": 1, "pnr": m, **ideal}))
-        curves.append(("dffre_n1_m2", {"receiver": "DFFRE", "n_copies": 1, "pnr": 2, **ideal}))
+                           {"receiver": "HFFRE", "n_copies": 1, "pnr": m}))
+        curves.append(("dffre_n1_m2", {"receiver": "DFFRE", "n_copies": 1, "pnr": 2}))
     elif figure_id in ("6", "7a"):
         for receiver in ("DFFRE", "HFFRE"):
             for eta in (0.7, 0.8, 0.9):
@@ -306,23 +315,10 @@ def figure_curves(figure_id: str) -> list[tuple[str, dict]]:
 def run_figure(figure_id: str, out_dir: str, points: int, as_json: bool) -> list[str]:
     curves = figure_curves(figure_id)
     written = []
+    alpha2_min, alpha2_max = FIGURE_ALPHA2_RANGE
     for name, overrides in curves:
-        base = {
-            "receiver": "SQL",
-            "alpha2_min": FIGURE_ALPHA2_RANGE[0],
-            "alpha2_max": FIGURE_ALPHA2_RANGE[1],
-            "points": points,
-            "log": True,
-            "n_copies": 1,
-            "pnr": 2,
-            "eta": 1.0,
-            "nu": 0.0,
-            "xi": 1.0,
-            "mc_trials": None,
-            "seed": None,
-        }
-        base.update(overrides)
-        config = SweepConfig(**base)
+        config = SweepConfig(alpha2_min=alpha2_min, alpha2_max=alpha2_max, points=points,
+                             log=True, **overrides)
         rows = run_sweep(config)
         metadata = [("figure", figure_id), ("curve", name)] + _config_metadata(config)
         ext = "json" if as_json else "csv"
@@ -335,7 +331,7 @@ def run_figure(figure_id: str, out_dir: str, points: int, as_json: bool) -> list
 # --- argument parsing ------------------------------------------------------
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` file; keys mirror the long flag names."""
+    """Flat ``key = value`` file; keys mirror the long flag names (``-`` read as ``_``)."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -345,67 +341,40 @@ def _read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("_", "-")] = value
+            values[key.replace("-", "_")] = value
     return values
 
 
-_SWEEP_OPTION_TYPES = {
-    "receiver": str,
-    "alpha2-min": float,
-    "alpha2-max": float,
-    "points": int,
-    "log": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "n-copies": int,
-    "pnr": int,
-    "eta": float,
-    "nu": float,
-    "xi": float,
-    "mc-trials": int,
-    "seed": int,
-}
+SETTINGS = {f.name: f for f in fields(SweepConfig)}
+MODEL_SETTINGS = ("n_copies", "pnr", "eta", "nu", "xi")
 
 
-def _merged_option(args: argparse.Namespace, file_values: dict[str, str], key: str, default):
-    attr = key.replace("-", "_")
-    value = getattr(args, attr, None)
-    if value is not None:
-        return value
-    if key in file_values:
-        return _SWEEP_OPTION_TYPES[key](file_values[key])
-    return default
+def _setting_value(args: argparse.Namespace, file_values: dict[str, str], name: str):
+    """A setting's flag value, else its config-file value, else its default."""
+    value = getattr(args, name)
+    if value is None and name in file_values:
+        value = SETTINGS[name].metadata["parse"](file_values[name])
+    return SETTINGS[name].default if value is None else value
 
 
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
     file_values = _read_config_file(args.config) if args.config else {}
-    unknown = set(file_values) - set(_SWEEP_OPTION_TYPES)
+    unknown = sorted(key.replace("_", "-") for key in set(file_values) - set(SETTINGS))
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    get = lambda key, default: _merged_option(args, file_values, key, default)
-    receiver = get("receiver", None)
-    if receiver is None:
+        raise ValueError(f"unknown config keys: {unknown}")
+    if args.receiver is None and "receiver" not in file_values:
         raise ValueError("--receiver is required (flag or config file)")
-    return SweepConfig(
-        receiver=receiver.upper(),
-        alpha2_min=get("alpha2-min", 0.1),
-        alpha2_max=get("alpha2-max", 4.0),
-        points=get("points", 20),
-        log=bool(get("log", False)),
-        n_copies=get("n-copies", 1),
-        pnr=get("pnr", 2),
-        eta=get("eta", 1.0),
-        nu=get("nu", 0.0),
-        xi=get("xi", 1.0),
-        mc_trials=get("mc-trials", None),
-        seed=get("seed", None),
-    )
+    return SweepConfig(**{name: _setting_value(args, file_values, name) for name in SETTINGS})
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-copies", type=int, help="number of signal copies N")
-    parser.add_argument("--pnr", type=int, help="PNR detector resolution M")
-    parser.add_argument("--eta", type=float, help="quantum efficiency in (0, 1]")
-    parser.add_argument("--nu", type=float, help="dark-count rate per window")
-    parser.add_argument("--xi", type=float, help="interference visibility in (0, 1]")
+def _add_setting_flags(parser: argparse.ArgumentParser, names: Container[str], **extra) -> None:
+    """One flag per named setting, in field order; ``extra`` adds keywords per name."""
+    for name in (n for n in SETTINGS if n in names):
+        meta = SETTINGS[name].metadata
+        kind = ({"action": "store_const", "const": True} if meta["parse"] is _switch
+                else {"type": meta["parse"]})
+        parser.add_argument("--" + name.replace("_", "-"), help=meta["help"], **kind,
+                            **extra.get(name, {}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,14 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="evaluate a receiver over an energy grid")
-    sweep.add_argument("--receiver", choices=RECEIVERS, type=str.upper)
-    sweep.add_argument("--alpha2-min", type=float)
-    sweep.add_argument("--alpha2-max", type=float)
-    sweep.add_argument("--points", type=int)
-    sweep.add_argument("--log", action="store_const", const=True, help="log-spaced grid")
-    _add_model_flags(sweep)
-    sweep.add_argument("--mc-trials", type=int, help="also run the Monte Carlo oracle")
-    sweep.add_argument("--seed", type=int)
+    _add_setting_flags(sweep, SETTINGS, receiver={"choices": RECEIVERS})
     sweep.add_argument("--config", help="key = value file mirroring the flag names")
     sweep.add_argument("--workers", type=int, default=1, help="parallel grid workers")
     sweep.add_argument("--out", required=True, help="output file path")
@@ -440,13 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--receiver", choices=OPTIMIZED_RECEIVERS, type=str.upper,
                           required=True)
     optimize.add_argument("--alpha2", type=float, required=True)
-    _add_model_flags(optimize)
+    _add_setting_flags(optimize, MODEL_SETTINGS)
     optimize.add_argument("--json", action="store_true")
 
     mc = sub.add_parser("montecarlo", help="Monte Carlo cross-check of one analytic point")
     mc.add_argument("--receiver", choices=MC_RECEIVERS, type=str.upper, required=True)
     mc.add_argument("--alpha2", type=float, required=True)
-    _add_model_flags(mc)
+    _add_setting_flags(mc, MODEL_SETTINGS)
     mc.add_argument("--mc-trials", type=int, default=1_000_000)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--json", action="store_true")
@@ -478,24 +440,18 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _single_point(args: argparse.Namespace) -> tuple[float, DetectorModel, int]:
-    model = DetectorModel(
-        resolution=args.pnr if args.pnr is not None else 2,
-        eta=args.eta if args.eta is not None else 1.0,
-        nu=args.nu if args.nu is not None else 0.0,
-        xi=args.xi if args.xi is not None else 1.0,
-    )
+def _single_point(args: argparse.Namespace) -> tuple[float, DetectorModel, EvalResult, dict]:
+    """Evaluate ``--receiver`` at ``--alpha2``; also returns the point's report."""
+    get = lambda name: _setting_value(args, {}, name)
+    model = DetectorModel(get("pnr"), get("eta"), get("nu"), get("xi"))
     if args.alpha2 < 0.0:
         raise ValueError("--alpha2 must be >= 0")
-    n_copies = args.n_copies if args.n_copies is not None else 1
-    return math.sqrt(args.alpha2), model, n_copies
-
-
-def _result_payload(receiver: str, alpha2: float, model: DetectorModel,
-                    n_copies: int, result: EvalResult) -> dict:
-    return {
-        "receiver": receiver,
-        "alpha2": alpha2,
+    alpha = math.sqrt(args.alpha2)
+    n_copies = RECEIVER_TABLE[args.receiver].n_copies(get("n_copies"))
+    result = evaluate_receiver(args.receiver, alpha, model, n_copies)
+    return alpha, model, result, {
+        "receiver": args.receiver,
+        "alpha2": args.alpha2,
         "n_copies": n_copies,
         "pnr": model.resolution,
         "eta": model.eta,
@@ -513,9 +469,7 @@ def _result_payload(receiver: str, alpha2: float, model: DetectorModel,
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    alpha, model, n_copies = _single_point(args)
-    result = evaluate_receiver(args.receiver, alpha, model, n_copies)
-    payload = _result_payload(args.receiver, args.alpha2, model, n_copies, result)
+    _, model, result, payload = _single_point(args)
     if args.json:
         print(json.dumps(payload, indent=2))
         return 0
@@ -534,9 +488,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
-    alpha, model, n_copies = _single_point(args)
-    result = evaluate_receiver(args.receiver, alpha, model, n_copies)
-    cfg = RECEIVER_TABLE[args.receiver].config(model, n_copies)
+    alpha, model, result, payload = _single_point(args)
+    cfg = RECEIVER_TABLE[args.receiver].config(model, payload["n_copies"])
     p_hat, std_err = estimate_error(alpha, result.params, cfg, args.mc_trials, RngSpec(args.seed))
     # The deviation is measured in the analytic standard error, which
     # unlike the sample one stays nonzero when no error is observed; with
@@ -545,7 +498,6 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     expected_errors = args.mc_trials * p
     resolvable = expected_errors >= MC_MIN_EXPECTED_ERRORS
     sigmas = abs(p_hat - p) / math.sqrt(p * (1.0 - p) / args.mc_trials) if resolvable else None
-    payload = _result_payload(args.receiver, args.alpha2, model, cfg.n_copies, result)
     payload.update({"mc_trials": args.mc_trials, "seed": args.seed, "mc_p_hat": p_hat,
                     "mc_std_err": std_err, "mc_resolvable": resolvable, "mc_sigmas": sigmas})
     if args.json:

@@ -427,6 +427,18 @@ def _hybrid_error_batch(
     return objective
 
 
+def _tau_z_spec(alpha: float) -> GridSearchSpec:
+    """The (tau, z) search box of the hybrid receivers: tau in [0, 1],
+    z in [0, 5 + 4 alpha], with the no-tap point tau = 1 always searched."""
+    return GridSearchSpec(
+        bounds=((0.0, 1.0), (0.0, BETA_MARGIN + 4.0 * alpha)),
+        points=(TAU_Z_POINTS, TAU_Z_POINTS),
+        refinement_rounds=TAU_Z_ROUNDS,
+        shrink_factor=TAU_Z_SHRINK,
+        mandatory=((1.0, 0.0),),
+    )
+
+
 def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     """Hybrid feed-forward receiver error probability, optimized over (tau, z).
 
@@ -443,13 +455,7 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     if alpha == 0.0:
         return _result(0.0, [0.5] * (cfg.n_copies + 1), (0.0,) * cfg.n_copies)
 
-    spec = GridSearchSpec(
-        bounds=((0.0, 1.0), (0.0, BETA_MARGIN + 4.0 * alpha)),
-        points=(TAU_Z_POINTS, TAU_Z_POINTS),
-        refinement_rounds=TAU_Z_ROUNDS,
-        shrink_factor=TAU_Z_SHRINK,
-        mandatory=((1.0, 0.0),),
-    )
+    spec = _tau_z_spec(alpha)
     best: dict[int, tuple[float, float]] = {}
 
     def scan_threshold(n_th: int) -> float:

@@ -167,6 +167,128 @@ class TestSweep:
         assert payload["rows"][0]["p_err"] == helstrom_bound(1.0)
 
 
+VERSION_LINE = f"# bpskrx {bpskrx.__version__}"
+NON_DEFAULT_FLAGS = ["--receiver", "DFFRE", "--alpha2-min", "0.2", "--alpha2-max", "0.8",
+                     "--points", "2", "--log", "--n-copies", "2", "--pnr", "3", "--eta", "0.9",
+                     "--nu", "0.001", "--xi", "0.99", "--mc-trials", "10000", "--seed", "5"]
+# (key, JSON value, CSV text) of each case's metadata, in header order; an
+# empty text keeps the line's trailing space ("# seed = ")
+NON_DEFAULT_METADATA = [
+    ("receiver", "DFFRE", "DFFRE"), ("alpha2_min", "0.2", "0.2"), ("alpha2_max", "0.8", "0.8"),
+    ("points", 2, "2"), ("spacing", "log", "log"), ("n_copies", 2, "2"), ("pnr", 3, "3"),
+    ("eta", "0.9", "0.9"), ("nu", "0.001", "0.001"), ("xi", "0.99", "0.99"),
+    ("mc_trials", 10000, "10000"), ("seed", 5, "5"),
+]
+DEFAULT_METADATA = [
+    ("receiver", "SQL", "SQL"), ("alpha2_min", "0.1", "0.1"), ("alpha2_max", "4.0", "4.0"),
+    ("points", 20, "20"), ("spacing", "linear", "linear"), ("n_copies", 1, "1"),
+    ("pnr", 2, "2"), ("eta", "1.0", "1.0"), ("nu", "0.0", "0.0"), ("xi", "1.0", "1.0"),
+    ("mc_trials", "", ""), ("seed", "", ""),
+]
+FIGURE_METADATA = [
+    ("figure", "4", "4"), ("curve", "hffre_n1", "hffre_n1"), ("receiver", "HFFRE", "HFFRE"),
+    ("alpha2_min", "0.01", "0.01"), ("alpha2_max", "10.0", "10.0"), ("points", 2, "2"),
+    ("spacing", "log", "log"), ("n_copies", 1, "1"), ("pnr", 2, "2"), ("eta", "1.0", "1.0"),
+    ("nu", "0.0", "0.0"), ("xi", "1.0", "1.0"), ("mc_trials", "", ""), ("seed", "", ""),
+]
+
+
+def csv_header(path):
+    with open(path, encoding="utf-8") as handle:
+        return [line.rstrip("\n") for line in handle if line.startswith("#")]
+
+
+class TestMetadata:
+    """The full ``#`` header and JSON ``metadata`` object, key order included."""
+
+    @staticmethod
+    def assert_metadata(csv_path, json_path, expected):
+        lines = [f"# {k} = {text}" for k, _, text in expected]
+        assert csv_header(csv_path) == [VERSION_LINE] + lines
+        payload = json.loads(json_path.read_text())
+        assert list(payload["metadata"].items()) == [(k, value) for k, value, _ in expected]
+
+    @pytest.mark.parametrize("flags, expected", [
+        (NON_DEFAULT_FLAGS, NON_DEFAULT_METADATA),
+        (["--receiver", "SQL"], DEFAULT_METADATA),
+    ], ids=["every-setting", "all-defaults"])
+    def test_sweep_metadata(self, tmp_path, flags, expected):
+        csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+        assert main(["sweep", *flags, "--out", str(csv_path)]) == 0
+        assert main(["sweep", *flags, "--json", "--out", str(json_path)]) == 0
+        self.assert_metadata(csv_path, json_path, expected)
+
+    def test_figure_curve_metadata(self, tmp_path):
+        assert main(["figure", "4", "--points", "2", "--out", str(tmp_path / "c")]) == 0
+        assert main(["figure", "4", "--points", "2", "--json", "--out", str(tmp_path / "j")]) == 0
+        self.assert_metadata(tmp_path / "c" / "fig4_hffre_n1.csv",
+                             tmp_path / "j" / "fig4_hffre_n1.json", FIGURE_METADATA)
+
+
+# (config-file lines, the same settings as flags); the base flags the
+# case does not set give the rest. Each case sets a value other than the default, except
+# "log = false", which must equal leaving the switch off.
+PARITY_BASE = {"--receiver": "DFFRE", "--alpha2-min": "0.5", "--alpha2-max": "1", "--points": "2"}
+PARITY_CASES = [
+    ("receiver = kennedy", ["--receiver", "KENNEDY"]),
+    ("alpha2_min = 0.25", ["--alpha2-min", "0.25"]),
+    ("alpha2-max = 2", ["--alpha2-max", "2"]),
+    ("points = 3", ["--points", "3"]),
+    ("log = true", ["--log"]),
+    ("log = false", []),
+    ("n_copies = 2", ["--n-copies", "2"]),
+    ("n-copies = 2", ["--n-copies", "2"]),
+    ("pnr = 3", ["--pnr", "3"]),
+    ("eta = 0.9", ["--eta", "0.9"]),
+    ("nu = 0.001", ["--nu", "0.001"]),
+    ("xi = 0.99", ["--xi", "0.99"]),
+    ("mc_trials = 10000\nseed = 4", ["--mc-trials", "10000", "--seed", "4"]),
+    ("seed = 4", ["--seed", "4"]),
+]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("lines, flags", PARITY_CASES, ids=[c[0] for c in PARITY_CASES])
+    def test_file_equals_flag(self, tmp_path, lines, flags):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(lines + "\n")
+        base = [arg for flag, value in PARITY_BASE.items() if flag not in flags
+                for arg in (flag, value)]
+        from_file, from_flags = tmp_path / "f.csv", tmp_path / "g.csv"
+        assert main(["sweep", *base, "--config", str(conf), "--out", str(from_file)]) == 0
+        assert main(["sweep", *base, *flags, "--out", str(from_flags)]) == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
+    def test_flags_override_every_key(self, tmp_path):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text("receiver = SQL\nalpha2-min = 0.3\nalpha2_max = 3\npoints = 5\n"
+                        "log = false\nn_copies = 3\npnr = 4\neta = 0.8\nnu = 0.01\n"
+                        "xi = 0.9\nmc-trials = 20000\nseed = 1\n")
+        overridden, flags_only = tmp_path / "o.csv", tmp_path / "f.csv"
+        assert main(["sweep", "--config", str(conf), *NON_DEFAULT_FLAGS,
+                     "--out", str(overridden)]) == 0
+        assert main(["sweep", *NON_DEFAULT_FLAGS, "--out", str(flags_only)]) == 0
+        assert overridden.read_bytes() == flags_only.read_bytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("receiver = SQL\nbogus_key = 1\nother = 2\n",
+         "unknown config keys: ['bogus-key', 'other']"),
+        ("points = 3\n", "--receiver is required (flag or config file)"),
+        # the missing receiver is reported before a bad value, and bad
+        # values in field order
+        ("points = abc\n", "--receiver is required (flag or config file)"),
+        ("receiver = SQL\neta = zz\npoints = abc\n",
+         "invalid literal for int() with base 10: 'abc'"),
+    ], ids=["unknown-key", "missing-receiver", "missing-receiver-first", "field-order"])
+    def test_diagnostic_is_one_line(self, tmp_path, capsys, text, message):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(text)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestFigure:
     def test_curve_sets(self):
         names = {figure_id: [name for name, _ in figure_curves(figure_id)]
@@ -226,6 +348,23 @@ class TestOptimize:
     def test_hynore_requires_ideal_model(self):
         result = run_cli("optimize", "--receiver", "HYNORE", "--alpha2", "1", "--eta", "0.7")
         assert result.returncode != 0
+
+    def test_model_checked_before_energy(self, capsys):
+        assert main(["optimize", "--receiver", "DFFRE", "--alpha2", "-1", "--eta", "2"]) == 2
+        assert capsys.readouterr().err == "error: eta must be in (0, 1], got 2.0\n"
+
+    def test_disp_opt_reports_one_copy(self, tmp_path, capsys):
+        # DISP_OPT is the single-copy receiver whatever --n-copies says
+        assert main(["optimize", "--receiver", "DISP_OPT", "--alpha2", "1", "--n-copies", "2",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_copies"] == 1 and len(payload["betas"]) == 1
+        csv_path, json_path = tmp_path / "d.csv", tmp_path / "d.json"
+        sweep = ["sweep", "--receiver", "DISP_OPT", "--points", "2", "--n-copies", "2"]
+        assert main([*sweep, "--out", str(csv_path)]) == 0
+        assert main([*sweep, "--json", "--out", str(json_path)]) == 0
+        assert "# n_copies = 1" in csv_header(csv_path)
+        assert json.loads(json_path.read_text())["metadata"]["n_copies"] == 1
 
     def test_arithmetic_error_is_one_line_diagnostic(self, monkeypatch, capsys):
         def underflowed_bound(p_err, alpha):
