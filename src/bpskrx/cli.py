@@ -58,7 +58,7 @@ RECEIVER_TABLE = {
     "HELSTROM": ReceiverEntry(closed_form=lambda alpha: baselines.helstrom_bound(alpha)),
     "KENNEDY": ReceiverEntry(closed_form=lambda alpha: baselines.kennedy_error(alpha)),
     "DISP_OPT": ReceiverEntry(kind=Receiver.DFFRE, copies=1),
-    "HYNORE": ReceiverEntry(),
+    "HYNORE": ReceiverEntry(copies=1),
     "DFFRE": ReceiverEntry(kind=Receiver.DFFRE),
     "HFFRE": ReceiverEntry(kind=Receiver.HFFRE),
 }
@@ -540,7 +540,16 @@ def main(argv: list[str] | None = None) -> int:
         "validate": cmd_validate,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader of stdout has gone: not an error of the command. Point
+        # stdout at devnull so the interpreter's flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, the status of a writer killed by a closed pipe
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,6 +52,7 @@ from .optimize import (
 )
 from .photostatistics import (
     DetectorModel,
+    below_threshold,
     hl_difference_pmf,
     hl_sign_error,
     q_above_rows,
@@ -182,19 +183,25 @@ def _flip_probabilities(
     a2n = amplitude * amplitude / n_copies
     cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n_copies)
     eta, nu = model.eta, model.nu
-    if n_th == 1:
+    # a threshold such as 1.0 is no integer, and q_thresh rejects it below
+    if n_th == 1 and isinstance(n_th, (int, np.integer)):
         def flips(beta: float) -> tuple[float, float]:
             base = a2n + beta * beta
             cross = cross_coef * beta
             return (-math.expm1(-(eta * (base - cross) + nu)),
                     math.exp(-(eta * (base + cross) + nu)))
     else:
+        # The threshold is checked here, once per recursion; each rate is
+        # checked in line by the kernel. Python floats throughout, as
+        # q_thresh's float(x) gave them.
+        q_thresh(0.0, n_th, model.resolution)
+        below = below_threshold(n_th)
+        a2n, cross_coef, eta, nu = float(a2n), float(cross_coef), float(eta), float(nu)
+
         def flips(beta: float) -> tuple[float, float]:
             base = a2n + beta * beta
             cross = cross_coef * beta
-            _, false_flip = q_thresh(eta * (base - cross) + nu, n_th)
-            missed_flip, _ = q_thresh(eta * (base + cross) + nu, n_th)
-            return false_flip, missed_flip
+            return 1.0 - below(eta * (base - cross) + nu), below(eta * (base + cross) + nu)
     return flips
 
 
@@ -223,7 +230,6 @@ def _negated_step_error(
 def _error_trace(e_initial: float, betas: Sequence[float], amplitude: float, n_copies: int,
                  model: DetectorModel, n_th: int) -> list[float]:
     """Error trace e_0..e_N of the recursion's step at fixed displacements."""
-    q_thresh(0.0, n_th, model.resolution)  # validates the threshold range
     flips = _flip_probabilities(amplitude, n_copies, model, n_th)
     errors = [e_initial]
     for beta in betas:

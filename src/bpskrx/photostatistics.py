@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "q_off",
     "q_on",
     "q_thresh",
+    "below_threshold",
     "q_below_rows",
     "q_above_rows",
     "exp_rows",
@@ -292,44 +293,65 @@ def skellam_pmf(delta: int, mu_plus: float, mu_minus: float) -> float:
     return total
 
 
-def q_off(x: float) -> float:
-    """Probability of an "off" (zero-count) result at rate x."""
+def _check_rate(x: float) -> float:
     x = _check_finite("x", x)
     if x < 0.0:
         raise ValueError(f"x must be >= 0, got {x!r}")
-    return math.exp(-x)
+    return x
+
+
+def q_off(x: float) -> float:
+    """Probability of an "off" (zero-count) result at rate x."""
+    return math.exp(-_check_rate(x))
 
 
 def q_on(x: float) -> float:
     """Probability of an "on" result at rate x, cancellation-safe (1 - e^-x)."""
-    x = _check_finite("x", x)
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x!r}")
-    return -math.expm1(-x)
+    return -math.expm1(-_check_rate(x))
+
+
+def below_threshold(n_th: int) -> Callable[[float], float]:
+    """q0 of ``q_thresh`` as a function of the rate, for one threshold n_th >= 2.
+
+    The one place the Poisson partial sum q0 = P(count < n_th) is
+    computed term by term. n_th is taken as given, so a caller that
+    evaluates many rates at one threshold validates it once; each rate
+    is checked in line and raises ``q_thresh``'s ValueError.
+    """
+    exp, inf = math.exp, math.inf
+    divisors = tuple(float(s + 1) for s in range(n_th - 1))
+
+    def q0(x: float) -> float:
+        if not 0.0 <= x < inf:
+            _check_rate(x)
+        # term_s = e^-x x^s / s!, summed for s < n_th, clamped to 1
+        term = exp(-x)
+        total = term
+        for divisor in divisors:
+            term *= x / divisor
+            total += term
+        return total if total < 1.0 else 1.0
+
+    return q0
 
 
 def q_thresh(x: float, n_th: int, resolution: int | None = None) -> tuple[float, float]:
     """Probabilities of counting below / at-or-above the threshold n_th.
 
     q0 = P(count < n_th) for a Poisson count at rate x, q1 = 1 - q0.
-    n_th = 1 reduces exactly to the on/off pair (q_off, q_on). When
-    ``resolution`` is given, n_th must not exceed it.
+    n_th = 1 reduces exactly to the on/off pair (q_off, q_on); above it
+    q0 is the ``below_threshold`` kernel and q1 = 1 - q0, which cancels
+    to 0 at small rates (the direct upper-tail sum is not used here).
+    When ``resolution`` is given, n_th must not exceed it.
     """
-    x = _check_finite("x", x)
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x!r}")
+    x = _check_rate(x)
     if not isinstance(n_th, (int, np.integer)) or n_th < 1:
         raise ValueError(f"n_th must be an integer >= 1, got {n_th!r}")
     if resolution is not None and n_th > resolution:
         raise ValueError(f"n_th must be <= resolution {resolution}, got {n_th}")
     if n_th == 1:
         return math.exp(-x), -math.expm1(-x)
-    term = math.exp(-x)
-    q0 = 0.0
-    for s in range(n_th):
-        q0 += term
-        term *= x / (s + 1)
-    q0 = min(1.0, q0)
+    q0 = below_threshold(n_th)(x)
     return q0, 1.0 - q0
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism, config handling, subcommands."""
 
+import ast
 import json
 import math
 import os
@@ -17,15 +18,15 @@ from bpskrx.cli import CSV_COLUMNS, SweepConfig, evaluate_point, figure_curves, 
 PACKAGE_ROOT = str(Path(bpskrx.__file__).resolve().parents[1])
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, **streams):
     path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "bpskrx.cli", *args],
-        capture_output=True,
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         timeout=600,
+        **(streams or {"capture_output": True}),
     )
 
 
@@ -366,6 +367,35 @@ class TestOptimize:
         assert "# n_copies = 1" in csv_header(csv_path)
         assert json.loads(json_path.read_text())["metadata"]["n_copies"] == 1
 
+    def test_hynore_reports_one_copy(self, tmp_path, capsys):
+        # HYNORE is a single-copy receiver, like DISP_OPT
+        assert main(["optimize", "--receiver", "HYNORE", "--alpha2", "1", "--n-copies", "3",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_copies"] == 1
+        csv_path, json_path = tmp_path / "h.csv", tmp_path / "h.json"
+        sweep = ["sweep", "--receiver", "HYNORE", "--points", "2", "--n-copies", "3"]
+        assert main([*sweep, "--out", str(csv_path)]) == 0
+        assert main([*sweep, "--json", "--out", str(json_path)]) == 0
+        assert "# n_copies = 1" in csv_header(csv_path)
+        assert json.loads(json_path.read_text())["metadata"]["n_copies"] == 1
+
+    def test_closed_stdout_is_not_an_error(self):
+        # the reader of stdout has gone before the report is written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = run_cli("optimize", "--receiver", "HYNORE", "--alpha2", "1", "--json",
+                             stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 141
+        assert result.stderr == ""
+
+    def test_unwritable_output_file_is_still_an_error(self, tmp_path, capsys):
+        # the output path is a directory
+        assert main(["sweep", "--receiver", "SQL", "--points", "2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_arithmetic_error_is_one_line_diagnostic(self, monkeypatch, capsys):
         def underflowed_bound(p_err, alpha):
             raise ZeroDivisionError("float division by zero")
@@ -560,6 +590,70 @@ GOLDEN_ROWS = [
      "0.0553, 0.0022856489231725856)"),
 ]
 
+# The same for the click-threshold scan at n_th >= 2 (M = 8 with dark
+# counts, reduced visibility, and HFFRE with dark counts at M = 2), where
+# the threshold is checked once per recursion and each rate in the kernel.
+THRESHOLD_ROWS = [
+    ("DFFRE", {"nu": 0.001, "pnr": 8, "n_copies": 10}, 6.0,
+     "(6.0, 1.214996206849103e-06, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "128736.73164087435, -1.5224214822715516, 1.0, None, 2, "
+     "'1.312181450151054;1.0115423678241275;0.9161035302295519;0.8624241364307836;"
+     "0.8287336759152955;0.8059512038566123;0.7898890077927893;0.7803475903488847;"
+     "0.7765843274503581;0.7753794510244273', None, None)"),
+    ("DFFRE", {"nu": 0.001, "pnr": 8, "n_copies": 10}, 20.0,
+     "(20.0, 9.981268794531516e-15, 4.512128469613474e-36, 1.8720486921014403e-19, "
+     "2.212097652305221e+21, -53316.3567367374, 1.0, None, 5, "
+     "'2.2914698179603605;1.9066004379421821;1.745651217423837;1.647576802121392;"
+     "1.5825811886121197;1.5371801915202312;1.5044237055993346;1.4796075533553092;"
+     "1.4624220203930909;1.4424759701758845', None, None)"),
+    ("DFFRE", {"nu": 0.001, "pnr": 8, "n_copies": 50}, 6.0,
+     "(6.0, 0.00021266035551733675, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "22532744.51768592, -440.49853815227306, 1.0, None, 2, "
+     "'1.2410173423435837;0.9040900148421749;0.7985871772383834;0.7337178833030696;"
+     "0.6875035474481392;0.6520439263960933;0.623566345002156;0.5999722019434296;"
+     "0.5799743753023423;0.562727395142335;0.5476469276766065;0.534312666515374;"
+     "0.5224125967906074;0.5117090584641191;0.5020170839844298;0.49318986928717395;"
+     "0.4851092444766921;0.47767872862008637;0.4708185300660363;0.4644619772310792;"
+     "0.45855281095673606;0.45304321490707444;0.44789228819045945;0.443064620576058;"
+     "0.43852938276763737;0.434259744197133;0.43023222052705873;0.4264257347627315;"
+     "0.4228221323095668;0.4194046915823925;0.4161588272003435;0.4130712847972877;"
+     "0.4101303773147802;0.4073251557348124;0.4046459830603273;0.4020840357097579;"
+     "0.3996314372152289;0.3972806842420418;0.39502529848619183;0.3928592286161748;"
+     "0.39077686044077986;0.3887728293715629;0.3868430992928647;0.38498289604859043;"
+     "0.3831887175741578;0.38145693573262673;0.37978457682652317;0.3781685226923057;"
+     "0.37660656743458293;0.37509648362223313', None, None)"),
+    ("DFFRE", {"nu": 0.001, "pnr": 8, "n_copies": 50}, 20.0,
+     "(20.0, 4.404820353263578e-09, 4.512128469613474e-36, 1.8720486921014403e-19, "
+     "9.762178499409861e+26, -23529411236.263344, 1.0, None, 3, "
+     "'1.624254463985014;1.2727041464273352;1.1496820006474717;1.069711831707826;"
+     "1.0112292338626454;0.9658467321043358;0.9292865095679543;0.8990463860274364;"
+     "0.8735325440946441;0.8516687792083556;0.8326953389404862;0.816057198884178;"
+     "0.8013383103239614;0.7882183308121751;0.7764467347966194;0.7658239032484058;"
+     "0.7561882653945369;0.7474074609045827;0.7393731067468455;0.7319934156440547;"
+     "0.7251898256849615;0.718898179614344;0.7130610770214835;0.7076291157059196;"
+     "0.7025606654302162;0.6978198830588015;0.6933709000902146;0.6891876075251244;"
+     "0.6852411906955804;0.68150875217507;0.6779727464765196;0.6746092216670884;"
+     "0.6714057212420467;0.6683444140692854;0.6654139462042357;0.6626007132061263;"
+     "0.6598853969520418;0.6572752434908156;0.6547593059964658;0.6523220632308868;"
+     "0.6499826551235901;0.6477562411699763;0.6456448229310714;0.6436742664591039;"
+     "0.6418730413791868;0.6402717830489444;0.6388709326188763;0.6377056658268198;"
+     "0.6367221842535936;0.6359276151524291', None, None)"),
+    ("DFFRE", {"xi": 0.998, "n_copies": 10}, 6.0,
+     "(6.0, 4.718582558752497e-06, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "499964.4387094565, -8.796124419956621, 1.0, None, 2, "
+     "'1.3111848507218622;1.0093944366303365;0.9127649283363058;0.857352931165246;"
+     "0.821327995629498;0.7964911164379893;0.7819836466329654;0.7762900510909188;"
+     "0.7744594192411127;0.7738901562332673', None, None)"),
+    ("HFFRE", {"nu": 0.001, "n_copies": 1}, 3.313,
+     "(3.313, 9.62207947091719e-06, 4.392074773728386e-07, 0.00013614460070675982, "
+     "21.907822536338806, 0.9293245606438549, 0.9813012695312501, 1.3672577300316135, 2, "
+     "'1.8291043555206514', None, None)"),
+    ("HFFRE", {"nu": 0.001, "n_copies": 2}, 3.313,
+     "(3.313, 2.1071049696710006e-05, 4.392074773728386e-07, 0.00013614460070675982, "
+     "47.97516158592859, 0.8452303683926865, 0.9882019042968749, 1.3631351942522296, 2, "
+     "'1.4644502829589072;1.3056897103129026', None, None)"),
+]
+
 
 class TestGoldenRows:
     @pytest.mark.parametrize(
@@ -571,3 +665,15 @@ class TestGoldenRows:
         config = SweepConfig(receiver=receiver, **{**GOLDEN_BASE, **overrides})
         row = evaluate_point(config, alpha2, 1)
         assert repr(tuple(row[c] for c in CSV_COLUMNS)) == expected
+
+    @pytest.mark.parametrize(
+        "receiver, overrides, alpha2, expected", THRESHOLD_ROWS,
+        ids=[f"{r}-{'-'.join(f'{k}={v}' for k, v in o.items())}-{a2}"
+             for r, o, a2, _ in THRESHOLD_ROWS],
+    )
+    def test_threshold_row_pinned(self, receiver, overrides, alpha2, expected):
+        self.test_row_pinned(receiver, overrides, alpha2, expected)
+
+    def test_threshold_rows_cover_thresholds_above_one(self):
+        n_th = {ast.literal_eval(expected)[CSV_COLUMNS.index("n_th_opt")] for *_, expected in THRESHOLD_ROWS}
+        assert n_th == {2, 3, 5}

@@ -417,6 +417,25 @@ class TestCoarseTable:
         betas = result.params.betas
         assert (result.params.n_th, repr(betas[0]), repr(betas[-1]), repr(result.p_err)) == expected
 
+    def test_threshold_checked_once_per_recursion(self, monkeypatch):
+        # Ten copies and thresholds 1..8: 5,516 q_thresh calls when every
+        # rate went through it, now one per recursion at n_th >= 2.
+        checked = feedforward.q_thresh
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return checked(*args)
+
+        monkeypatch.setattr(feedforward, "q_thresh", counting)
+        dffre_error(1.0, cfg(10, DetectorModel(8, nu=1e-3)))
+        assert 1 <= len(calls) <= 7
+
+    def test_numpy_scalars_give_python_floats(self):
+        model = DetectorModel(2, eta=np.float64(0.9), nu=np.float64(1e-3))
+        value = step_correct_prob(0.5, 0.4, np.float64(1.0), 1, model, n_th=2)
+        assert type(value) is float
+
 
 class TestSaturation:
     def test_dark_floor_trivial(self):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bpskrx.feedforward import correct_probability_trace, step_correct_prob
 from bpskrx.photostatistics import (
     BranchMeans,
     DetectorModel,
+    below_threshold,
     branch_means,
     hl_difference_pmf,
     hl_sign_error,
@@ -296,6 +298,69 @@ class TestClickProbabilities:
             q_thresh(1.0, 3, resolution=2)
         with pytest.raises(ValueError):
             q_off(-0.1)
+
+
+def term_by_term_q_thresh(x, n_th):
+    """The threshold pair written out as a plain loop, the reference for the kernel."""
+    term = math.exp(-x)
+    q0 = 0.0
+    for s in range(n_th):
+        q0 += term
+        term *= x / (s + 1)
+    q0 = min(1.0, q0)
+    return q0, 1.0 - q0
+
+
+def raised(fn, *args, **kwargs):
+    with pytest.raises(ValueError) as info:
+        fn(*args, **kwargs)
+    return str(info.value)
+
+
+class TestThresholdKernel:
+    """``below_threshold`` and ``q_thresh`` equal the plain loop bit for bit."""
+
+    @pytest.mark.parametrize("n_th", range(2, 65))
+    def test_equals_loop(self, n_th):
+        kernel = below_threshold(n_th)
+        for x in (0.0, 5e-324, 1e-12, 1e-3, 1.0, n_th - 1.0, n_th + 1.0, 70.0, 1e3):
+            expected = term_by_term_q_thresh(x, n_th)
+            assert kernel(x) == expected[0]
+            assert q_thresh(x, n_th) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(x=st.floats(0.0, 1e4, allow_subnormal=True), n_th=st.integers(2, 64))
+    def test_equals_loop_swept(self, x, n_th):
+        expected = term_by_term_q_thresh(x, n_th)
+        assert below_threshold(n_th)(x) == expected[0]
+        assert q_thresh(x, n_th) == expected
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_kernel_raises_q_thresh_error(self, x):
+        assert raised(below_threshold(3), x) == raised(q_thresh, x, 3)
+
+    # (p_prev, beta, amplitude, n_copies, model): the rate of the opposing
+    # branch is NaN, or a²/N + β² - 2aβ/√N cancels below 0 in rounding
+    BAD_RATES = [
+        ((0.5, math.nan, 1.0, 1, DetectorModel(2, nu=1e-3)), math.nan),
+        ((0.5, 1.5367617524113883, 1.5367617525666288, 1, DetectorModel(2)),
+         -8.881784197001252e-16),
+    ]
+
+    @pytest.mark.parametrize("args, rate", BAD_RATES, ids=["nan", "negative"])
+    def test_recursion_raises_q_thresh_error(self, args, rate):
+        message = raised(q_thresh, rate, 2)
+        assert raised(step_correct_prob, *args, n_th=2) == message
+        p_prev, beta, amplitude, _, model = args
+        assert raised(correct_probability_trace, amplitude, [beta], model, n_th=2,
+                      p_initial=p_prev) == message
+
+    @pytest.mark.parametrize("n_th", [0, -1, 3, 9, 1.0, 2.0, None])
+    def test_recursion_raises_threshold_error(self, n_th):
+        model = DetectorModel(2, nu=1e-3)
+        message = raised(q_thresh, 0.0, n_th, 2)
+        assert raised(step_correct_prob, 0.5, 0.4, 1.0, 1, model, n_th=n_th) == message
+        assert raised(correct_probability_trace, 1.0, [0.4, 0.3], model, n_th=n_th) == message
 
 
 class TestDetectorModel:
