@@ -17,6 +17,7 @@ always produces byte-identical output. Numbers are serialized with
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -234,6 +235,9 @@ def write_json(path: str, rows: list[dict], metadata: list[tuple[str, object]]) 
 
 
 def _atomic_write(path: str, text: str) -> None:
+    # before the temporary file, so that a directory target leaves nothing behind
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bpskrx-", suffix=".tmp")

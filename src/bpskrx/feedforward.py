@@ -381,11 +381,13 @@ def _negated_step_error_batch(
     flips: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     table: tuple[np.ndarray, np.ndarray],
     rows: np.ndarray,
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[int], np.ndarray]]:
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[slice], np.ndarray]]:
     """``_negated_step_error`` for an array of e_prev, one beta per element.
 
     ``table`` holds ``flips`` on the coarse grid, one row per grid index
     and one column per distinct grid; element k reads column rows[k].
+    The coarse values come a block of grid indices at a time, one row
+    per index.
     """
     p_prev = 1.0 - e_prev
     false_table, missed_table = table
@@ -394,14 +396,14 @@ def _negated_step_error_batch(
         false_flip, missed_flip = flips(beta)
         return -(p_prev * false_flip + e_prev * missed_flip)
 
-    def coarse_column(i: int) -> np.ndarray:
-        return -(p_prev * false_table[i, rows] + e_prev * missed_table[i, rows])
+    def coarse_block(block: slice) -> np.ndarray:
+        return -(p_prev * false_table[block, rows] + e_prev * missed_table[block, rows])
 
-    return objective, coarse_column
+    return objective, coarse_block
 
 
 def _hybrid_error_batch(
-    alpha: float, cfg: FeedForwardConfig, n_th: int
+    alpha: float, cfg: FeedForwardConfig, n_th: int, last_round: dict | None = None
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Negated ``_hybrid_recursion`` error at every (tau, z) of a grid round.
 
@@ -411,12 +413,18 @@ def _hybrid_error_batch(
     round. The values agree with the scalar recursion up to the last-bit
     differences between np.exp and math.exp, which the 1 - q0 tail of
     a threshold n_th >= 2 can raise to about 1e-16 absolute.
+
+    ``last_round``, when given, receives each round's tau, z and HL error
+    e0 arrays. ``hl_sign_error`` gives e0 bit for bit as
+    ``_hybrid_initial_error`` does.
     """
     model, n = cfg.model, cfg.n_copies
     indices = np.arange(BETA_COARSE_POINTS)[:, None]
 
     def objective(tau: np.ndarray, z: np.ndarray) -> np.ndarray:
         errors = hl_sign_error(np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha, z, model)
+        if last_round is not None:
+            last_round.update(tau=tau, z=z, e0=errors)
         amplitude = np.sqrt(tau) * alpha
         hi = amplitude / math.sqrt(n) + BETA_MARGIN
         taus, rows = np.unique(tau, return_inverse=True)
@@ -451,9 +459,10 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     The search box is tau in [0, 1], z in [0, 5 + 4 alpha]; tau = 1 is a
     mandatory grid point, so up to optimizer tolerance the result never
     exceeds the DFFRE one. Each grid round is evaluated as one batch;
-    the scalar recursion settles near-ties between its values, and the
-    reported error, betas and trace come from it, so the result is the
-    one a point-by-point scalar search gives.
+    the scalar recursion, from the round's own e0, settles near-ties
+    between its values, and the reported error, betas and trace come
+    from it, so the result is the one a point-by-point scalar search
+    gives.
     """
     alpha = _check_alpha(alpha)
     if cfg.receiver is not Receiver.HFFRE:
@@ -466,11 +475,13 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
 
     def scan_threshold(n_th: int) -> float:
         final_error: dict[tuple[float, float], float] = {}
+        last_round: dict[str, np.ndarray] = {}
 
         def exact(tau: float, z: float) -> float:
-            # z acts only through e0, so the tau = 1 column (no tap) costs
-            # one recursion per distinct rounding of e0 = 1/2
-            e0 = _hybrid_initial_error(alpha, tau, z, cfg.model)
+            # z acts only through e0, taken from the round, so the tau = 1
+            # column (no tap) costs one recursion per distinct rounding of 1/2
+            point = np.flatnonzero((last_round["tau"] == tau) & (last_round["z"] == z))[0]
+            e0 = float(last_round["e0"][point])
             if (tau, e0) not in final_error:
                 amplitude = math.sqrt(tau) * alpha
                 final_error[tau, e0] = _optimized_recursion(
@@ -480,7 +491,7 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
         rtol = BATCH_RTOL_PER_COPY * cfg.n_copies
         atol = BATCH_ATOL_PER_COPY * cfg.n_copies if n_th > 1 else 0.0
         best[n_th], negated = maximize_grid_batch(
-            _hybrid_error_batch(alpha, cfg, n_th), spec, exact, rtol, atol)
+            _hybrid_error_batch(alpha, cfg, n_th, last_round), spec, exact, rtol, atol)
         return negated
 
     n_th, _ = scan_discrete(scan_threshold, _threshold_candidates(cfg.model))

@@ -9,10 +9,11 @@ tests stay stable.
 
 The box search ``maximize_grid_batch`` hands each round's whole grid to
 an array objective in one call, and ``maximize_scalar_batch`` runs one
-bounded 1-D search per array element in lockstep: the coarse grid one
-column at a time, then golden-section steps with finished elements
-frozen. Element for element they make the same comparisons as the
-scalar searches. Where the array objective only approximates a scalar
+bounded 1-D search per array element in lockstep: the coarse grid a
+block of columns at a time, the block size bounded so that its
+temporaries stay small, then golden-section steps with finished
+elements frozen. Element for element they make the same comparisons as
+the scalar searches. Where the array objective only approximates a scalar
 one (numpy's exp may differ from math.exp in the last bit), the box
 search settles each round's near-ties with the scalar objective, so it
 still chooses what a point-by-point search would. ``maximize_scalar``
@@ -21,7 +22,8 @@ would only add overhead; ``maximize_grid`` adapts a scalar objective to
 the box search.
 
 Both 1-D searches accept the objective's values on the coarse grid from
-the caller (``ScalarSearchSpec.coarse_grid``, ``coarse_abscissae``):
+the caller (``ScalarSearchSpec.coarse_grid``; ``coarse_abscissae``, a
+block of columns per call):
 a caller that runs many searches on one grid, with objectives built
 from the same per-abscissa terms, tabulates those terms once instead of
 calling f at every coarse point of every search. The values must equal
@@ -51,6 +53,9 @@ __all__ = [
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _LOG_INV_PHI = math.log(_INV_PHI)
+# Coarse columns per block of maximize_scalar_batch: each temporary holds
+# this many values per element (about 108 KB for 1682 elements)
+COARSE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,8 @@ def _checked_batch(values, points: Callable[[int], object], label: str) -> np.nd
     values = np.asarray(values, dtype=float)
     finite = np.isfinite(values)
     if not finite.all():
-        i = int(np.argmin(finite))
-        raise _non_finite(values[i], points(i), label)
+        i = int(np.argmin(finite))  # the first in C order, also in a block of columns
+        raise _non_finite(values.flat[i], points(i), label)
     return values
 
 
@@ -239,39 +244,52 @@ def maximize_scalar_batch(
     hi: np.ndarray,
     coarse_points: int,
     tol: float,
-    coarse_values: Callable[[int], np.ndarray] | None = None,
+    coarse_values: Callable[[slice], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One ``maximize_scalar`` per element of lo, hi; returns (x_star, f_star) arrays.
 
     f maps an array of abscissae, one per element, to the objective
-    values of the elements. Each element sees exactly the comparisons
-    and abscissae of ``maximize_scalar`` with ScalarSearchSpec(lo, hi,
-    coarse_points, tol); elements whose golden-section steps are done
-    keep their state while the others continue.
+    values of the elements, element by element, so that it also accepts
+    a block of coarse columns, one row per column. Each element sees
+    exactly the comparisons and abscissae of ``maximize_scalar`` with
+    ScalarSearchSpec(lo, hi, coarse_points, tol); elements whose
+    golden-section steps are done keep their state while the others
+    continue.
 
-    ``coarse_values(i)``, when given, returns f at coarse column i, that
-    is at ``coarse_abscissae(lo, hi, coarse_points)(i)``, computed by the
-    caller; it must equal f there. The search then calls f only for its
+    The coarse grid is read ``COARSE_BLOCK`` columns at a time, which
+    bounds every temporary to that many rows. ``coarse_values(block)``,
+    when given, returns f at the coarse columns of the slice ``block``,
+    that is at ``coarse_abscissae(lo, hi, coarse_points)(index)`` for
+    each index in it, one row per column, computed by the caller; it
+    must equal f there. The search then calls f only for its
     golden-section steps.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     last = coarse_points - 1
     grid = coarse_abscissae(lo, hi, coarse_points)
+    if coarse_values is None:
+        def coarse_values(block: slice) -> np.ndarray:
+            return f(grid(np.arange(block.start, block.stop).reshape(-1, *(1,) * lo.ndim)))
 
     def checked(x):
-        return _checked_batch(f(x), lambda i: float(x[i]), "x")
+        return _checked_batch(f(x), lambda i: float(x.flat[i]), "x")
 
-    def coarse_column(i):
-        values = f(grid(i)) if coarse_values is None else coarse_values(i)
-        return _checked_batch(values, lambda j: float(grid(i)[j]), "x")
-
-    best_f = coarse_column(0)
+    best_f = np.full(lo.shape, -math.inf)
     best_i = np.zeros(lo.shape, dtype=int)
-    for i in range(1, coarse_points):
-        v = coarse_column(i)
+    for i0 in range(0, coarse_points, COARSE_BLOCK):
+        i1 = min(i0 + COARSE_BLOCK, coarse_points)
+        values = np.asarray(coarse_values(slice(i0, i1)), dtype=float)
+        if values.shape != (i1 - i0, *lo.shape):
+            raise ValueError(f"expected coarse values of shape {(i1 - i0, *lo.shape)}, "
+                             f"got {values.shape}")
+        _checked_batch(values, lambda i: float(grid(i0 + i // lo.size).flat[i % lo.size]), "x")
+        # argmax keeps the first of equal values, and blocks merge on a
+        # strict >, so ties go to the smallest column as in maximize_scalar
+        j = np.argmax(values, axis=0)
+        v = np.take_along_axis(values, j[None], axis=0)[0]
         better = v > best_f
         best_f = np.where(better, v, best_f)
-        best_i[better] = i
+        best_i = np.where(better, i0 + j, best_i)
     best_x = grid(best_i)
 
     a = grid(np.maximum(best_i - 1, 0))
@@ -290,18 +308,24 @@ def maximize_scalar_batch(
     # count; brackets repeat across elements, so only distinct ones are logged
     widths, which = np.unique(h, return_inverse=True)
     steps = np.array([math.ceil(math.log(tol / w) / _LOG_INV_PHI) for w in widths.tolist()])[which]
+    all_steps = int(steps.min())
     for it in range(int(steps.max())):
-        active = steps > it
+        # every element takes the first all_steps steps; after them,
+        # the elements whose steps are done keep their state
+        active = None if it < all_steps else steps > it
         left = yc > yd
-        h = np.where(active, h * _INV_PHI, h)
+        h = h * _INV_PHI if active is None else np.where(active, h * _INV_PHI, h)
         x = np.where(left, a + _INV_PHI2 * h, c + _INV_PHI * h)
         y = checked(x)
         # the two branches of _golden_max: keep [a, d] or keep [c, b]
         moved = (np.where(left, a, c), np.where(left, d, b), np.where(left, x, d),
                  np.where(left, c, x), np.where(left, y, yd), np.where(left, yc, y))
-        a, b, c, d, yc, yd = (np.where(active, new, old)
-                              for new, old in zip(moved, (a, b, c, d, yc, yd)))
-        better = active & (y > gold_f)
+        better = y > gold_f
+        if active is not None:
+            moved = tuple(np.where(active, new, old)
+                          for new, old in zip(moved, (a, b, c, d, yc, yd)))
+            better &= active
+        a, b, c, d, yc, yd = moved
         gold_x = np.where(better, x, gold_x)
         gold_f = np.where(better, y, gold_f)
     mid = 0.5 * (a + b)

@@ -31,10 +31,23 @@ PATHS = [
                              "optimize.maximize_scalar", "photostatistics.q_thresh")),
     ("HFFRE", {"n_copies": 1}, ("feedforward.hffre_error", "optimize.scan_discrete",
                                 "optimize.maximize_scalar", "photostatistics.hl_difference_pmf")),
+    # dark counts: both thresholds, and the near-tie settlement at n_th = 2
+    ("HFFRE", {"nu": 1e-3, "n_copies": 1}, ("feedforward.hffre_error", "optimize.scan_discrete",
+                                            "optimize.maximize_scalar",
+                                            "photostatistics.hl_difference_pmf")),
 ]
 
 
-@pytest.mark.parametrize("receiver, overrides, boundaries", PATHS, ids=[p[0] for p in PATHS])
+def path_ids(paths):
+    """The receiver, followed by the overrides where the receiver repeats."""
+    ids = []
+    for receiver, overrides, _ in paths:
+        ids.append("-".join([receiver, *(f"{k}={v}" for k, v in overrides.items())])
+                   if receiver in ids else receiver)
+    return ids
+
+
+@pytest.mark.parametrize("receiver, overrides, boundaries", PATHS, ids=path_ids(PATHS))
 def test_tracer_sees_every_layer_and_restores(receiver, overrides, boundaries):
     config = cli.SweepConfig(receiver=receiver, **{**BASE, **overrides})
     untraced = cli.evaluate_point(config, 1.0, 0)

@@ -1,11 +1,13 @@
 """Command-line surface: schemas, determinism, config handling, subcommands."""
 
 import ast
+import errno
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -396,6 +398,23 @@ class TestOptimize:
         assert main(["sweep", "--receiver", "SQL", "--points", "2", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["csv", "json"])
+    def test_directory_target_names_it_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                           flags):
+        target = tmp_path / "out"
+        target.mkdir()
+
+        def no_temporary_file(*args, **kwargs):
+            raise AssertionError("a temporary file was created")
+
+        monkeypatch.setattr(tempfile, "mkstemp", no_temporary_file)
+        args = ["sweep", "--receiver", "SQL", "--points", "2", "--out", str(target), *flags]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(target)!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(target.iterdir()) == []
+
     def test_arithmetic_error_is_one_line_diagnostic(self, monkeypatch, capsys):
         def underflowed_bound(p_err, alpha):
             raise ZeroDivisionError("float division by zero")
@@ -655,6 +674,58 @@ THRESHOLD_ROWS = [
 ]
 
 
+# The same for the five curves of the benchmark's (tau, z) search workload
+# at its seed-1 energies, with the sweep settings and row indices of that
+# workload: (receiver, sweep overrides, row index, alpha2, row). They
+# include threshold-2 winners and points where the tau = 1 column nearly
+# ties the best grid point.
+CURVE_BASE = {"alpha2_min": 0.10568031570970383, "alpha2_max": 3.313455838415151, "points": 2,
+              "log": True, "n_copies": 1, "pnr": 2, "eta": 1.0, "nu": 0.0, "xi": 1.0,
+              "mc_trials": None, "seed": None}
+CURVE_ROWS = [
+    ("HYNORE", {}, 0, 0.10568031570970383,
+     "(0.10568031570970383, 0.2755088374556652, 0.20642771474502636, "
+     "0.25779115044019685, 1.3346504261599073, -0.06872884109952615, 0.431005859375, "
+     "1.3667785486376207, None, None, None, None)"),
+    ("HYNORE", {}, 1, 3.313455838415151,
+     "(3.313455838415151, 7.373245585273553e-07, 4.3840737611556455e-07, "
+     "0.00013601223906541243, 1.6818251669492803, 0.9945789837473908, 0.98185302734375, "
+     "1.3667887849827633, None, None, None, None)"),
+    ("HFFRE", {}, 0, 0.10568031570970383,
+     "(0.10568031570970383, 0.23334816067864533, 0.20642771474502636, "
+     "0.25779115044019685, 1.1304110059391508, 0.09481702424545357, 0.899774169921875, "
+     "1.357857168245309, 1, '0.6299206622761815', None, None)"),
+    ("HFFRE", {}, 1, 3.313455838415151,
+     "(3.313455838415151, 7.373139906719044e-07, 4.3840737611556455e-07, "
+     "0.00013601223906541243, 1.6818010618451542, 0.9945790614452181, 0.98185302734375, "
+     "1.3667887849827633, 1, '1.8037020301459536', None, None)"),
+    ("HFFRE", {"pnr": 4}, 0, 0.10568031570970383,
+     "(0.10568031570970383, 0.2314462688867717, 0.20642771474502636, "
+     "0.25779115044019685, 1.121197651064672, 0.10219467002043858, 0.8576843261718751, "
+     "1.938900520520425, 1, '0.6014355573215431', None, None)"),
+    ("HFFRE", {"pnr": 4}, 1, 3.313455838415151,
+     "(3.313455838415151, 7.098116727940084e-07, 4.3840737611556455e-07, "
+     "0.00013601223906541243, 1.6190687280017422, 0.9947812661737548, "
+     "0.9763952636718749, 1.9477902038925692, 1, '1.7986816517716233', None, None)"),
+    ("HFFRE", {"nu": 0.001}, 0, 0.10568031570970383,
+     "(0.10568031570970383, 0.23369969404715701, 0.20642771474502636, "
+     "0.25779115044019685, 1.1321139428192393, 0.09345338795339542, 0.90107421875, "
+     "1.357972530922796, 1, '0.630667297840941', None, None)"),
+    ("HFFRE", {"nu": 0.001}, 1, 3.313455838415151,
+     "(3.313455838415151, 9.607277349446487e-06, 4.3840737611556455e-07, "
+     "0.00013601223906541243, 21.914041306900824, 0.9293646114830442, "
+     "0.981307373046875, 1.3672385345006912, 2, '1.8292129425217938', None, None)"),
+    ("HFFRE", {"nu": 0.001, "n_copies": 2}, 0, 0.10568031570970383,
+     "(0.10568031570970383, 0.2250702640044096, 0.20642771474502636, "
+     "0.25779115044019685, 1.090310301998014, 0.1269278886413051, 0.9539074707031251, "
+     "1.356972721051244, 1, '0.6212600836019441;0.4136480757475', None, None)"),
+    ("HFFRE", {"nu": 0.001, "n_copies": 2}, 1, 3.313455838415151,
+     "(3.313455838415151, 2.104158203906907e-05, 4.3840737611556455e-07, "
+     "0.00013601223906541243, 47.99550186747426, 0.845296407267073, 0.9882019042968749, "
+     "1.3631158305863524, 2, '1.4644975131450488;1.3057584071276906', None, None)"),
+]
+
+
 class TestGoldenRows:
     @pytest.mark.parametrize(
         "receiver, overrides, alpha2, expected", GOLDEN_ROWS,
@@ -673,6 +744,16 @@ class TestGoldenRows:
     )
     def test_threshold_row_pinned(self, receiver, overrides, alpha2, expected):
         self.test_row_pinned(receiver, overrides, alpha2, expected)
+
+    @pytest.mark.parametrize(
+        "receiver, overrides, index, alpha2, expected", CURVE_ROWS,
+        ids=[f"{r}-{'-'.join(f'{k}={v}' for k, v in o.items()) or 'ideal'}-{a2}"
+             for r, o, _, a2, _ in CURVE_ROWS],
+    )
+    def test_curve_row_pinned(self, receiver, overrides, index, alpha2, expected):
+        config = SweepConfig(receiver=receiver, **{**CURVE_BASE, **overrides})
+        row = evaluate_point(config, alpha2, index)
+        assert repr(tuple(row[c] for c in CSV_COLUMNS)) == expected
 
     def test_threshold_rows_cover_thresholds_above_one(self):
         n_th = {ast.literal_eval(expected)[CSV_COLUMNS.index("n_th_opt")] for *_, expected in THRESHOLD_ROWS}

@@ -315,6 +315,25 @@ class TestBatchedSearch:
         assert abs(hffre_error(alpha, c).p_err - dense) <= 1e-6
 
 
+class TestSettlement:
+    def test_near_ties_take_e0_from_the_round(self, monkeypatch):
+        # At nu = 1e-3 and alpha2 ~ 3.31 the rounds leave hundreds of
+        # near-ties, mostly on the tau = 1 column. Their e0 comes from the
+        # round's hl_sign_error, so only the final replay calls the
+        # two-PMF kernel.
+        kernel = feedforward.hl_difference_pmf
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(feedforward, "hl_difference_pmf", counting)
+        result = hffre_error(math.sqrt(3.313455838415151), cfg(1, DARK2, Receiver.HFFRE))
+        assert result.params.n_th == 2
+        assert len(calls) <= 2
+
+
 def reference_step_error(e_prev, amplitude, n, model, n_th):
     """The negated step error, written out as before the flips were tabulated."""
     a2n = amplitude * amplitude / n

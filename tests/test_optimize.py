@@ -1,6 +1,7 @@
 """Derivative-free maximizers: oracle comparisons, determinism, tie-breaking."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,8 +147,9 @@ class TestCoarseValues:
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
     def test_batch_non_finite_column_names_abscissa(self):
-        def column(i):
-            return np.where(np.arange(3) == 1, np.nan if i == 2 else 0.0, 0.0)
+        def column(block):
+            return np.array([np.where(np.arange(3) == 1, np.nan if i == 2 else 0.0, 0.0)
+                             for i in range(block.start, block.stop)])
 
         with pytest.raises(ValueError, match=r"non-finite value .*nan.* at x = 1\.0"):
             maximize_scalar_batch(lambda x: 0.0 * x, 0.0, np.array([1.0, 2.0, 3.0]), 5, 1e-7,
@@ -178,6 +180,53 @@ class TestMaximizeScalarBatch:
     def test_non_finite_objective_reported(self):
         with pytest.raises(ValueError, match="non-finite"):
             maximize_scalar_batch(lambda x: np.where(x > 0.5, np.nan, 0.0), 0.0, np.ones(3), 5, 1e-7)
+
+
+class TestCoarseBlocks:
+    """The lockstep search reads its coarse grid a block of columns at a time."""
+
+    HI = np.array([1.0, 2.0, 3.0])
+
+    def test_tie_across_block_boundary_goes_to_smaller_column(self):
+        # equal maxima at columns 7 and 8, the last of one block and the
+        # first of the next; the golden-section steps only see 0
+        def block(columns):
+            return np.array([[1.0 if i in (7, 8) else 0.0] * 3
+                             for i in range(columns.start, columns.stop)])
+
+        xs, fs = maximize_scalar_batch(lambda x: 0.0 * x, 0.0, self.HI, 64, 1e-7, block)
+        assert xs.tolist() == coarse_abscissae(0.0, self.HI, 64)(7).tolist()
+        assert fs.tolist() == [1.0, 1.0, 1.0]
+
+    def test_constant_objective_picks_first_column(self):
+        xs, fs = maximize_scalar_batch(lambda x: 0.0 * x + 7.5, 2.0, self.HI + 2.0, 64, 1e-7)
+        assert xs.tolist() == [2.0, 2.0, 2.0]
+        assert fs.tolist() == [7.5, 7.5, 7.5]
+
+    def test_non_finite_value_in_later_block_names_its_abscissa(self):
+        def block(columns):
+            return np.array([[math.nan if (i, k) == (37, 1) else 0.0 for k in range(3)]
+                             for i in range(columns.start, columns.stop)])
+
+        x = float(coarse_abscissae(0.0, self.HI, 64)(37)[1])
+        with pytest.raises(ValueError, match=rf"non-finite value .*nan.* at x = {re.escape(repr(x))}$"):
+            maximize_scalar_batch(lambda x: 0.0 * x, 0.0, self.HI, 64, 1e-7, block)
+
+    def test_blocks_are_small_and_cover_the_grid_once(self):
+        # a bounded block keeps every temporary of the search small
+        requested = []
+
+        def block(columns):
+            requested.append(columns)
+            return np.zeros((columns.stop - columns.start, 3))
+
+        maximize_scalar_batch(lambda x: 0.0 * x, 0.0, self.HI, 64, 1e-7, block)
+        assert all(c.step is None and 0 < c.stop - c.start <= 8 for c in requested)
+        assert [i for c in requested for i in range(c.start, c.stop)] == list(range(64))
+
+    def test_block_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"expected coarse values of shape \(8, 3\), got \(3,\)"):
+            maximize_scalar_batch(lambda x: 0.0 * x, 0.0, self.HI, 64, 1e-7, lambda _: np.zeros(3))
 
 
 class TestMaximizeGrid:
