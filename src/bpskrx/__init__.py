@@ -38,7 +38,6 @@ from .montecarlo import RngSpec, TrajectoryRecord, estimate_error, sample_pnr, s
 from .optimize import (
     GridSearchSpec,
     ScalarSearchSpec,
-    maximize_grid,
     maximize_scalar,
     scan_discrete,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "hl_difference_pmf",
     "hynore_error",
     "kennedy_error",
-    "maximize_grid",
     "maximize_scalar",
     "optimized_displacement_error",
     "optimized_error",

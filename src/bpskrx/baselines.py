@@ -95,7 +95,7 @@ def hynore_error(alpha: float, resolution: int):
     the HFFRE (``hl_sign_error``), so each grid round is evaluated as one
     batch of e0 e^(-4 tau alpha^2).
     """
-    from .feedforward import _hybrid_initial_error, _result, _tau_z_spec
+    from .feedforward import _result, _tau_z_spec
 
     alpha = _check_alpha(alpha)
     model = DetectorModel(resolution=resolution)
@@ -106,6 +106,5 @@ def hynore_error(alpha: float, resolution: int):
         reflected = np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha
         return -(hl_sign_error(reflected, z, model) * exp_rows(-4.0 * tau * alpha * alpha))
 
-    (tau_opt, z_opt), _ = maximize_grid_batch(objective, _tau_z_spec(alpha))
-    e0 = _hybrid_initial_error(alpha, tau_opt, z_opt, model)
-    return _result(alpha, [e0 * math.exp(-4.0 * tau_opt * alpha * alpha)], tau=tau_opt, z=z_opt)
+    (tau_opt, z_opt), negated = maximize_grid_batch(objective, _tau_z_spec(alpha))
+    return _result(alpha, [-negated], tau=tau_opt, z=z_opt)

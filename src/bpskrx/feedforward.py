@@ -86,8 +86,8 @@ BETA_MARGIN = 5.0
 TAU_Z_POINTS = 41
 TAU_Z_ROUNDS = 4
 TAU_Z_SHRINK = 8.0
-# Per copy, the window within which batched (tau, z) values are settled
-# by the scalar recursion: twice the batch/scalar difference allowed,
+# Per copy, the window within which _hybrid_error_batch settles its values
+# with the scalar recursion: twice the batch/scalar difference allowed,
 # relative, plus absolute for the 1 - q0 tail at n_th >= 2. Measured
 # differences per copy: at most 2.5e-15 relative (ideal, N = 6,
 # alpha2 = 9) and 1.7e-16 absolute (nu = 1e-3, M = 4, N = 3).
@@ -162,7 +162,7 @@ def step_rates(beta: float, amplitude: float, n_copies: int, xi: float = 1.0) ->
     carries amplitude / sqrt(N). With xi = 1 the rates reduce to
     |beta +- amplitude / sqrt(N)|^2.
     """
-    if beta < 0.0:
+    if not beta >= 0.0:
         raise ValueError(f"beta must be >= 0, got {beta!r}")
     base = amplitude * amplitude / n_copies + beta * beta
     cross = 2.0 * xi * amplitude / math.sqrt(n_copies) * beta
@@ -233,7 +233,7 @@ def _error_trace(e_initial: float, betas: Sequence[float], amplitude: float, n_c
     flips = _flip_probabilities(amplitude, n_copies, model, n_th)
     errors = [e_initial]
     for beta in betas:
-        if beta < 0.0:
+        if not beta >= 0.0:
             raise ValueError(f"beta must be >= 0, got {beta!r}")
         negated, _ = _negated_step_error(errors[-1], flips, ())
         errors.append(-negated(float(beta)))
@@ -403,28 +403,30 @@ def _negated_step_error_batch(
 
 
 def _hybrid_error_batch(
-    alpha: float, cfg: FeedForwardConfig, n_th: int, last_round: dict | None = None
+    alpha: float, cfg: FeedForwardConfig, n_th: int
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Negated ``_hybrid_recursion`` error at every (tau, z) of a grid round.
 
     The per-copy beta searches of all grid points run in lockstep. A
     point's coarse beta grid depends on tau only, so the flip
     probabilities on it are tabulated once per distinct tau of the
-    round. The values agree with the scalar recursion up to the last-bit
-    differences between np.exp and math.exp, which the 1 - q0 tail of
-    a threshold n_th >= 2 can raise to about 1e-16 absolute.
-
-    ``last_round``, when given, receives each round's tau, z and HL error
-    e0 arrays. ``hl_sign_error`` gives e0 bit for bit as
-    ``_hybrid_initial_error`` does.
+    round. The lockstep values agree with the scalar recursion up to the
+    last-bit differences between np.exp and math.exp, which the 1 - q0
+    tail of a threshold n_th >= 2 can raise to about 1e-16 absolute, so
+    every value within the window of the round's best is replaced by the
+    scalar recursion's, from the point's own e0 (``hl_sign_error`` gives
+    it bit for bit as ``_hybrid_initial_error`` does). The round's first
+    maximum is then a point-by-point search's. z acts only through e0,
+    so the scalar runs are memoised on (tau, e0).
     """
     model, n = cfg.model, cfg.n_copies
     indices = np.arange(BETA_COARSE_POINTS)[:, None]
+    relative = BATCH_RTOL_PER_COPY * n
+    absolute = BATCH_ATOL_PER_COPY * n if n_th > 1 else 0.0
+    settled: dict[tuple[float, float], float] = {}
 
     def objective(tau: np.ndarray, z: np.ndarray) -> np.ndarray:
-        errors = hl_sign_error(np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha, z, model)
-        if last_round is not None:
-            last_round.update(tau=tau, z=z, e0=errors)
+        e0 = hl_sign_error(np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha, z, model)
         amplitude = np.sqrt(tau) * alpha
         hi = amplitude / math.sqrt(n) + BETA_MARGIN
         taus, rows = np.unique(tau, return_inverse=True)
@@ -432,11 +434,20 @@ def _hybrid_error_batch(
         grid = coarse_abscissae(0.0, amplitudes / math.sqrt(n) + BETA_MARGIN, BETA_COARSE_POINTS)
         table = _flip_rows(amplitudes, n, model, n_th)(grid(indices))
         flips = _flip_rows(amplitude, n, model, n_th)
+        errors = e0
         for _ in range(n):
             step, coarse = _negated_step_error_batch(errors, flips, table, rows)
             _, negated = maximize_scalar_batch(step, 0.0, hi, BETA_COARSE_POINTS, BETA_TOL, coarse)
             errors = -negated
-        return -errors
+        values = -errors
+        top = float(values.max())
+        for i in np.flatnonzero(values >= top - (relative * abs(top) + absolute)).tolist():
+            key = float(tau[i]), float(e0[i])
+            if key not in settled:
+                settled[key] = -_optimized_recursion(
+                    math.sqrt(key[0]) * alpha, n, model, n_th, key[1])[0][-1]
+            values[i] = settled[key]
+        return values
 
     return objective
 
@@ -458,11 +469,12 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
 
     The search box is tau in [0, 1], z in [0, 5 + 4 alpha]; tau = 1 is a
     mandatory grid point, so up to optimizer tolerance the result never
-    exceeds the DFFRE one. Each grid round is evaluated as one batch;
-    the scalar recursion, from the round's own e0, settles near-ties
-    between its values, and the reported error, betas and trace come
-    from it, so the result is the one a point-by-point scalar search
-    gives.
+    exceeds the DFFRE one. Each grid round is evaluated as one batch,
+    whose objective (``_hybrid_error_batch``) settles its own near-ties
+    with the scalar recursion; the box search just takes the first
+    maximum. The reported error, betas and trace come from the scalar
+    recursion at the chosen point, so the result is the one a
+    point-by-point scalar search gives.
     """
     alpha = _check_alpha(alpha)
     if cfg.receiver is not Receiver.HFFRE:
@@ -474,24 +486,7 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     best: dict[int, tuple[float, float]] = {}
 
     def scan_threshold(n_th: int) -> float:
-        final_error: dict[tuple[float, float], float] = {}
-        last_round: dict[str, np.ndarray] = {}
-
-        def exact(tau: float, z: float) -> float:
-            # z acts only through e0, taken from the round, so the tau = 1
-            # column (no tap) costs one recursion per distinct rounding of 1/2
-            point = np.flatnonzero((last_round["tau"] == tau) & (last_round["z"] == z))[0]
-            e0 = float(last_round["e0"][point])
-            if (tau, e0) not in final_error:
-                amplitude = math.sqrt(tau) * alpha
-                final_error[tau, e0] = _optimized_recursion(
-                    amplitude, cfg.n_copies, cfg.model, n_th, e0)[0][-1]
-            return -final_error[tau, e0]
-
-        rtol = BATCH_RTOL_PER_COPY * cfg.n_copies
-        atol = BATCH_ATOL_PER_COPY * cfg.n_copies if n_th > 1 else 0.0
-        best[n_th], negated = maximize_grid_batch(
-            _hybrid_error_batch(alpha, cfg, n_th, last_round), spec, exact, rtol, atol)
+        best[n_th], negated = maximize_grid_batch(_hybrid_error_batch(alpha, cfg, n_th), spec)
         return negated
 
     n_th, _ = scan_discrete(scan_threshold, _threshold_candidates(cfg.model))

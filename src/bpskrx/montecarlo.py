@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import _check_alpha
 from .feedforward import FeedForwardConfig, Receiver, ReceiverParams
 
 __all__ = [
@@ -88,12 +89,16 @@ def _check_params(params: ReceiverParams, cfg: FeedForwardConfig) -> None:
         raise ValueError(
             f"params.betas has {len(params.betas)} entries for {cfg.n_copies} copies"
         )
-    if not 1 <= params.n_th <= cfg.model.resolution:
-        raise ValueError(f"n_th must be in [1, {cfg.model.resolution}], got {params.n_th}")
+    resolution = cfg.model.resolution
+    if not isinstance(params.n_th, (int, np.integer)) or not 1 <= params.n_th <= resolution:
+        raise ValueError(f"n_th must be an integer in [1, {resolution}], got {params.n_th!r}")
     if not 0.0 <= params.tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {params.tau}")
-    if params.z < 0.0:
-        raise ValueError(f"z must be >= 0, got {params.z}")
+    if not 0.0 <= params.z < math.inf:
+        raise ValueError(f"z must be finite and >= 0, got {params.z}")
+    for j, beta in enumerate(params.betas):
+        if not 0.0 <= beta < math.inf:
+            raise ValueError(f"betas[{j}] must be finite and >= 0, got {beta!r}")
 
 
 def _simulate_batch(
@@ -152,8 +157,7 @@ def simulate_trial(
     rng: np.random.Generator,
 ) -> TrajectoryRecord:
     """Simulate a single trial and return its full record."""
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+    alpha = _check_alpha(alpha)
     _check_params(params, cfg)
     _, detail = _simulate_batch(alpha, params, cfg, rng, 1, collect=True)
     hypothesis, delta, counts_log, switch_log, final = detail
@@ -178,10 +182,9 @@ def estimate_error(
 
     std_err is the binomial standard error sqrt(p_hat (1 - p_hat) / trials).
     """
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
-    if trials < 10_000:
-        raise ValueError(f"trials must be >= 10000, got {trials}")
+    alpha = _check_alpha(alpha)
+    if not isinstance(trials, (int, np.integer)) or trials < 10_000:
+        raise ValueError(f"trials must be an integer >= 10000, got {trials!r}")
     _check_params(params, cfg)
     errors = 0
     done = 0

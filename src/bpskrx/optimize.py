@@ -13,13 +13,8 @@ bounded 1-D search per array element in lockstep: the coarse grid a
 block of columns at a time, the block size bounded so that its
 temporaries stay small, then golden-section steps with finished
 elements frozen. Element for element they make the same comparisons as
-the scalar searches. Where the array objective only approximates a scalar
-one (numpy's exp may differ from math.exp in the last bit), the box
-search settles each round's near-ties with the scalar objective, so it
-still chooses what a point-by-point search would. ``maximize_scalar``
-stays the search for single objectives, where an array of one element
-would only add overhead; ``maximize_grid`` adapts a scalar objective to
-the box search.
+the scalar searches. ``maximize_scalar`` stays the search for single
+objectives, where an array of one element would only add overhead.
 
 Both 1-D searches accept the objective's values on the coarse grid from
 the caller (``ScalarSearchSpec.coarse_grid``; ``coarse_abscissae``, a
@@ -44,7 +39,6 @@ __all__ = [
     "GridSearchSpec",
     "maximize_scalar",
     "maximize_scalar_batch",
-    "maximize_grid",
     "maximize_grid_batch",
     "scan_discrete",
     "coarse_abscissae",
@@ -339,11 +333,7 @@ def maximize_scalar_batch(
 
 
 def maximize_grid_batch(
-    f: Callable[..., np.ndarray],
-    spec: GridSearchSpec,
-    exact: Callable[..., float] | None = None,
-    rtol: float = 0.0,
-    atol: float = 0.0,
+    f: Callable[..., np.ndarray], spec: GridSearchSpec
 ) -> tuple[tuple[float, ...], float]:
     """Maximize f over a box; returns (x_star, f_star).
 
@@ -352,13 +342,6 @@ def maximize_grid_batch(
     points followed by the grid in ``itertools.product`` order, so the
     mandatory points win ties. Refinement rounds only ever improve the
     incumbent and never step outside the original bounds.
-
-    When f only approximates a scalar objective ``exact``, to within
-    half of rtol * |f| + atol, the points of a round that come within
-    that window of the round's best batch value are evaluated again with
-    exact(*point), in order, and the choice and f_star follow exact.
-    The search then returns what the same search on exact alone would,
-    at a few exact evaluations per round.
     """
     best_x: tuple[float, ...] | None = None
     best_f = -math.inf
@@ -383,22 +366,12 @@ def maximize_grid_batch(
             return tuple(float(c[i]) for c in coords)
 
         values = _checked_batch(f(*coords), point, "x")
-        top = float(values.max())
-        for i in np.flatnonzero(values >= top - (rtol * abs(top) + atol)).tolist():
-            v = float(values[i]) if exact is None else _checked(exact, point(i), "x")
-            if v > best_f:
-                best_x, best_f = point(i), v
+        # argmax keeps the first of equal values; rounds merge on a strict >
+        i = int(np.argmax(values))
+        if values[i] > best_f:
+            best_x, best_f = point(i), float(values[i])
         center = list(best_x)
     return best_x, best_f
-
-
-def maximize_grid(f: Callable[..., float], spec: GridSearchSpec) -> tuple[tuple[float, ...], float]:
-    """``maximize_grid_batch`` for a scalar objective f(*point) -> float."""
-
-    def batch(*coords: np.ndarray) -> np.ndarray:
-        return np.array([float(f(*p)) for p in zip(*(c.tolist() for c in coords))])
-
-    return maximize_grid_batch(batch, spec)
 
 
 def scan_discrete(f: Callable[[int], float], domain: Sequence[int]) -> tuple[int, float]:

@@ -34,7 +34,7 @@ from bpskrx.feedforward import (
     _negated_step_error,
 )
 from bpskrx.optimize import ScalarSearchSpec, coarse_abscissae
-from bpskrx.photostatistics import DetectorModel, q_thresh
+from bpskrx.photostatistics import DetectorModel, hl_sign_error, q_thresh
 
 IDEAL2 = DetectorModel(2)
 
@@ -57,6 +57,12 @@ class TestStepRates:
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
             step_rates(-0.1, 1.0, 1)
+
+    def test_nan_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            step_rates(math.nan, 1.0, 1)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            correct_probability_trace(1.0, (math.nan,), IDEAL2)
 
 
 class TestStepCorrectProb:
@@ -332,6 +338,52 @@ class TestSettlement:
         result = hffre_error(math.sqrt(3.313455838415151), cfg(1, DARK2, Receiver.HFFRE))
         assert result.params.n_th == 2
         assert len(calls) <= 2
+
+    ALPHA = math.sqrt(3.313455838415151)
+
+    def round_zero(self, n_th):
+        # The mandatory point followed by the 41 x 41 grid, as hffre_error's
+        # first round hands them to the objective, and the points within
+        # the settlement window of the round's best value.
+        c = cfg(1, DARK2, Receiver.HFFRE)
+        spec = feedforward._tau_z_spec(self.ALPHA)
+        axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(spec.bounds, spec.points)]
+        tau, z = (np.concatenate(([m], g.ravel()))
+                  for m, g in zip(spec.mandatory[0], np.meshgrid(*axes, indexing="ij")))
+        objective = _hybrid_error_batch(self.ALPHA, c, n_th)
+        values = objective(tau, z)
+        top = values.max()
+        window = (feedforward.BATCH_RTOL_PER_COPY * abs(top)
+                  + (feedforward.BATCH_ATOL_PER_COPY if n_th > 1 else 0.0))
+        return c, tau, z, objective, values, np.flatnonzero(values >= top - window).tolist()
+
+    # At n_th = 2 one point lies in the window; at n_th = 1 the whole
+    # tau = 1 column does, where z moves e0 only in its rounding.
+    @pytest.mark.parametrize("n_th", [2, 1])
+    def test_values_in_the_window_are_the_scalar_recursion(self, n_th):
+        c, tau, z, _, values, near = self.round_zero(n_th)
+        assert near
+        for i in near:
+            t, osc = float(tau[i]), float(z[i])
+            assert values[i] == -_hybrid_recursion(self.ALPHA, c, t, osc, n_th)[0][-1]
+
+    @pytest.mark.parametrize("n_th", [2, 1])
+    def test_one_scalar_run_per_distinct_tau_and_e0(self, n_th, monkeypatch):
+        recursion = feedforward._optimized_recursion
+        runs = []
+
+        def counting(amplitude, n_copies, model, n_th, e_initial):
+            runs.append((amplitude, e_initial))
+            return recursion(amplitude, n_copies, model, n_th, e_initial)
+
+        monkeypatch.setattr(feedforward, "_optimized_recursion", counting)
+        c, tau, z, objective, values, near = self.round_zero(n_th)
+        e0 = hl_sign_error(np.sqrt(np.maximum(0.0, 1.0 - tau)) * self.ALPHA, z, c.model)
+        keys = {(float(tau[i]), float(e0[i])) for i in near}
+        assert len(runs) == len(keys)
+        assert set(runs) == {(math.sqrt(t) * self.ALPHA, e) for t, e in keys}
+        assert np.array_equal(objective(tau, z), values)
+        assert len(runs) == len(keys)  # the memo outlives the round
 
 
 def reference_step_error(e_prev, amplitude, n, model, n_th):

@@ -120,6 +120,38 @@ class TestEstimateError:
         params = ReceiverParams(tau=1.0, z=0.0, betas=(0.5,), n_th=1)
         with pytest.raises(ValueError):
             estimate_error(1.0, params, dffre_cfg(1), 9_999, RngSpec(0))
+        with pytest.raises(ValueError, match="trials"):
+            estimate_error(1.0, params, dffre_cfg(1), 10000.5, RngSpec(0))
+
+    @pytest.mark.parametrize("beta", [-0.5, math.nan, math.inf])
+    def test_invalid_beta_rejected(self, beta):
+        # A negative beta would reverse the displacements: another receiver.
+        params = ReceiverParams(tau=0.5, z=1.0, betas=(beta,), n_th=1)
+        with pytest.raises(ValueError, match=r"betas\[0\]"):
+            estimate_error(1.0, params, hffre_cfg(1), 10_000, RngSpec(1))
+        with pytest.raises(ValueError, match=r"betas\[0\]"):
+            simulate_trial(1.0, params, hffre_cfg(1), RngSpec(1).generator())
+
+    @pytest.mark.parametrize("n_th", [1.5, 2.0])
+    def test_fractional_threshold_rejected(self, n_th):
+        # counts >= 1.5 would simulate the threshold 2 under another name.
+        params = ReceiverParams(tau=1.0, z=0.0, betas=(1.0,), n_th=n_th)
+        with pytest.raises(ValueError, match="n_th must be an integer"):
+            estimate_error(1.0, params, dffre_cfg(1), 10_000, RngSpec(1))
+
+    @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf])
+    def test_invalid_z_rejected(self, z):
+        params = ReceiverParams(tau=0.5, z=z, betas=(0.5,), n_th=1)
+        with pytest.raises(ValueError, match="z must"):
+            estimate_error(1.0, params, hffre_cfg(1), 10_000, RngSpec(1))
+
+    @pytest.mark.parametrize("alpha", [-1.0, math.nan, math.inf])
+    def test_invalid_alpha_rejected(self, alpha):
+        params = ReceiverParams(tau=1.0, z=0.0, betas=(0.5,), n_th=1)
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            estimate_error(alpha, params, dffre_cfg(1), 10_000, RngSpec(1))
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            simulate_trial(alpha, params, dffre_cfg(1), RngSpec(1).generator())
 
     def test_coin_flip_at_zero_signal(self):
         params = ReceiverParams(tau=1.0, z=0.0, betas=(0.0,), n_th=1)

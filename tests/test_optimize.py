@@ -10,7 +10,6 @@ from bpskrx.optimize import (
     GridSearchSpec,
     ScalarSearchSpec,
     coarse_abscissae,
-    maximize_grid,
     maximize_grid_batch,
     maximize_scalar,
     maximize_scalar_batch,
@@ -237,7 +236,7 @@ class TestMaximizeGrid:
             refinement_rounds=2,
             shrink_factor=8.0,
         )
-        (x, y), f = maximize_grid(lambda x, y: -((x - 0.3) ** 2) - (y - 2.0) ** 2, spec)
+        (x, y), f = maximize_grid_batch(lambda x, y: -((x - 0.3) ** 2) - (y - 2.0) ** 2, spec)
         assert x == pytest.approx(0.3, abs=1e-3)
         assert y == pytest.approx(2.0, abs=1e-3)
         assert f == pytest.approx(0.0, abs=1e-5)
@@ -251,27 +250,27 @@ class TestMaximizeGrid:
             refinement_rounds=0,
             mandatory=((0.5, 0.5),),
         )
-        (x, y), f = maximize_grid(lambda x, y: -((x - 0.5) ** 2) - (y - 0.5) ** 2, spec)
+        (x, y), f = maximize_grid_batch(lambda x, y: -((x - 0.5) ** 2) - (y - 0.5) ** 2, spec)
         assert (x, y) == (0.5, 0.5)
         assert f == 0.0
 
     def test_refinement_only_improves(self):
         fn = lambda x, y: -((x - 0.37) ** 2) - (y - 1.21) ** 2
         base = dict(bounds=((0.0, 1.0), (0.0, 2.0)), points=(9, 9))
-        _, coarse_only = maximize_grid(fn, GridSearchSpec(**base, refinement_rounds=0))
-        _, refined = maximize_grid(fn, GridSearchSpec(**base, refinement_rounds=3))
+        _, coarse_only = maximize_grid_batch(fn, GridSearchSpec(**base, refinement_rounds=0))
+        _, refined = maximize_grid_batch(fn, GridSearchSpec(**base, refinement_rounds=3))
         assert refined >= coarse_only
 
     def test_boundary_optimum_stays_in_bounds(self):
         spec = GridSearchSpec(bounds=((0.0, 1.0),), points=(5,), refinement_rounds=3)
-        (x,), _ = maximize_grid(lambda x: x, spec)
+        (x,), _ = maximize_grid_batch(lambda x: x, spec)
         assert 0.0 <= x <= 1.0
         assert x == pytest.approx(1.0, abs=1e-9)
 
     def test_determinism(self):
         spec = GridSearchSpec(bounds=((0.0, 2.0), (0.0, 2.0)), points=(7, 7), refinement_rounds=2)
-        fn = lambda x, y: math.sin(x * 2.1) * math.cos(y * 1.3)
-        assert maximize_grid(fn, spec) == maximize_grid(fn, spec)
+        fn = lambda x, y: np.sin(x * 2.1) * np.cos(y * 1.3)
+        assert maximize_grid_batch(fn, spec) == maximize_grid_batch(fn, spec)
 
     def test_hynore_objective_against_dense_grid_oracle(self):
         # The full receiver optimization must get within 1e-6 of a dense
@@ -306,26 +305,6 @@ class TestMaximizeGrid:
         (x, y), f = maximize_grid_batch(batch, spec)
         assert rounds == [2 + 77, 77, 77]
         assert (x, y, f) == (0.3, 2.0, 0.0)  # the mandatory point wins the tie
-
-    def test_exact_objective_settles_near_ties(self):
-        # exact has plateaus of tied values; the batch sees it with noise
-        # below half the window, which alone would pick a random point of
-        # the best plateau. The settled search must return what the same
-        # search on exact alone returns.
-        def exact(x, y):
-            return -round((x - 0.3) ** 2 + (y - 0.6) ** 2, 2)
-
-        rng = np.random.default_rng(7)
-
-        def noisy(x, y):
-            values = np.array([exact(*p) for p in zip(x.tolist(), y.tolist())])
-            return values + rng.uniform(-4e-4, 4e-4, values.size)
-
-        spec = GridSearchSpec(bounds=((0.0, 1.0), (0.0, 2.0)), points=(21, 21),
-                              refinement_rounds=2, mandatory=((1.0, 0.0),))
-        expected = maximize_grid(exact, spec)
-        assert maximize_grid_batch(noisy, spec, exact, 0.0, 1e-3) == expected
-        assert maximize_grid_batch(noisy, spec) != expected
 
     def test_non_finite_batch_reported(self):
         spec = GridSearchSpec(bounds=((0.0, 1.0),), points=(5,))

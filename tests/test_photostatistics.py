@@ -340,9 +340,10 @@ class TestThresholdKernel:
         assert raised(below_threshold(3), x) == raised(q_thresh, x, 3)
 
     # (p_prev, beta, amplitude, n_copies, model): the rate of the opposing
-    # branch is NaN, or a²/N + β² - 2aβ/√N cancels below 0 in rounding
+    # branch is NaN (inf - inf at beta = inf; a NaN beta is rejected as a
+    # beta), or a²/N + β² - 2aβ/√N cancels below 0 in rounding
     BAD_RATES = [
-        ((0.5, math.nan, 1.0, 1, DetectorModel(2, nu=1e-3)), math.nan),
+        ((0.5, math.inf, 1.0, 1, DetectorModel(2, nu=1e-3)), math.nan),
         ((0.5, 1.5367617524113883, 1.5367617525666288, 1, DetectorModel(2)),
          -8.881784197001252e-16),
     ]
