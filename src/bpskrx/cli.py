@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Container, NamedTuple
 
@@ -195,6 +194,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list[dict]:
     grid = config.grid()
     tasks = ([config] * len(grid), grid, range(len(grid)))
     if workers > 1:
+        # imported here: the pool's multiprocessing modules cost every
+        # process that imports cli, most of which never start a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(evaluate_point, *tasks))
     return list(map(evaluate_point, *tasks))

@@ -162,8 +162,8 @@ def step_rates(beta: float, amplitude: float, n_copies: int, xi: float = 1.0) ->
     carries amplitude / sqrt(N). With xi = 1 the rates reduce to
     |beta +- amplitude / sqrt(N)|^2.
     """
-    if not beta >= 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
     base = amplitude * amplitude / n_copies + beta * beta
     cross = 2.0 * xi * amplitude / math.sqrt(n_copies) * beta
     return StepRates(base + cross, base - cross)
@@ -174,23 +174,24 @@ def _flip_probabilities(
 ) -> Callable[[float], tuple[float, float]]:
     """Per-copy switch flip probabilities, as a function of beta.
 
-    Returns (false_flip, missed_flip) = (Q1(rate_minus), Q0(rate_plus)):
-    the probability that a copy flips a correct switch, and that it
-    fails to flip a wrong one. Neither depends on the switch's error
-    probability, so one table of them on the coarse beta grid serves
-    every copy of a recursion.
+    Returns flips(beta) = (false_flip, missed_flip) = (Q1(rate_minus),
+    Q0(rate_plus)): the probability that a copy flips a correct switch,
+    and that it fails to flip a wrong one. Neither depends on the
+    switch's error probability, so one table of them on the coarse beta
+    grid serves every copy of a recursion.
+
+    ``flips.step(e_prev)`` is the recursion's step objective at e_prev,
+    beta -> -((1 - e_prev) F + e_prev M), from the same code as flips
+    itself; it combines F and M in place, so an evaluation builds no
+    tuple and makes no call besides the kernels'.
     """
     a2n = amplitude * amplitude / n_copies
     cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n_copies)
     eta, nu = model.eta, model.nu
+    expm1, exp = math.expm1, math.exp
     # a threshold such as 1.0 is no integer, and q_thresh rejects it below
-    if n_th == 1 and isinstance(n_th, (int, np.integer)):
-        def flips(beta: float) -> tuple[float, float]:
-            base = a2n + beta * beta
-            cross = cross_coef * beta
-            return (-math.expm1(-(eta * (base - cross) + nu)),
-                    math.exp(-(eta * (base + cross) + nu)))
-    else:
+    on_off = n_th == 1 and isinstance(n_th, (int, np.integer))
+    if not on_off:
         # The threshold is checked here, once per recursion; each rate is
         # checked in line by the kernel. Python floats throughout, as
         # q_thresh's float(x) gave them.
@@ -198,10 +199,26 @@ def _flip_probabilities(
         below = below_threshold(n_th)
         a2n, cross_coef, eta, nu = float(a2n), float(cross_coef), float(eta), float(nu)
 
-        def flips(beta: float) -> tuple[float, float]:
+    def step(e_prev: float | None) -> Callable[[float], float | tuple[float, float]]:
+        p_prev = None if e_prev is None else 1.0 - e_prev
+
+        def at(beta: float):
             base = a2n + beta * beta
             cross = cross_coef * beta
-            return 1.0 - below(eta * (base - cross) + nu), below(eta * (base + cross) + nu)
+            rate_minus = eta * (base - cross) + nu
+            rate_plus = eta * (base + cross) + nu
+            if on_off:
+                false_flip, missed_flip = -expm1(-rate_minus), exp(-rate_plus)
+            else:
+                false_flip, missed_flip = 1.0 - below(rate_minus), below(rate_plus)
+            if p_prev is None:
+                return false_flip, missed_flip
+            return -(p_prev * false_flip + e_prev * missed_flip)
+
+        return at
+
+    flips = step(None)
+    flips.step = step
     return flips
 
 
@@ -218,13 +235,8 @@ def _negated_step_error(
     use the objective's arithmetic, so they equal it there bit for bit.
     """
     p_prev = 1.0 - e_prev
-
-    def objective(beta: float) -> float:
-        false_flip, missed_flip = flips(beta)
-        return -(p_prev * false_flip + e_prev * missed_flip)
-
     coarse = [-(p_prev * false_flip + e_prev * missed_flip) for false_flip, missed_flip in table]
-    return objective, coarse
+    return flips.step(e_prev), coarse
 
 
 def _error_trace(e_initial: float, betas: Sequence[float], amplitude: float, n_copies: int,
@@ -233,8 +245,8 @@ def _error_trace(e_initial: float, betas: Sequence[float], amplitude: float, n_c
     flips = _flip_probabilities(amplitude, n_copies, model, n_th)
     errors = [e_initial]
     for beta in betas:
-        if not beta >= 0.0:
-            raise ValueError(f"beta must be >= 0, got {beta!r}")
+        if not 0.0 <= beta < math.inf:
+            raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
         negated, _ = _negated_step_error(errors[-1], flips, ())
         errors.append(-negated(float(beta)))
     return errors
@@ -279,6 +291,15 @@ def _optimized_recursion(
     """Greedy per-step displacement optimization in error space.
 
     Returns (error trace e_0..e_N, betas).
+
+    Computed once per recursion: the search spec and its coarse beta
+    grid, the threshold check, and the flip probabilities on that grid.
+    None of them depends on the copy, so each copy's search sees the
+    same floats it would compute itself. Each copy's objective depends on
+    the copy only through e_prev, the error it starts from. A copy that
+    ends where it started (e_j == e_{j-1}) is a fixed point: every later
+    copy starts from that same float, so its search would repeat this
+    one exactly, and its (beta, error) is reused instead of searched.
     """
     spec = ScalarSearchSpec(
         lo=0.0,
@@ -290,11 +311,14 @@ def _optimized_recursion(
     table = [flips(beta) for beta in spec.coarse_grid()]
     errors = [e_initial]
     betas: list[float] = []
-    for _ in range(n_copies):
-        objective, coarse = _negated_step_error(errors[-1], flips, table)
+    while len(betas) < n_copies:
+        e_prev = errors[-1]
+        objective, coarse = _negated_step_error(e_prev, flips, table)
         beta, negated = maximize_scalar(objective, spec, coarse)
-        betas.append(beta)
-        errors.append(-negated)
+        # at a fixed point every later copy would repeat this search
+        repeats = n_copies - len(betas) if -negated == e_prev else 1
+        betas += [beta] * repeats
+        errors += [-negated] * repeats
     return errors, tuple(betas)
 
 

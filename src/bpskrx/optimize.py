@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,8 +71,19 @@ class ScalarSearchSpec:
             raise ValueError("tol must be positive and smaller than the interval")
 
     def coarse_grid(self) -> list[float]:
-        """The abscissae at which ``maximize_scalar`` seeds its search, in order."""
-        return _axis_grid(self.lo, self.hi, self.coarse_points)
+        """The abscissae at which ``maximize_scalar`` seeds its search, in order.
+
+        They are computed once per spec and kept, so every search on one
+        spec (one per copy of a recursion) seeds on the same floats
+        without recomputing them. That is exact: the spec is frozen, and
+        the abscissae depend on its fields only. Each call returns a
+        fresh list, so a caller cannot change the kept grid.
+        """
+        return list(self._coarse_grid)
+
+    @cached_property
+    def _coarse_grid(self) -> tuple[float, ...]:
+        return tuple(_axis_grid(self.lo, self.hi, self.coarse_points))
 
 
 @dataclass(frozen=True)
@@ -163,8 +175,14 @@ def maximize_scalar(
     order, computed by the caller; they must equal f there. The search
     then calls f only for its golden-section steps, and a non-finite
     value is reported as if f had returned it.
+
+    The coarse grid is the spec's own, computed at its first search and
+    reused by every later search on the same spec; only the values and
+    the golden-section steps are new per call. Each value of f is
+    checked to be finite as it arrives, and the first that is not
+    raises a ValueError naming its abscissa.
     """
-    grid = spec.coarse_grid()
+    grid = spec._coarse_grid
     if coarse_values is None:
         values = [_checked(f, x, "x") for x in grid]
     else:
@@ -192,19 +210,25 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
     yd = _checked(f, d, "x")
     best_x, best_f = (c, yc) if yc >= yd else (d, yd)
     steps = int(math.ceil(math.log(tol / h) / _LOG_INV_PHI))
+    # the check of _checked, in line: the loop makes most of the evaluations
+    isfinite = math.isfinite
     for _ in range(steps):
         if yc > yd:
             b, d, yd = d, c, yc
             h *= _INV_PHI
             c = a + _INV_PHI2 * h
-            yc = _checked(f, c, "x")
+            yc = float(f(c))
+            if not isfinite(yc):
+                raise _non_finite(yc, c, "x")
             if yc > best_f:
                 best_x, best_f = c, yc
         else:
             a, c, yc = c, d, yd
             h *= _INV_PHI
             d = a + _INV_PHI * h
-            yd = _checked(f, d, "x")
+            yd = float(f(d))
+            if not isfinite(yd):
+                raise _non_finite(yd, d, "x")
             if yd > best_f:
                 best_x, best_f = d, yd
     mid = 0.5 * (a + b)

@@ -92,6 +92,14 @@ class TestSweep:
         main(args + ["--out", str(par), "--workers", "2"])
         assert seq.read_bytes() == par.read_bytes()
 
+    def test_import_loads_no_process_pool(self):
+        path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
+        probe = "import sys, bpskrx.cli; print('concurrent.futures.process' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], text=True, capture_output=True,
+                                env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_default_model_equivalence(self, tmp_path):
         base = ["sweep", "--receiver", "HFFRE", "--alpha2-min", "0.5", "--alpha2-max", "1",
                 "--points", "2", "--n-copies", "1"]

@@ -33,7 +33,7 @@ from bpskrx.feedforward import (
     _hybrid_recursion,
     _negated_step_error,
 )
-from bpskrx.optimize import ScalarSearchSpec, coarse_abscissae
+from bpskrx.optimize import ScalarSearchSpec, coarse_abscissae, maximize_scalar
 from bpskrx.photostatistics import DetectorModel, hl_sign_error, q_thresh
 
 IDEAL2 = DetectorModel(2)
@@ -63,6 +63,16 @@ class TestStepRates:
             step_rates(math.nan, 1.0, 1)
         with pytest.raises(ValueError, match="beta must be >= 0"):
             correct_probability_trace(1.0, (math.nan,), IDEAL2)
+
+    @pytest.mark.parametrize("n_th", [1, 2])
+    def test_infinite_beta_rejected(self, n_th):
+        message = "beta must be >= 0 and finite, got inf"
+        with pytest.raises(ValueError, match=message):
+            step_rates(math.inf, 1.0, 1)
+        with pytest.raises(ValueError, match=message):
+            correct_probability_trace(1.0, (math.inf,), IDEAL2, n_th=n_th)
+        with pytest.raises(ValueError, match=message):
+            step_correct_prob(0.5, math.inf, 1.0, 1, IDEAL2, n_th=n_th)
 
 
 class TestStepCorrectProb:
@@ -506,6 +516,58 @@ class TestCoarseTable:
         model = DetectorModel(2, eta=np.float64(0.9), nu=np.float64(1e-3))
         value = step_correct_prob(0.5, 0.4, np.float64(1.0), 1, model, n_th=2)
         assert type(value) is float
+
+
+def reference_recursion(amplitude, n, model, n_th, e_initial):
+    """The greedy recursion as a plain loop: one full search per copy, from f alone."""
+    spec = ScalarSearchSpec(0.0, amplitude / math.sqrt(n) + BETA_MARGIN, BETA_COARSE_POINTS,
+                            BETA_TOL)
+    errors, betas = [e_initial], []
+    for _ in range(n):
+        beta, negated = maximize_scalar(
+            reference_step_error(errors[-1], amplitude, n, model, n_th), spec)
+        betas.append(beta)
+        errors.append(-negated)
+    return errors, tuple(betas)
+
+
+# the detector models of the benchmark's DFFRE curves
+DOMAIN_MODELS = [IDEAL2, DetectorModel(2, eta=0.7), DARK2, DetectorModel(2, xi=0.998),
+                 DetectorModel(8, nu=1e-3)]
+
+
+class TestRecursionReuse:
+    """The recursion's shared grid, table and fixed-point reuse change no bit."""
+
+    @pytest.mark.parametrize("model", DOMAIN_MODELS)
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 50])
+    def test_equals_plain_loop(self, model, n):
+        # low to high energy, and an HFFRE-like start below 1/2; the
+        # fixed points come at high energy
+        for alpha2, e_initial in ((0.05, 0.5), (1.0, 0.5), (20.0, 0.5), (150.0, 0.5),
+                                  (1.0, 0.05)):
+            amplitude = math.sqrt(alpha2)
+            for n_th in feedforward._threshold_candidates(model):
+                assert (feedforward._optimized_recursion(amplitude, n, model, n_th, e_initial)
+                        == reference_recursion(amplitude, n, model, n_th, e_initial))
+
+    def test_fixed_point_copies_run_no_search(self, monkeypatch):
+        search = feedforward.maximize_scalar
+        calls = []
+
+        def counting(f, spec, coarse):
+            calls.append(f)
+            return search(f, spec, coarse)
+
+        monkeypatch.setattr(feedforward, "maximize_scalar", counting)
+        errors, betas = feedforward._optimized_recursion(math.sqrt(150.0), 50, DARK2, 2, 0.5)
+        assert (errors, betas) == reference_recursion(math.sqrt(150.0), 50, DARK2, 2, 0.5)
+        # copy j starts from errors[j]; the first copy that leaves it
+        # unchanged is the last one searched
+        fixed = next(j for j in range(50) if errors[j + 1] == errors[j])
+        assert fixed < 49
+        assert len(calls) == fixed + 1
+        assert len(set(errors[fixed:])) == 1 and len(set(betas[fixed:])) == 1
 
 
 class TestSaturation:

@@ -131,6 +131,27 @@ class TestCoarseValues:
         with pytest.raises(ValueError, match="expected 5 objective values"):
             maximize_scalar(lambda x: 0.0, spec, [0.0] * 4)
 
+    # the golden-section evaluations: the first two abscissae, the first
+    # and the last step of the loop, and the closing midpoint
+    @pytest.mark.parametrize("k", [0, 1, 2, -2, -1])
+    def test_non_finite_golden_value_names_abscissa(self, k):
+        spec = ScalarSearchSpec(0.0, 1.0, coarse_points=5, tol=1e-7)
+        coarse = [0.0, 0.0, 1.0, 0.0, 0.0]
+        seen = []
+
+        def recording(x):
+            seen.append(x)
+            return -(x - 0.4) ** 2
+
+        maximize_scalar(recording, spec, coarse)
+        bad = seen[k]
+
+        def f(x):
+            return math.nan if x == bad else -(x - 0.4) ** 2
+
+        with pytest.raises(ValueError, match=rf"non-finite value nan at x = {re.escape(repr(bad))}$"):
+            maximize_scalar(f, spec, coarse)
+
     def test_batch_columns_reproduce_search(self):
         rng = np.random.default_rng(5)
         c = rng.uniform(0.0, 3.0, 200)

@@ -339,11 +339,11 @@ class TestThresholdKernel:
     def test_kernel_raises_q_thresh_error(self, x):
         assert raised(below_threshold(3), x) == raised(q_thresh, x, 3)
 
-    # (p_prev, beta, amplitude, n_copies, model): the rate of the opposing
-    # branch is NaN (inf - inf at beta = inf; a NaN beta is rejected as a
-    # beta), or a²/N + β² - 2aβ/√N cancels below 0 in rounding
+    # (p_prev, beta, amplitude, n_copies, model): the rates are NaN (a NaN
+    # amplitude; a NaN or infinite beta is rejected as a beta), or
+    # a²/N + β² - 2aβ/√N cancels below 0 in rounding
     BAD_RATES = [
-        ((0.5, math.inf, 1.0, 1, DetectorModel(2, nu=1e-3)), math.nan),
+        ((0.5, 0.4, math.nan, 1, DetectorModel(2, nu=1e-3)), math.nan),
         ((0.5, 1.5367617524113883, 1.5367617525666288, 1, DetectorModel(2)),
          -8.881784197001252e-16),
     ]
@@ -353,8 +353,8 @@ class TestThresholdKernel:
         message = raised(q_thresh, rate, 2)
         assert raised(step_correct_prob, *args, n_th=2) == message
         p_prev, beta, amplitude, _, model = args
-        assert raised(correct_probability_trace, amplitude, [beta], model, n_th=2,
-                      p_initial=p_prev) == message
+        assert raised(correct_probability_trace, 1.0, [beta], model, n_th=2,
+                      p_initial=p_prev, amplitude=amplitude) == message
 
     @pytest.mark.parametrize("n_th", [0, -1, 3, 9, 1.0, 2.0, None])
     def test_recursion_raises_threshold_error(self, n_th):
