@@ -86,7 +86,11 @@ MC_MIN_EXPECTED_ERRORS = 10
 
 
 def _switch(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes", "on")
+    """The config-file value of the ``log`` switch, the one switch setting."""
+    on, off = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+    if text.lower() not in on + off:
+        raise ValueError(f"log must be one of {'/'.join(on)} or {'/'.join(off)}, got {text!r}")
+    return text.lower() in on
 
 
 def _setting(default, parse, help=None):
@@ -129,6 +133,7 @@ class SweepConfig:
                 f"receiver {self.receiver} is evaluated with ideal detectors; --eta/--nu/--xi "
                 f"apply to {', '.join(MC_RECEIVERS[:-1])} and {MC_RECEIVERS[-1]}"
             )
+        FeedForwardConfig(self.n_copies, self.model)  # its N >= 1 check, whatever the receiver
 
     @property
     def model(self) -> DetectorModel:
@@ -454,6 +459,7 @@ def _single_point(args: argparse.Namespace) -> tuple[float, DetectorModel, EvalR
     if args.alpha2 < 0.0:
         raise ValueError("--alpha2 must be >= 0")
     alpha = math.sqrt(args.alpha2)
+    FeedForwardConfig(get("n_copies"), model)  # its N >= 1 check, whatever the receiver
     n_copies = RECEIVER_TABLE[args.receiver].n_copies(get("n_copies"))
     result = evaluate_receiver(args.receiver, alpha, model, n_copies)
     return alpha, model, result, {

@@ -400,32 +400,6 @@ def _flip_rows(
     return flips
 
 
-def _negated_step_error_batch(
-    e_prev: np.ndarray,
-    flips: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    table: tuple[np.ndarray, np.ndarray],
-    rows: np.ndarray,
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[slice], np.ndarray]]:
-    """``_negated_step_error`` for an array of e_prev, one beta per element.
-
-    ``table`` holds ``flips`` on the coarse grid, one row per grid index
-    and one column per distinct grid; element k reads column rows[k].
-    The coarse values come a block of grid indices at a time, one row
-    per index.
-    """
-    p_prev = 1.0 - e_prev
-    false_table, missed_table = table
-
-    def objective(beta: np.ndarray) -> np.ndarray:
-        false_flip, missed_flip = flips(beta)
-        return -(p_prev * false_flip + e_prev * missed_flip)
-
-    def coarse_block(block: slice) -> np.ndarray:
-        return -(p_prev * false_table[block, rows] + e_prev * missed_table[block, rows])
-
-    return objective, coarse_block
-
-
 def _hybrid_error_batch(
     alpha: float, cfg: FeedForwardConfig, n_th: int
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -456,11 +430,20 @@ def _hybrid_error_batch(
         taus, rows = np.unique(tau, return_inverse=True)
         amplitudes = np.sqrt(taus) * alpha
         grid = coarse_abscissae(0.0, amplitudes / math.sqrt(n) + BETA_MARGIN, BETA_COARSE_POINTS)
-        table = _flip_rows(amplitudes, n, model, n_th)(grid(indices))
+        # one row per coarse grid index, one column per distinct tau
+        false_table, missed_table = _flip_rows(amplitudes, n, model, n_th)(grid(indices))
         flips = _flip_rows(amplitude, n, model, n_th)
         errors = e0
         for _ in range(n):
-            step, coarse = _negated_step_error_batch(errors, flips, table, rows)
+            e_prev, p_prev = errors, 1.0 - errors
+
+            def step(beta: np.ndarray) -> np.ndarray:
+                false_flip, missed_flip = flips(beta)
+                return -(p_prev * false_flip + e_prev * missed_flip)
+
+            def coarse(block: slice) -> np.ndarray:  # element k reads column rows[k]
+                return -(p_prev * false_table[block, rows] + e_prev * missed_table[block, rows])
+
             _, negated = maximize_scalar_batch(step, 0.0, hi, BETA_COARSE_POINTS, BETA_TOL, coarse)
             errors = -negated
         values = -errors

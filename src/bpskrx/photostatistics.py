@@ -135,22 +135,12 @@ def pnr_pmf(mu: float, resolution: int) -> np.ndarray:
     Entries 0..M-1 are plain Poisson weights; entry M collects the whole
     tail and is computed as one minus the partial sum (then clamped to
     [0, 1] against rounding), so the distribution is normalized exactly.
+    The one-row view of ``_pnr_rows``.
     """
-    mu = _check_finite("mu", mu)
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu!r}")
+    mu = _check_rate(mu, "mu")
     if not isinstance(resolution, (int, np.integer)) or resolution < 1:
         raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
-    probs = np.empty(resolution + 1, dtype=float)
-    # Iterative term recurrence avoids factorials and overflow.
-    term = math.exp(-mu)
-    partial = 0.0
-    for n in range(resolution):
-        probs[n] = term
-        partial += term
-        term *= mu / (n + 1)
-    probs[resolution] = min(1.0, max(0.0, 1.0 - partial))
-    return probs
+    return _pnr_rows(np.array([mu]), resolution)[0]
 
 
 def branch_means(zeta: float, z: float, xi: float = 1.0) -> BranchMeans:
@@ -175,19 +165,14 @@ def hl_difference_pmf(zeta: float, z: float, model: DetectorModel) -> Difference
     """PMF of Delta = n - m for HL detection of a coherent signal.
 
     Both PNR(M) detectors see their branch mean scaled by the efficiency
-    plus the dark-count rate. The PMF is assembled diagonal by diagonal
-    from the outer product of the two truncated Poisson PMFs, which makes
-    the mirror identity S_Delta(-zeta) = S_(-Delta)(zeta) hold bit-exactly.
+    plus the dark-count rate. The PMF is one row of ``_diagonal_mass``,
+    summed diagonal by diagonal over the outer product of the two PMFs,
+    so the mirror identity S_Delta(-zeta) = S_(-Delta)(zeta) holds bit-exactly.
     """
-    mu = branch_means(zeta, z, model.xi)
-    p_plus = pnr_pmf(model.detection_rate(mu.mu_plus), model.resolution)
-    p_minus = pnr_pmf(model.detection_rate(mu.mu_minus), model.resolution)
-    joint = np.outer(p_plus, p_minus)
     m = model.resolution
-    probs = np.empty(2 * m + 1, dtype=float)
-    for delta in range(-m, m + 1):
-        probs[delta + m] = np.trace(joint, offset=-delta)
-    return DifferencePmf(resolution=m, probs=probs)
+    rates = [_check_rate(model.detection_rate(mu), "mu") for mu in branch_means(zeta, z, model.xi)]
+    p = _pnr_rows(np.array(rates), m)
+    return DifferencePmf(resolution=m, probs=_diagonal_mass(p[:1], p[1:], range(-m, m + 1))[0])
 
 
 def exp_rows(x: np.ndarray) -> np.ndarray:
@@ -201,7 +186,7 @@ def exp_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _pnr_rows(mu: np.ndarray, resolution: int) -> np.ndarray:
-    """``pnr_pmf`` of every rate in mu, one PMF per row (same arithmetic)."""
+    """``pnr_pmf`` of every rate in mu, one PMF per row, by a term recurrence (no factorials)."""
     probs = np.empty((mu.size, resolution + 1), dtype=float)
     term = exp_rows(-mu)
     partial = 0.0
@@ -214,11 +199,10 @@ def _pnr_rows(mu: np.ndarray, resolution: int) -> np.ndarray:
 
 
 def _diagonal_mass(p_plus: np.ndarray, p_minus: np.ndarray, deltas: range) -> np.ndarray:
-    """Row-wise sum of the HL difference probabilities at ``deltas``.
+    """Row-wise HL difference probabilities at ``deltas``, one column per delta.
 
-    Each probability is summed along its diagonal of the outer product
-    and the probabilities are then summed in order, as
-    ``hl_difference_pmf`` and the ``DifferencePmf`` masses do.
+    Each probability is summed along its diagonal of the outer product of
+    the two rows of PNR PMFs.
     """
     m = p_plus.shape[1] - 1
     columns = []
@@ -226,7 +210,7 @@ def _diagonal_mass(p_plus: np.ndarray, p_minus: np.ndarray, deltas: range) -> np
         lo = max(0, delta)
         hi = min(m, m + delta)
         columns.append((p_plus[:, lo : hi + 1] * p_minus[:, lo - delta : hi - delta + 1]).sum(axis=1))
-    return np.stack(columns, axis=1).sum(axis=1)
+    return np.stack(columns, axis=1)
 
 
 def hl_sign_error(reflected: np.ndarray, z: np.ndarray, model: DetectorModel) -> np.ndarray:
@@ -250,8 +234,8 @@ def hl_sign_error(reflected: np.ndarray, z: np.ndarray, model: DetectorModel) ->
     p_plus = _pnr_rows(model.eta * (0.5 * (base + cross)) + model.nu, model.resolution)
     p_minus = _pnr_rows(model.eta * (0.5 * (base - cross)) + model.nu, model.resolution)
     m = model.resolution
-    nonnegative = _diagonal_mass(p_minus, p_plus, range(0, m + 1))  # hypothesis "+alpha"
-    negative = _diagonal_mass(p_plus, p_minus, range(-m, 0))        # hypothesis "-alpha"
+    nonnegative = _diagonal_mass(p_minus, p_plus, range(0, m + 1)).sum(axis=1)  # "+alpha"
+    negative = _diagonal_mass(p_plus, p_minus, range(-m, 0)).sum(axis=1)        # "-alpha"
     return 0.5 * (nonnegative + negative)
 
 
@@ -293,10 +277,10 @@ def skellam_pmf(delta: int, mu_plus: float, mu_minus: float) -> float:
     return total
 
 
-def _check_rate(x: float) -> float:
-    x = _check_finite("x", x)
+def _check_rate(x: float, name: str = "x") -> float:
+    x = _check_finite(name, x)
     if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x!r}")
+        raise ValueError(f"{name} must be >= 0, got {x!r}")
     return x
 
 

@@ -299,6 +299,63 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, spacing", [
+        *((v, "log") for v in ("1", "true", "True", "YES", "on", "On")),
+        *((v, "linear") for v in ("0", "false", "FALSE", "no", "No", "off")),
+    ])
+    def test_switch_spellings(self, tmp_path, value, spacing):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(f"receiver = SQL\npoints = 3\nlog = {value}\n")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 0
+        assert f"# spacing = {spacing}" in parse_csv(out)[0]
+
+    @pytest.mark.parametrize("value", ["ture", "2", "y", "enabled", ""])
+    def test_switch_typo_rejected(self, tmp_path, capsys, value):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text(f"receiver = SQL\nlog = {value}\n")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: log must be one of 1/true/yes/on or 0/false/no/off, got {value!r}\n")
+        assert not out.exists()
+
+
+class TestCopyCount:
+    """Every command rejects N < 1 before evaluating, whatever the receiver."""
+
+    MESSAGE = "error: n_copies must be an integer >= 1, got {}\n"
+
+    @pytest.mark.parametrize("receiver", ["SQL", "KENNEDY", "HYNORE", "DISP_OPT", "DFFRE"])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_sweep(self, tmp_path, capsys, monkeypatch, receiver, n):
+        monkeypatch.setattr("bpskrx.cli.evaluate_point", None)  # nothing may be evaluated
+        out = tmp_path / "s.csv"
+        args = ["sweep", "--receiver", receiver, "--n-copies", str(n), "--points", "2"]
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self.MESSAGE.format(n)
+        assert not out.exists()
+
+    def test_config_file(self, tmp_path, capsys):
+        conf = tmp_path / "sweep.conf"
+        conf.write_text("receiver = KENNEDY\nn-copies = 0\n")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(conf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self.MESSAGE.format(0)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, receiver", [
+        ("optimize", "HYNORE"), ("optimize", "DISP_OPT"), ("optimize", "DFFRE"),
+        ("montecarlo", "DISP_OPT"), ("montecarlo", "DFFRE"),
+    ])
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_single_point(self, capsys, monkeypatch, command, receiver, n):
+        monkeypatch.setattr("bpskrx.cli.evaluate_receiver", None)  # nothing may be evaluated
+        args = [command, "--receiver", receiver, "--alpha2", "1", "--n-copies", str(n)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == self.MESSAGE.format(n)
+
 
 class TestFigure:
     def test_curve_sets(self):

@@ -330,6 +330,22 @@ class TestBatchedSearch:
                 dense = min(dense, -float(objective(tau.ravel(), z.ravel()).max()))
         assert abs(hffre_error(alpha, c).p_err - dense) <= 1e-6
 
+    # (alpha2, N, model, tau, z): a setting just below tau = 1, in the
+    # valley z ~ 1.36, that the (tau, z) grid search misses at N >= 5.
+    # hffre_error finds 8.1071e-3, 1.3684e-3 and 4.4754e-4 here; the
+    # fixed settings give 8.0856e-3, 1.3669e-3 and 4.4677e-4.
+    MISSED_OPTIMA = [
+        (1.0, 10, DARK2, 0.9948, 1.36),
+        (2.0, 5, DARK2, 0.9963, 1.36),
+        (3.16, 10, DetectorModel(2, xi=0.998), 0.9987, 1.36),
+    ]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("alpha2, n, model, tau, z", MISSED_OPTIMA)
+    def test_hffre_not_above_a_fixed_setting(self, alpha2, n, model, tau, z):
+        alpha, c = math.sqrt(alpha2), cfg(n, model, Receiver.HFFRE)
+        assert hffre_error(alpha, c).p_err <= hffre_error_at(alpha, c, tau, z).p_err
+
 
 class TestSettlement:
     def test_near_ties_take_e0_from_the_round(self, monkeypatch):

@@ -180,6 +180,14 @@ class TestHlDifferencePmf:
         with pytest.raises(ValueError):
             hl_difference_pmf(0.0, 0.0, IDEAL2).prob(3)
 
+    @pytest.mark.parametrize("zeta, z, message", [
+        (1e200, 0.0, "mu must be finite, got inf"),
+        (math.nan, 1.0, "zeta must be finite, got nan"),
+        (1.0, -1.0, "z must be >= 0, got -1.0"),
+    ])
+    def test_domain_errors(self, zeta, z, message):
+        assert raised(hl_difference_pmf, zeta, z, IDEAL2) == message
+
 
 class TestHlSignError:
     @pytest.mark.parametrize("model", [
@@ -205,6 +213,58 @@ class TestHlSignError:
     def test_negative_oscillator_rejected(self):
         with pytest.raises(ValueError):
             hl_sign_error(np.array([1.0]), np.array([-0.1]), IDEAL2)
+
+
+def term_loop_pnr_pmf(mu, m):
+    """The truncated Poisson PMF as a scalar term loop, the reference for ``pnr_pmf``."""
+    probs = np.empty(m + 1, dtype=float)
+    term = math.exp(-mu)
+    partial = 0.0
+    for n in range(m):
+        probs[n] = term
+        partial += term
+        term *= mu / (n + 1)
+    probs[m] = min(1.0, max(0.0, 1.0 - partial))
+    return probs
+
+
+def trace_difference_pmf(zeta, z, model):
+    """The HL difference PMF as traces of the outer product of two ``term_loop_pnr_pmf``."""
+    mu = branch_means(zeta, z, model.xi)
+    m = model.resolution
+    joint = np.outer(term_loop_pnr_pmf(model.detection_rate(mu.mu_plus), m),
+                     term_loop_pnr_pmf(model.detection_rate(mu.mu_minus), m))
+    return np.array([np.trace(joint, offset=-delta) for delta in range(-m, m + 1)])
+
+
+REFERENCE_MODELS = [
+    lambda m: DetectorModel(m),
+    lambda m: DetectorModel(m, eta=0.7),
+    lambda m: DetectorModel(m, nu=1e-3),
+    lambda m: DetectorModel(m, xi=0.998),
+]
+
+
+class TestAgainstReferenceLoops:
+    """``pnr_pmf`` and ``hl_difference_pmf`` equal the plain loops bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 64])
+    def test_pnr_pmf(self, m):
+        rng = np.random.default_rng(m)
+        rates = [0.0, 5e-324, 1e-12, 1e-3, float(m), 1e3] + rng.uniform(0.0, 40.0, 60).tolist()
+        for mu in rates:
+            assert pnr_pmf(mu, m).tolist() == term_loop_pnr_pmf(mu, m).tolist()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 16, 64])
+    @pytest.mark.parametrize("make_model", REFERENCE_MODELS, ids=["ideal", "eta", "nu", "xi"])
+    def test_hl_difference_pmf(self, m, make_model):
+        model = make_model(m)
+        rng = np.random.default_rng(100 + m)
+        zetas = [0.0, 1.2, -1.2] + rng.uniform(-4.0, 4.0, 30).tolist()
+        zs = [0.0, 0.0, 2.0] + rng.uniform(0.0, 9.0, 30).tolist()
+        for zeta, z in zip(zetas, zs):
+            expected = trace_difference_pmf(zeta, z, model).tolist()
+            assert hl_difference_pmf(zeta, z, model).probs.tolist() == expected
 
 
 class TestSkellam:
