@@ -11,10 +11,21 @@ in the interference cross terms), exactly mirroring the analytic model,
 so a discrepancy between simulation and recursion isolates a recursion
 error rather than a modeling difference.
 
+Each copy's rate takes one of two values, eta (c^2 + beta^2 +- 2 xi c beta)
++ nu with c = amplitude / sqrt(N): the plus sign when the switch points
+away from the sent state. Both are computed once per copy as scalars and
+clamped at 0, since the nulled one can round to about -1e-15 at high
+energy; a boolean per trial picks between them. The two rates of each
+HL detector are chosen the same way by the hypothesis.
+
 Reproducibility: every estimate is fully determined by an RngSpec
-(seed, stream_id). Trials are processed in fixed-size batches with
-per-batch derived streams and reduced in batch order, so the result does
-not depend on how batches might be scheduled.
+(seed, stream_id). Trials are processed in fixed-size batches
+(BATCH_SIZE) with per-batch derived streams and reduced in batch order,
+so the result does not depend on how batches might be scheduled. The
+stream is consumed by the same rng calls in the same order: int64
+hypotheses from ``integers(0, 2)``, then one ``poisson`` array per HL
+detector and per copy. A change to BATCH_SIZE, to that order or to a
+dtype changes every estimate.
 """
 
 from __future__ import annotations
@@ -79,8 +90,8 @@ def sample_pnr(rng: np.random.Generator, mu: float, resolution: int) -> int:
     """Draw one PNR(M) outcome at rate mu: a Poisson count clipped to M."""
     if not math.isfinite(mu) or mu < 0.0:
         raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    if not isinstance(resolution, (int, np.integer)) or resolution < 1:
+        raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
     return int(min(rng.poisson(mu), resolution))
 
 
@@ -101,6 +112,14 @@ def _check_params(params: ReceiverParams, cfg: FeedForwardConfig) -> None:
             raise ValueError(f"betas[{j}] must be finite and >= 0, got {beta!r}")
 
 
+def _rate(eta: float, mean: float, nu: float) -> float:
+    """Detector rate eta * mean + nu, clamped at 0 (NaN passes through).
+
+    A nulled mean c^2 + beta^2 - 2 xi c beta can round to about -1e-15.
+    """
+    return max(eta * mean + nu, 0.0)
+
+
 def _simulate_batch(
     alpha: float,
     params: ReceiverParams,
@@ -115,36 +134,44 @@ def _simulate_batch(
     eta, nu, xi = model.eta, model.nu, model.xi
 
     hypothesis = rng.integers(0, 2, size=n_trials)
-    sign = 2.0 * hypothesis - 1.0  # amplitude sign of the sent state
+    plus = hypothesis == 1  # the "+alpha" state was sent
 
     if cfg.receiver is Receiver.HFFRE:
         tau, z = params.tau, params.z
-        reflected = -math.sqrt(max(0.0, 1.0 - tau)) * alpha * sign
+        reflected = math.sqrt(max(0.0, 1.0 - tau)) * alpha
         base = reflected * reflected + z * z
         cross = 2.0 * xi * z * reflected
-        n_raw = rng.poisson(eta * 0.5 * (base + cross) + nu)
-        m_raw = rng.poisson(eta * 0.5 * (base - cross) + nu)
+        # The reflected "+alpha" interferes destructively at the first
+        # detector, "-alpha" at the second.
+        low = _rate(eta * 0.5, base - cross, nu)
+        high = _rate(eta * 0.5, base + cross, nu)
+        n_raw = rng.poisson(np.where(plus, low, high))
+        m_raw = rng.poisson(np.where(plus, high, low))
         delta = np.minimum(n_raw, resolution) - np.minimum(m_raw, resolution)
-        switch = (delta < 0).astype(np.int64)
+        switch = delta < 0
         amplitude = math.sqrt(tau) * alpha
     else:
         delta = None
-        switch = np.zeros(n_trials, dtype=np.int64)
+        switch = np.zeros(n_trials, dtype=bool)
         amplitude = alpha
 
-    zeta = sign * (amplitude / math.sqrt(cfg.n_copies))
+    c = amplitude / math.sqrt(cfg.n_copies)
     counts_log = np.empty((cfg.n_copies, n_trials), dtype=np.int64) if collect else None
     switch_log = np.empty((cfg.n_copies, n_trials), dtype=np.int64) if collect else None
     for j, beta in enumerate(params.betas):
-        signed_beta = (1.0 - 2.0 * switch) * beta
-        rate = eta * (zeta * zeta + beta * beta + 2.0 * xi * zeta * signed_beta) + nu
-        counts = np.minimum(rng.poisson(rate), resolution)
+        # The displacement adds to the signal when the switch points away
+        # from the sent state, and nulls it otherwise.
+        base = c * c + beta * beta
+        cross = 2.0 * xi * c * beta
+        rate = np.where(switch != plus, _rate(eta, base + cross, nu), _rate(eta, base - cross, nu))
+        # Unclipped counts: with n_th <= M, min(count, M) >= n_th iff count >= n_th.
+        counts = rng.poisson(rate)
         switch = switch ^ (counts >= params.n_th)
         if collect:
-            counts_log[j] = counts
+            counts_log[j] = np.minimum(counts, resolution)
             switch_log[j] = switch
 
-    errors = int(np.count_nonzero(switch != hypothesis))
+    errors = int(np.count_nonzero(switch != plus))
     if not collect:
         return errors, None
     return errors, (hypothesis, delta, counts_log, switch_log, switch)

@@ -514,6 +514,21 @@ class TestMonteCarlo:
         assert payload["mc_sigmas"] is None
         assert payload["mc_p_hat"] == 0.0
 
+    @pytest.mark.parametrize("alpha2, n", [("15", "2"), ("30", "1"), ("50", "5")])
+    def test_high_energy_nulling_runs(self, alpha2, n, capsys):
+        # The nulled-copy rate cancels to about -1e-15 at these optima.
+        code = main(["montecarlo", "--receiver", "DFFRE", "--alpha2", alpha2, "--n-copies", n,
+                     "--mc-trials", "10000", "--seed", "1", "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["mc_p_hat"] == 0.0
+
+    def test_high_energy_sweep_runs(self, tmp_path):
+        out = tmp_path / "bright.csv"
+        assert main(["sweep", "--receiver", "DFFRE", "--alpha2-min", "25", "--alpha2-max", "35",
+                     "--points", "3", "--mc-trials", "10000", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert len(parse_csv(out)[2]) == 3
+
     def test_resolvable_point_reports_sigma(self):
         result = run_cli("montecarlo", "--receiver", "DFFRE", "--alpha2", "0.5",
                          "--mc-trials", "50000", "--seed", "3")

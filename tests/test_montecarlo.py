@@ -7,7 +7,15 @@ import pytest
 from scipy.stats import chi2
 
 from bpskrx.feedforward import FeedForwardConfig, Receiver, ReceiverParams, dffre_error, hffre_error
-from bpskrx.montecarlo import BATCH_SIZE, RngSpec, estimate_error, sample_pnr, simulate_trial
+from bpskrx.montecarlo import (
+    BATCH_SIZE,
+    RngSpec,
+    TrajectoryRecord,
+    _simulate_batch,
+    estimate_error,
+    sample_pnr,
+    simulate_trial,
+)
 from bpskrx.photostatistics import DetectorModel, pnr_pmf
 
 IDEAL2 = DetectorModel(2)
@@ -49,11 +57,21 @@ class TestSamplePnr:
         draws = [sample_pnr(rng, 50.0, 2) for _ in range(2000)]
         assert all(d == 2 for d in draws)
 
+    @staticmethod
+    def simulated_counts(mu, m, n, rng):
+        # One DFFRE copy at beta = 0 sees the rate alpha^2 whatever the
+        # hypothesis and switch, so its logged counts are PNR(m) draws made
+        # by the simulator's own count path; returns them with that rate.
+        amplitude = math.sqrt(mu)
+        params = ReceiverParams(tau=1.0, z=0.0, betas=(0.0,), n_th=1)
+        _, (_, _, counts_log, _, _) = _simulate_batch(
+            amplitude, params, dffre_cfg(1, DetectorModel(m)), rng, n, collect=True)
+        return counts_log[0], amplitude * amplitude
+
     def test_marginal_law_four_sigma_per_bin(self):
-        rng = RngSpec(2).generator()
         n = 100_000
-        draws = np.minimum(rng.poisson(1.0, size=n), 2)
-        expected = pnr_pmf(1.0, 2)
+        draws, rate = self.simulated_counts(1.0, 2, n, RngSpec(2).generator())
+        expected = pnr_pmf(rate, 2)
         for outcome in range(3):
             p = expected[outcome]
             freq = np.count_nonzero(draws == outcome) / n
@@ -65,10 +83,9 @@ class TestSamplePnr:
         points = [(mu, m) for mu in (0.05, 0.4, 1.0, 2.7, 8.0) for m in (1, 2, 5, 12)]
         n = 1_000_000
         for index, (mu, m) in enumerate(points):
-            rng = RngSpec(77, stream_id=index).generator()
-            draws = np.minimum(rng.poisson(mu, size=n), m)
+            draws, rate = self.simulated_counts(mu, m, n, RngSpec(77, stream_id=index).generator())
             observed = np.bincount(draws, minlength=m + 1).astype(float)
-            expected = pnr_pmf(mu, m) * n
+            expected = pnr_pmf(rate, m) * n
             mask = expected > 10.0  # merge sparse tail bins into the last kept bin
             obs = np.append(observed[mask], observed[~mask].sum())
             exp = np.append(expected[mask], expected[~mask].sum())
@@ -82,6 +99,16 @@ class TestSamplePnr:
         rng = RngSpec(0).generator()
         with pytest.raises(ValueError):
             sample_pnr(rng, -1.0, 2)
+
+    @pytest.mark.parametrize("resolution", [1.5, 2.0])
+    def test_fractional_resolution_rejected(self, resolution):
+        # min(count, 1.5) truncated by int() would read PNR(1) as PNR(1.5).
+        with pytest.raises(ValueError, match=rf"resolution must be an integer >= 1, got {resolution}"):
+            sample_pnr(RngSpec(0).generator(), 5.0, resolution)
+
+    @pytest.mark.parametrize("resolution", [2, np.int64(2)])
+    def test_integer_resolution_accepted(self, resolution):
+        assert sample_pnr(RngSpec(1).generator(), 50.0, resolution) == 2
 
 
 class TestSimulateTrial:
@@ -158,6 +185,20 @@ class TestEstimateError:
         p_hat, std_err = estimate_error(0.0, params, dffre_cfg(1), 100_000, RngSpec(11))
         assert abs(p_hat - 0.5) <= 4 * std_err
 
+    @pytest.mark.parametrize("alpha2, n", [(15.0, 2), (30.0, 1), (50.0, 5)])
+    @pytest.mark.parametrize("model", [IDEAL2, DetectorModel(2, eta=0.7)], ids=["ideal", "eta0.7"])
+    def test_nulled_rate_cancelling_below_zero(self, alpha2, n, model):
+        # At these optima c^2 + beta^2 - 2 xi c beta rounds to a few -1e-15:
+        # the rate is clamped at 0 instead of reaching numpy as a negative lam.
+        cfg = dffre_cfg(n, model)
+        alpha = math.sqrt(alpha2)
+        result = dffre_error(alpha, cfg)
+        p_hat, _ = estimate_error(alpha, result.params, cfg, 10_000, RngSpec(1))
+        if model.is_ideal:
+            assert p_hat == 0.0
+        else:
+            assert 0.0 <= p_hat <= 1.0
+
     def test_determinism(self):
         params = ReceiverParams(tau=1.0, z=0.0, betas=(0.6,), n_th=1)
         first = estimate_error(0.8, params, dffre_cfg(1), 50_000, RngSpec(21, 3))
@@ -203,3 +244,126 @@ class TestEstimateError:
         params = ReceiverParams(tau=tau, z=z, betas=(math.sqrt(tau) * alpha,), n_th=1)
         p_hat, std_err = estimate_error(alpha, params, hffre_cfg(1), 1_000_000, RngSpec(202))
         assert abs(p_hat - analytic.p_err) <= 4 * std_err
+
+
+# Error counts round(p_hat * trials) at the parameters below, as drawn by the
+# per-trial-array form of the copy step (reference_batch below). These pin
+# the random stream: trials = BATCH_SIZE + 17 runs a full batch and a partial
+# second one, so a change in how any rng call consumes the stream changes them.
+STREAM_PINS = [
+    # receiver, copies, model, n_th, alpha, betas, errors
+    ("DFFRE", 1, DetectorModel(2), 1, 0.8, (0.7,), 14261),
+    ("DFFRE", 3, DetectorModel(2), 1, 1.2, (0.7, 0.9, 1.1), 37101),
+    ("DFFRE", 3, DetectorModel(2, eta=0.7), 1, 1.2, (0.7, 0.9, 1.1), 27283),
+    ("DFFRE", 3, DetectorModel(2, nu=1e-3), 2, 1.5, (1.0, 1.2, 1.4), 8464),
+    ("DFFRE", 1, DetectorModel(2, xi=0.998), 1, 0.8, (0.7,), 14853),
+    ("HFFRE", 1, DetectorModel(2), 1, 0.8, (0.7,), 10519),
+    ("HFFRE", 3, DetectorModel(2, eta=0.7), 1, 1.2, (0.7, 0.9, 1.1), 31609),
+    ("HFFRE", 1, DetectorModel(2, nu=1e-3), 2, 1.5, (1.3,), 284),
+    ("HFFRE", 3, DetectorModel(2, xi=0.998), 1, 1.2, (0.7, 0.9, 1.1), 43120),
+]
+
+
+class TestStreamPins:
+    @pytest.mark.parametrize("index", range(len(STREAM_PINS)))
+    def test_error_count(self, index):
+        receiver, n, model, n_th, alpha, betas, errors = STREAM_PINS[index]
+        tau, z = (1.0, 0.0) if receiver == "DFFRE" else (0.9, 1.1)  # fixed HL setting
+        params = ReceiverParams(tau=tau, z=z, betas=betas, n_th=n_th)
+        cfg = FeedForwardConfig(n, model, Receiver[receiver])
+        trials = BATCH_SIZE + 17
+        p_hat, _ = estimate_error(alpha, params, cfg, trials, RngSpec(1000 + index))
+        assert round(p_hat * trials) == errors
+
+    def test_dffre_record(self):
+        params = ReceiverParams(tau=1.0, z=0.0, betas=(0.7, 0.9, 1.1), n_th=1)
+        record = simulate_trial(1.2, params, dffre_cfg(3), RngSpec(20).generator())
+        assert record == TrajectoryRecord(
+            hypothesis=1, hl_delta=None, counts=(2, 1, 2), switch_states=(1, 0, 1),
+            decision=1, correct=True)
+
+    def test_hffre_dark_record(self):
+        params = ReceiverParams(tau=0.9, z=1.1, betas=(0.7, 0.9), n_th=1)
+        cfg = hffre_cfg(2, DetectorModel(2, nu=1e-3))
+        record = simulate_trial(1.2, params, cfg, RngSpec(4).generator())
+        assert record == TrajectoryRecord(
+            hypothesis=0, hl_delta=-2, counts=(0, 2), switch_states=(1, 0),
+            decision=0, correct=True)
+
+
+def reference_batch(alpha, params, cfg, rng, n_trials):
+    """The copy step as per-trial float arrays, the form the per-copy rates replaced."""
+    model = cfg.model
+    resolution = model.resolution
+    eta, nu, xi = model.eta, model.nu, model.xi
+    hypothesis = rng.integers(0, 2, size=n_trials)
+    sign = 2.0 * hypothesis - 1.0
+    if cfg.receiver is Receiver.HFFRE:
+        tau, z = params.tau, params.z
+        reflected = -math.sqrt(max(0.0, 1.0 - tau)) * alpha * sign
+        base = reflected * reflected + z * z
+        cross = 2.0 * xi * z * reflected
+        n_raw = rng.poisson(eta * 0.5 * (base + cross) + nu)
+        m_raw = rng.poisson(eta * 0.5 * (base - cross) + nu)
+        delta = np.minimum(n_raw, resolution) - np.minimum(m_raw, resolution)
+        switch = (delta < 0).astype(np.int64)
+        amplitude = math.sqrt(tau) * alpha
+    else:
+        delta = None
+        switch = np.zeros(n_trials, dtype=np.int64)
+        amplitude = alpha
+    zeta = sign * (amplitude / math.sqrt(cfg.n_copies))
+    counts_log = np.empty((cfg.n_copies, n_trials), dtype=np.int64)
+    switch_log = np.empty((cfg.n_copies, n_trials), dtype=np.int64)
+    for j, beta in enumerate(params.betas):
+        signed_beta = (1.0 - 2.0 * switch) * beta
+        rate = eta * (zeta * zeta + beta * beta + 2.0 * xi * zeta * signed_beta) + nu
+        counts = np.minimum(rng.poisson(rate), resolution)
+        switch = switch ^ (counts >= params.n_th)
+        counts_log[j] = counts
+        switch_log[j] = switch
+    errors = int(np.count_nonzero(switch != hypothesis))
+    return errors, (hypothesis, delta, counts_log, switch_log, switch)
+
+
+class RecordingRng:
+    """Forwards to a generator and keeps every call it is given."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def integers(self, *args, **kwargs):
+        self.calls.append(("integers", args, kwargs))
+        return self.rng.integers(*args, **kwargs)
+
+    def poisson(self, lam):
+        self.calls.append(("poisson", np.array(lam, dtype=float)))
+        return self.rng.poisson(lam)
+
+
+class TestAgainstReferenceBatch:
+    # Every element of the reference's rate array is one of the two per-copy
+    # rates, bit for bit, so both forms make the same rng calls with the
+    # same rate arrays and draw the same trials from one stream.
+    @pytest.mark.parametrize("index", range(len(STREAM_PINS)))
+    def test_same_trials(self, index):
+        receiver, n, model, n_th, alpha, betas, _ = STREAM_PINS[index]
+        model = DetectorModel(3, model.eta, model.nu, model.xi)
+        params = ReceiverParams(tau=0.7, z=0.9, betas=betas, n_th=n_th)
+        cfg = FeedForwardConfig(n, model, Receiver[receiver])
+        spec = RngSpec(500 + index)
+        mine, theirs = RecordingRng(spec.generator()), RecordingRng(spec.generator())
+        got = _simulate_batch(alpha, params, cfg, mine, 20_000, collect=True)
+        want = reference_batch(alpha, params, cfg, theirs, 20_000)
+        assert len(mine.calls) == len(theirs.calls)
+        for call, reference in zip(mine.calls, theirs.calls):
+            assert call[0] == reference[0]
+            if call[0] == "poisson":
+                assert np.array_equal(call[1], reference[1])
+            else:
+                assert call[1:] == reference[1:]
+        assert got[0] == want[0]
+        for array, reference in zip(got[1], want[1]):
+            assert (array is None and reference is None) or np.array_equal(array, reference)
+        assert _simulate_batch(alpha, params, cfg, spec.generator(), 20_000)[0] == want[0]
