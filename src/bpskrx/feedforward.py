@@ -52,6 +52,7 @@ from .optimize import (
 )
 from .photostatistics import (
     DetectorModel,
+    _check_count,
     below_threshold,
     hl_difference_pmf,
     hl_sign_error,
@@ -109,8 +110,7 @@ class FeedForwardConfig:
     receiver: Receiver = Receiver.DFFRE
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_copies, int) or self.n_copies < 1:
-            raise ValueError(f"n_copies must be an integer >= 1, got {self.n_copies!r}")
+        object.__setattr__(self, "n_copies", _check_count("n_copies", self.n_copies))
         if not isinstance(self.model, DetectorModel):
             raise ValueError("model must be a DetectorModel")
         if not isinstance(self.receiver, Receiver):
@@ -189,12 +189,14 @@ def _flip_probabilities(
     cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n_copies)
     eta, nu = model.eta, model.nu
     expm1, exp = math.expm1, math.exp
-    # a threshold such as 1.0 is no integer, and q_thresh rejects it below
-    on_off = n_th == 1 and isinstance(n_th, (int, np.integer))
-    if not on_off:
-        # The threshold is checked here, once per recursion; each rate is
-        # checked in line by the kernel. Python floats throughout, as
-        # q_thresh's float(x) gave them.
+    # The threshold is checked here, once per recursion, as q_thresh checks
+    # it (1.0 and True are no thresholds); each rate is checked in line by
+    # the kernel.
+    on_off = n_th == 1
+    if on_off:
+        _check_count("n_th", n_th)
+    else:
+        # Python floats throughout, as q_thresh's float(x) gave them
         q_thresh(0.0, n_th, model.resolution)
         below = below_threshold(n_th)
         a2n, cross_coef, eta, nu = float(a2n), float(cross_coef), float(eta), float(nu)
@@ -385,8 +387,15 @@ def _hybrid_recursion(
 
 def _flip_rows(
     amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th: int
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """``_flip_probabilities`` for arrays; beta broadcasts against amplitude."""
+) -> tuple[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+           Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]]:
+    """``_flip_probabilities`` for arrays; beta broadcasts against amplitude.
+
+    Returns (flips, step): flips(beta) = (F, M), and step(e_prev) the
+    step objective at the array e_prev, beta -> -((1 - e_prev) F +
+    e_prev M), element by element, equal bit for bit to the objective
+    built from flips.
+    """
     a2n = amplitude * amplitude / n_copies
     cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n_copies)
     eta, nu = model.eta, model.nu
@@ -397,7 +406,27 @@ def _flip_rows(
         return (q_above_rows(eta * (base - cross) + nu, n_th),
                 q_below_rows(eta * (base + cross) + nu, n_th))
 
-    return flips
+    def step(e_prev: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        p_prev = 1.0 - e_prev
+
+        def at(beta: np.ndarray) -> np.ndarray:
+            false_flip, missed_flip = flips(beta)
+            return -(p_prev * false_flip + e_prev * missed_flip)
+
+        def on_off(beta: np.ndarray) -> np.ndarray:
+            base = a2n + beta * beta
+            cross = cross_coef * beta
+            minus, plus = base - cross, base + cross
+            if eta != 1.0:  # 1.0 * x is x
+                minus, plus = eta * minus, eta * plus
+            # F = -expm1(-rate_minus) and M = exp(-rate_plus), so -(p F + e M)
+            # is -(e M - p expm1(-rate_minus)): only signs move, which is
+            # exact, and negating the difference keeps the sign of a zero
+            return -(e_prev * np.exp(-(plus + nu)) - p_prev * np.expm1(-(minus + nu)))
+
+        return on_off if n_th == 1 else at
+
+    return flips, step
 
 
 def _hybrid_error_batch(
@@ -408,17 +437,18 @@ def _hybrid_error_batch(
     The per-copy beta searches of all grid points run in lockstep. A
     point's coarse beta grid depends on tau only, so the flip
     probabilities on it are tabulated once per distinct tau of the
-    round. The lockstep values agree with the scalar recursion up to the
-    last-bit differences between np.exp and math.exp, which the 1 - q0
-    tail of a threshold n_th >= 2 can raise to about 1e-16 absolute, so
-    every value within the window of the round's best is replaced by the
-    scalar recursion's, from the point's own e0 (``hl_sign_error`` gives
-    it bit for bit as ``_hybrid_initial_error`` does). The round's first
-    maximum is then a point-by-point search's. z acts only through e0,
-    so the scalar runs are memoised on (tau, e0).
+    round, one row per tau; a block of points reads its coarse rows with
+    one gather. The lockstep values agree with the scalar recursion up
+    to the last-bit differences between np.exp and math.exp, which the
+    1 - q0 tail of a threshold n_th >= 2 can raise to about 1e-16
+    absolute, so every value within the window of the round's best is
+    replaced by the scalar recursion's, from the point's own e0
+    (``hl_sign_error`` gives it bit for bit as ``_hybrid_initial_error``
+    does). The round's first maximum is then a point-by-point search's.
+    z acts only through e0, so the scalar runs are memoised on (tau, e0).
     """
     model, n = cfg.model, cfg.n_copies
-    indices = np.arange(BETA_COARSE_POINTS)[:, None]
+    indices = np.arange(BETA_COARSE_POINTS)
     relative = BATCH_RTOL_PER_COPY * n
     absolute = BATCH_ATOL_PER_COPY * n if n_th > 1 else 0.0
     settled: dict[tuple[float, float], float] = {}
@@ -428,23 +458,26 @@ def _hybrid_error_batch(
         amplitude = np.sqrt(tau) * alpha
         hi = amplitude / math.sqrt(n) + BETA_MARGIN
         taus, rows = np.unique(tau, return_inverse=True)
-        amplitudes = np.sqrt(taus) * alpha
+        amplitudes = np.sqrt(taus)[:, None] * alpha
         grid = coarse_abscissae(0.0, amplitudes / math.sqrt(n) + BETA_MARGIN, BETA_COARSE_POINTS)
-        # one row per coarse grid index, one column per distinct tau
-        false_table, missed_table = _flip_rows(amplitudes, n, model, n_th)(grid(indices))
-        flips = _flip_rows(amplitude, n, model, n_th)
+        # one row per distinct tau, one column per coarse grid index
+        false_table, missed_table = _flip_rows(amplitudes, n, model, n_th)[0](grid(indices))
+        _, step = _flip_rows(amplitude, n, model, n_th)
         errors = e0
         for _ in range(n):
-            e_prev, p_prev = errors, 1.0 - errors
+            e_prev, p_prev = errors[:, None], 1.0 - errors[:, None]
 
-            def step(beta: np.ndarray) -> np.ndarray:
-                false_flip, missed_flip = flips(beta)
-                return -(p_prev * false_flip + e_prev * missed_flip)
+            def coarse(block: slice) -> np.ndarray:  # element k reads row rows[k]
+                # -(p F + e M), in place on the two gathered rows
+                r = rows[block]
+                values, missed = false_table[r], missed_table[r]
+                values *= p_prev[block]
+                missed *= e_prev[block]
+                values += missed
+                return np.negative(values, out=values)
 
-            def coarse(block: slice) -> np.ndarray:  # element k reads column rows[k]
-                return -(p_prev * false_table[block, rows] + e_prev * missed_table[block, rows])
-
-            _, negated = maximize_scalar_batch(step, 0.0, hi, BETA_COARSE_POINTS, BETA_TOL, coarse)
+            _, negated = maximize_scalar_batch(step(errors), 0.0, hi, BETA_COARSE_POINTS, BETA_TOL,
+                                               coarse)
             errors = -negated
         values = -errors
         top = float(values.max())

@@ -37,6 +37,7 @@ import numpy as np
 
 from .baselines import _check_alpha
 from .feedforward import FeedForwardConfig, Receiver, ReceiverParams
+from .photostatistics import _check_count
 
 __all__ = [
     "RngSpec",
@@ -90,8 +91,7 @@ def sample_pnr(rng: np.random.Generator, mu: float, resolution: int) -> int:
     """Draw one PNR(M) outcome at rate mu: a Poisson count clipped to M."""
     if not math.isfinite(mu) or mu < 0.0:
         raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
-    if not isinstance(resolution, (int, np.integer)) or resolution < 1:
-        raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
+    resolution = _check_count("resolution", resolution)
     return int(min(rng.poisson(mu), resolution))
 
 
@@ -101,8 +101,7 @@ def _check_params(params: ReceiverParams, cfg: FeedForwardConfig) -> None:
             f"params.betas has {len(params.betas)} entries for {cfg.n_copies} copies"
         )
     resolution = cfg.model.resolution
-    if not isinstance(params.n_th, (int, np.integer)) or not 1 <= params.n_th <= resolution:
-        raise ValueError(f"n_th must be an integer in [1, {resolution}], got {params.n_th!r}")
+    _check_count("n_th", params.n_th, 1, resolution)
     if not 0.0 <= params.tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {params.tau}")
     if not 0.0 <= params.z < math.inf:

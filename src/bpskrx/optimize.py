@@ -10,20 +10,24 @@ tests stay stable.
 The box search ``maximize_grid_batch`` hands each round's whole grid to
 an array objective in one call, and ``maximize_scalar_batch`` runs one
 bounded 1-D search per array element in lockstep: the coarse grid a
-block of columns at a time, the block size bounded so that its
-temporaries stay small, then golden-section steps with finished
-elements frozen. Element for element they make the same comparisons as
-the scalar searches. ``maximize_scalar`` stays the search for single
-objectives, where an array of one element would only add overhead.
+block of elements at a time, each element's whole coarse row at once,
+the block size bounded so that its temporaries stay small, then
+golden-section steps with finished elements frozen. Element for element
+they make the same comparisons as the scalar searches. A non-finite
+value raises as soon as its block or step is evaluated: in the coarse
+scan the first in the order of elements and, within an element, of grid
+indices; in a golden-section step the first element's.
+``maximize_scalar`` stays the search for single objectives, where an
+array of one element would only add overhead.
 
 Both 1-D searches accept the objective's values on the coarse grid from
-the caller (``ScalarSearchSpec.coarse_grid``; ``coarse_abscissae``, a
-block of columns per call):
-a caller that runs many searches on one grid, with objectives built
-from the same per-abscissa terms, tabulates those terms once instead of
-calling f at every coarse point of every search. The values must equal
-f on the grid; they only change who computes them, and the search from
-there on, with its checks and tie rule, is the same.
+the caller (``ScalarSearchSpec.coarse_grid``; ``coarse_abscissae``, the
+rows of a block of elements per call): a caller that runs many searches
+on one grid, with objectives built from the same per-abscissa terms,
+tabulates those terms once instead of calling f at every coarse point
+of every search. The values must equal f on the grid; they only change
+who computes them, and the search from there on, with its checks and
+tie rule, is the same.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ __all__ = [
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _LOG_INV_PHI = math.log(_INV_PHI)
-# Coarse columns per block of maximize_scalar_batch: each temporary holds
-# this many values per element (about 108 KB for 1682 elements)
-COARSE_BLOCK = 8
+# Elements per block of maximize_scalar_batch's coarse scan: each temporary
+# holds this many rows (64 KB at 64 coarse points)
+COARSE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,7 @@ def _checked_batch(values, points: Callable[[int], object], label: str) -> np.nd
     values = np.asarray(values, dtype=float)
     finite = np.isfinite(values)
     if not finite.all():
-        i = int(np.argmin(finite))  # the first in C order, also in a block of columns
+        i = int(np.argmin(finite))  # the first in C order, also in a block of rows
         raise _non_finite(values.flat[i], points(i), label)
     return values
 
@@ -266,48 +270,59 @@ def maximize_scalar_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One ``maximize_scalar`` per element of lo, hi; returns (x_star, f_star) arrays.
 
-    f maps an array of abscissae, one per element, to the objective
-    values of the elements, element by element, so that it also accepts
-    a block of coarse columns, one row per column. Each element sees
-    exactly the comparisons and abscissae of ``maximize_scalar`` with
-    ScalarSearchSpec(lo, hi, coarse_points, tol); elements whose
-    golden-section steps are done keep their state while the others
-    continue.
+    lo and hi broadcast to one axis of elements. f maps an array of
+    abscissae, one per element, to the objective values of the elements,
+    element by element, so that it also accepts the whole coarse grid,
+    one row per grid index. Each element sees exactly the comparisons and
+    abscissae of ``maximize_scalar`` with ScalarSearchSpec(lo, hi,
+    coarse_points, tol); elements whose golden-section steps are done
+    keep their state while the others continue.
 
-    The coarse grid is read ``COARSE_BLOCK`` columns at a time, which
-    bounds every temporary to that many rows. ``coarse_values(block)``,
-    when given, returns f at the coarse columns of the slice ``block``,
-    that is at ``coarse_abscissae(lo, hi, coarse_points)(index)`` for
-    each index in it, one row per column, computed by the caller; it
-    must equal f there. The search then calls f only for its
-    golden-section steps.
+    The coarse grid is read ``COARSE_BLOCK`` elements at a time, which
+    bounds every temporary of the scan to that many rows (64 KB at 64
+    coarse points). ``coarse_values(elements)``, when given, returns the
+    whole coarse row of each element of the slice ``elements``, shape
+    (elements, coarse_points): f at ``coarse_abscissae(lo, hi,
+    coarse_points)(i)`` for every grid index i, computed by the caller;
+    it must equal f there. The search then calls f only for its
+    golden-section steps. Without it, f is evaluated on the whole grid
+    in one call. argmax over each row keeps the first of equal values,
+    so ties go to the smallest grid index. The first non-finite coarse
+    value raises, in the order of elements and, within an element, of
+    grid indices; a golden-section step reports its first non-finite
+    element.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    last = coarse_points - 1
+    if lo.ndim != 1:
+        raise ValueError(f"lo and hi must broadcast to one axis of elements, got shape {lo.shape}")
+    size, last = lo.size, coarse_points - 1
     grid = coarse_abscissae(lo, hi, coarse_points)
     if coarse_values is None:
-        def coarse_values(block: slice) -> np.ndarray:
-            return f(grid(np.arange(block.start, block.stop).reshape(-1, *(1,) * lo.ndim)))
+        table = np.asarray(f(grid(np.arange(coarse_points)[:, None])), dtype=float).T
+
+        def coarse_values(elements: slice) -> np.ndarray:
+            return table[elements]
 
     def checked(x):
         return _checked_batch(f(x), lambda i: float(x.flat[i]), "x")
 
-    best_f = np.full(lo.shape, -math.inf)
-    best_i = np.zeros(lo.shape, dtype=int)
-    for i0 in range(0, coarse_points, COARSE_BLOCK):
-        i1 = min(i0 + COARSE_BLOCK, coarse_points)
-        values = np.asarray(coarse_values(slice(i0, i1)), dtype=float)
-        if values.shape != (i1 - i0, *lo.shape):
-            raise ValueError(f"expected coarse values of shape {(i1 - i0, *lo.shape)}, "
+    best_f = np.empty(size)
+    best_i = np.empty(size, dtype=np.intp)
+    # flat offset of each row of a block
+    starts = np.arange(0, COARSE_BLOCK * coarse_points, coarse_points)
+    for k0 in range(0, size, COARSE_BLOCK):
+        block = slice(k0, min(k0 + COARSE_BLOCK, size))
+        n = block.stop - k0
+        values = np.asarray(coarse_values(block), dtype=float)
+        if values.shape != (n, coarse_points):
+            raise ValueError(f"expected coarse values of shape {(n, coarse_points)}, "
                              f"got {values.shape}")
-        _checked_batch(values, lambda i: float(grid(i0 + i // lo.size).flat[i % lo.size]), "x")
-        # argmax keeps the first of equal values, and blocks merge on a
-        # strict >, so ties go to the smallest column as in maximize_scalar
-        j = np.argmax(values, axis=0)
-        v = np.take_along_axis(values, j[None], axis=0)[0]
-        better = v > best_f
-        best_f = np.where(better, v, best_f)
-        best_i = np.where(better, i0 + j, best_i)
+        _checked_batch(values, lambda i: float(grid(i % coarse_points)[k0 + i // coarse_points]),
+                       "x")
+        # ties go to the smallest grid index, as in maximize_scalar
+        j = values.argmax(axis=1)
+        best_i[block] = j
+        best_f[block] = values.take(starts[:n] + j)
     best_x = grid(best_i)
 
     a = grid(np.maximum(best_i - 1, 0))
@@ -333,10 +348,12 @@ def maximize_scalar_batch(
         active = None if it < all_steps else steps > it
         left = yc > yd
         h = h * _INV_PHI if active is None else np.where(active, h * _INV_PHI, h)
-        x = np.where(left, a + _INV_PHI2 * h, c + _INV_PHI * h)
+        # the two branches of _golden_max: keep [a, d] and evaluate
+        # a + h / phi^2, or keep [c, b] and evaluate c + h / phi
+        a_next = np.where(left, a, c)
+        x = a_next + np.where(left, _INV_PHI2, _INV_PHI) * h
         y = checked(x)
-        # the two branches of _golden_max: keep [a, d] or keep [c, b]
-        moved = (np.where(left, a, c), np.where(left, d, b), np.where(left, x, d),
+        moved = (a_next, np.where(left, d, b), np.where(left, x, d),
                  np.where(left, c, x), np.where(left, y, yd), np.where(left, yc, y))
         better = y > gold_f
         if active is not None:

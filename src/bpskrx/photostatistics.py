@@ -43,6 +43,19 @@ __all__ = [
 ]
 
 
+def _check_count(name: str, value, lo: int = 1, hi: int | None = None) -> int:
+    """value as a Python int, if it is an integer in [lo, hi] (no upper bound when hi is None).
+
+    Python and numpy integers are accepted; a bool is not a count, and a
+    float such as 2.0 is not an integer.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < lo or (hi is not None and value > hi)):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
 def _check_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -76,8 +89,8 @@ class DetectorModel:
     xi: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.resolution, int) or self.resolution < 1:
-            raise ValueError(f"resolution must be an integer >= 1, got {self.resolution!r}")
+        # kept as a Python int, so reprs and CSVs read the same for numpy integers
+        object.__setattr__(self, "resolution", _check_count("resolution", self.resolution))
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must be in (0, 1], got {self.eta!r}")
         if not (self.nu >= 0.0 and math.isfinite(self.nu)):
@@ -138,9 +151,7 @@ def pnr_pmf(mu: float, resolution: int) -> np.ndarray:
     The one-row view of ``_pnr_rows``.
     """
     mu = _check_rate(mu, "mu")
-    if not isinstance(resolution, (int, np.integer)) or resolution < 1:
-        raise ValueError(f"resolution must be an integer >= 1, got {resolution!r}")
-    return _pnr_rows(np.array([mu]), resolution)[0]
+    return _pnr_rows(np.array([mu]), _check_count("resolution", resolution))[0]
 
 
 def branch_means(zeta: float, z: float, xi: float = 1.0) -> BranchMeans:
@@ -182,7 +193,7 @@ def exp_rows(x: np.ndarray) -> np.ndarray:
     row-wise kernels bit-identical to the scalar ones, so a batched
     search breaks ties between grid points exactly as a scalar one.
     """
-    return np.array([math.exp(v) for v in x.tolist()], dtype=float)
+    return np.fromiter(map(math.exp, x.tolist()), dtype=float, count=x.size)
 
 
 def _pnr_rows(mu: np.ndarray, resolution: int) -> np.ndarray:
@@ -329,8 +340,7 @@ def q_thresh(x: float, n_th: int, resolution: int | None = None) -> tuple[float,
     When ``resolution`` is given, n_th must not exceed it.
     """
     x = _check_rate(x)
-    if not isinstance(n_th, (int, np.integer)) or n_th < 1:
-        raise ValueError(f"n_th must be an integer >= 1, got {n_th!r}")
+    n_th = _check_count("n_th", n_th)
     if resolution is not None and n_th > resolution:
         raise ValueError(f"n_th must be <= resolution {resolution}, got {n_th}")
     if n_th == 1:
@@ -344,10 +354,10 @@ def q_below_rows(x: np.ndarray, n_th: int) -> np.ndarray:
     if n_th == 1:
         return np.exp(-x)
     term = np.exp(-x)
-    q0 = 0.0
-    for s in range(n_th):
+    q0 = term
+    for s in range(1, n_th):
+        term = term * (x / s)
         q0 = q0 + term
-        term = term * (x / (s + 1))
     return np.minimum(1.0, q0)
 
 

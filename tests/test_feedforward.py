@@ -29,11 +29,12 @@ from bpskrx.feedforward import (
     BETA_MARGIN,
     BETA_TOL,
     _flip_probabilities,
+    _flip_rows,
     _hybrid_error_batch,
     _hybrid_recursion,
     _negated_step_error,
 )
-from bpskrx.optimize import ScalarSearchSpec, coarse_abscissae, maximize_scalar
+from bpskrx.optimize import COARSE_BLOCK, ScalarSearchSpec, coarse_abscissae, maximize_scalar
 from bpskrx.photostatistics import DetectorModel, hl_sign_error, q_thresh
 
 IDEAL2 = DetectorModel(2)
@@ -41,6 +42,12 @@ IDEAL2 = DetectorModel(2)
 
 def cfg(n, model=IDEAL2, receiver=Receiver.DFFRE):
     return FeedForwardConfig(n, model, receiver)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal floats bit for bit, the sign of a zero included."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestStepRates:
@@ -412,6 +419,48 @@ class TestSettlement:
         assert len(runs) == len(keys)  # the memo outlives the round
 
 
+class TestStepRows:
+    """The lockstep step objective equals the one built from its flip probabilities."""
+
+    @staticmethod
+    def elements(n, model):
+        # seeded (amplitude, beta, e), plus betas one ulp off nulling at
+        # large amplitudes, where the minus rate can round below 0 and the
+        # plus rate underflows exp, with e at 0 and at 1
+        rng = np.random.default_rng(29)
+        tau = rng.uniform(0.0, 1.0, 3000)
+        amplitude = np.sqrt(tau) * np.sqrt(rng.uniform(0.01, 30.0, 3000))
+        beta = rng.uniform(0.0, amplitude / math.sqrt(n) + BETA_MARGIN)
+        e = rng.uniform(0.0, 1.0, 3000)
+        nulled = rng.uniform(1.0, 80.0, 1000)
+        amplitude = np.concatenate((amplitude, nulled, [math.sqrt(n)] * 4))
+        # the last four have base == cross exactly when xi = 1; a -0.0
+        # error never arises, but the step equals the objective there too
+        off_null = np.nextafter(nulled / math.sqrt(n), np.resize([0.0, math.inf], 1000))
+        beta = np.concatenate((beta, off_null, [1.0] * 4))
+        e = np.concatenate((e, np.resize([0.0, 1.0, 0.3], 1000), [0.0, 1.0, 0.5, -0.0]))
+        return amplitude, beta, e
+
+    @pytest.mark.parametrize("model", [IDEAL2, DetectorModel(2, eta=0.7), DARK2,
+                                       DetectorModel(2, xi=0.998)])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("n_th", [1, 2])
+    def test_step_equals_objective_of_flips(self, model, n, n_th):
+        amplitude, beta, e = self.elements(n, model)
+        flips, step = _flip_rows(amplitude, n, model, n_th)
+        false_flip, missed_flip = flips(beta)
+        expected = -((1.0 - e) * false_flip + e * missed_flip)
+        assert same_bits(step(e)(beta), expected)
+        if model.nu == 0.0 and model.xi == 1.0:
+            # the edge cases the rearranged n_th = 1 step must carry: a
+            # minus rate of exactly 0 and one below 0, a plus rate past
+            # exp's underflow
+            base = amplitude * amplitude / n + beta * beta
+            cross = 2.0 * amplitude / math.sqrt(n) * beta
+            assert (base - cross < 0.0).any() and (base - cross == 0.0).any()
+            assert (missed_flip == 0.0).any()
+
+
 def reference_step_error(e_prev, amplitude, n, model, n_th):
     """The negated step error, written out as before the flips were tabulated."""
     a2n = amplitude * amplitude / n
@@ -483,16 +532,20 @@ class TestCoarseTable:
     @pytest.mark.parametrize("model, n_th",
                              [(IDEAL2, 1), (DARK2, 2), (DetectorModel(2, xi=0.998), 2)])
     def test_tabulated_columns_equal_evaluated_columns(self, model, n_th, monkeypatch):
-        # Every coarse column the lockstep search reads from the per-tau
-        # table equals the objective there, and the search returns what
+        # Every coarse row the lockstep search reads from the per-tau
+        # table equals the objective on that element's grid, sign bits
+        # included, for any slice of elements, and the search returns what
         # it returns when it evaluates every column itself.
         search = feedforward.maximize_scalar_batch
         copies = []
 
         def comparing(f, lo, hi, coarse_points, tol, coarse):
             grid = coarse_abscissae(lo, hi, coarse_points)
-            for i in range(coarse_points):
-                assert np.array_equal(coarse(i), f(grid(i)))
+            evaluated = f(grid(np.arange(coarse_points)[:, None])).T  # one row per element
+            size = grid(0).size
+            for elements in [slice(k, min(k + COARSE_BLOCK, size)) for k in range(0, size, COARSE_BLOCK)] \
+                    + [slice(5, 77), slice(size - 1, size)]:
+                assert same_bits(coarse(elements), evaluated[elements])
             result = search(f, lo, hi, coarse_points, tol, coarse)
             evaluated = search(f, lo, hi, coarse_points, tol)
             assert all(np.array_equal(r, e) for r, e in zip(result, evaluated))
@@ -676,6 +729,24 @@ class TestConfigValidation:
     def test_bad_copies(self):
         with pytest.raises(ValueError):
             FeedForwardConfig(0, IDEAL2, Receiver.DFFRE)
+
+    @pytest.mark.parametrize("n_copies", [True, False, 2.0, np.bool_(True)])
+    def test_non_integer_copies_rejected(self, n_copies):
+        with pytest.raises(ValueError, match="n_copies must be an integer >= 1, got "):
+            FeedForwardConfig(n_copies, IDEAL2, Receiver.DFFRE)
+
+    def test_numpy_copies_stored_as_int(self):
+        c = FeedForwardConfig(np.int64(2), DetectorModel(np.int64(2)), Receiver.DFFRE)
+        assert type(c.n_copies) is int and type(c.model.resolution) is int
+        assert c == cfg(2) and repr(c) == repr(cfg(2))
+        assert dffre_error(0.7, c) == dffre_error(0.7, cfg(2))
+
+    def test_boolean_threshold_rejected(self):
+        # True == 1, but a flag is no click threshold
+        with pytest.raises(ValueError, match="n_th must be an integer >= 1, got True"):
+            correct_probability_trace(1.0, (0.5,), IDEAL2, n_th=True)
+        assert correct_probability_trace(1.0, (0.5,), IDEAL2, n_th=np.int64(1)) == \
+            correct_probability_trace(1.0, (0.5,), IDEAL2, n_th=1)
 
     def test_bad_model(self):
         with pytest.raises(ValueError):

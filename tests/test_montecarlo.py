@@ -110,6 +110,11 @@ class TestSamplePnr:
     def test_integer_resolution_accepted(self, resolution):
         assert sample_pnr(RngSpec(1).generator(), 50.0, resolution) == 2
 
+    @pytest.mark.parametrize("resolution", [True, np.bool_(True)])
+    def test_boolean_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be an integer >= 1, got "):
+            sample_pnr(RngSpec(0).generator(), 5.0, resolution)
+
 
 class TestSimulateTrial:
     def test_record_shape_dffre(self):
@@ -165,6 +170,18 @@ class TestEstimateError:
         params = ReceiverParams(tau=1.0, z=0.0, betas=(1.0,), n_th=n_th)
         with pytest.raises(ValueError, match="n_th must be an integer"):
             estimate_error(1.0, params, dffre_cfg(1), 10_000, RngSpec(1))
+
+    @pytest.mark.parametrize("n_th", [True, np.bool_(True)])
+    def test_boolean_threshold_rejected(self, n_th):
+        params = ReceiverParams(tau=1.0, z=0.0, betas=(1.0,), n_th=n_th)
+        with pytest.raises(ValueError, match=r"n_th must be an integer in \[1, 2\], got "):
+            estimate_error(1.0, params, dffre_cfg(1), 10_000, RngSpec(1))
+
+    def test_numpy_threshold_accepted(self):
+        params = ReceiverParams(tau=1.0, z=0.0, betas=(1.0,), n_th=np.int64(2))
+        expected = estimate_error(1.0, ReceiverParams(1.0, 0.0, (1.0,), 2), dffre_cfg(1), 10_000,
+                                  RngSpec(1))
+        assert estimate_error(1.0, params, dffre_cfg(1), 10_000, RngSpec(1)) == expected
 
     @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf])
     def test_invalid_z_rejected(self, z):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bpskrx.optimize import (
+    COARSE_BLOCK,
     GridSearchSpec,
     ScalarSearchSpec,
     coarse_abscissae,
@@ -153,100 +154,161 @@ class TestCoarseValues:
             maximize_scalar(f, spec, coarse)
 
     def test_batch_columns_reproduce_search(self):
+        # the caller's rows hold every coarse column of an element
         rng = np.random.default_rng(5)
-        c = rng.uniform(0.0, 3.0, 200)
-        hi = rng.uniform(0.3, 8.0, 200)
+        c = rng.uniform(0.0, 3.0, 300)
+        hi = rng.uniform(0.3, 8.0, 300)
 
         def batch(x):
             return -((x - c) * (x - c)) * (x - 0.5 * c) + 0.3 * x
 
         grid = coarse_abscissae(0.0, hi, 64)
-        columns = batch(grid(np.arange(64)[:, None]))  # the whole table at once
+        rows = batch(grid(np.arange(64)[:, None])).T  # the whole table, one row per element
+        for k in range(0, 300, 37):
+            spec = ScalarSearchSpec(0.0, float(hi[k]), coarse_points=64, tol=1e-7)
+            ck = float(c[k])
+            assert rows[k].tolist() == [-((x - ck) * (x - ck)) * (x - 0.5 * ck) + 0.3 * x
+                                        for x in spec.coarse_grid()]
         expected = maximize_scalar_batch(batch, 0.0, hi, 64, 1e-7)
-        got = maximize_scalar_batch(batch, 0.0, hi, 64, 1e-7, lambda i: columns[i])
+        got = maximize_scalar_batch(batch, 0.0, hi, 64, 1e-7, lambda elements: rows[elements])
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
     def test_batch_non_finite_column_names_abscissa(self):
-        def column(block):
-            return np.array([np.where(np.arange(3) == 1, np.nan if i == 2 else 0.0, 0.0)
-                             for i in range(block.start, block.stop)])
+        def rows(elements):
+            return np.array([[np.nan if (k, i) == (1, 2) else 0.0 for i in range(5)]
+                             for k in range(elements.start, elements.stop)])
 
         with pytest.raises(ValueError, match=r"non-finite value .*nan.* at x = 1\.0"):
             maximize_scalar_batch(lambda x: 0.0 * x, 0.0, np.array([1.0, 2.0, 3.0]), 5, 1e-7,
-                                  column)
+                                  rows)
+
+
+def quartic_search_cases():
+    """Two-humped quartics, one per element, over more than two coarse blocks.
+
+    Elements on both sides of each block boundary have two equal coarse
+    maxima, at grid indices 10 and 40 (the quartic's zeros, with no
+    linear term), so their ties must go to index 10 in either block.
+    """
+    rng = np.random.default_rng(3)
+    size = 2 * COARSE_BLOCK + 44
+    c = rng.uniform(0.0, 3.0, size)
+    d = rng.uniform(0.5, 4.0, size)
+    s = np.full(size, 0.3)
+    hi = rng.uniform(0.3, 8.0, size)
+    grid = coarse_abscissae(0.0, hi, 64)
+    tied = [COARSE_BLOCK - 1, COARSE_BLOCK, 2 * COARSE_BLOCK - 1, 2 * COARSE_BLOCK]
+    c[tied], d[tied], s[tied] = grid(10)[tied], grid(40)[tied], 0.0
+    return c, d, s, hi, tied
 
 
 class TestMaximizeScalarBatch:
-    def test_each_element_equals_scalar_search(self):
-        # Two-humped quartics, one per element, with only + - * so numpy
-        # and Python floats round alike: the lockstep search must then pick
-        # the scalar search's abscissa and value bit for bit, including
-        # elements whose golden-section step counts differ.
-        rng = np.random.default_rng(3)
-        c = rng.uniform(0.0, 3.0, 300)
-        d = rng.uniform(0.5, 4.0, 300)
-        hi = rng.uniform(0.3, 8.0, 300)
+    @staticmethod
+    def search_and_compare(tabulated):
+        # Objectives with only + - * so numpy and Python floats round
+        # alike: the lockstep search must then pick the scalar search's
+        # abscissa and value bit for bit, in every coarse block, whether
+        # it evaluates the coarse grid itself or reads a caller's rows.
+        c, d, s, hi, tied = quartic_search_cases()
 
         def batch(x):
-            return -((x - c) * (x - c)) * ((x - d) * (x - d)) + 0.3 * x
+            return -((x - c) * (x - c)) * ((x - d) * (x - d)) + s * x
 
-        xs, fs = maximize_scalar_batch(batch, 0.0, hi, 64, 1e-7)
-        for k in range(300):
-            ck, dk = float(c[k]), float(d[k])
+        grid = coarse_abscissae(0.0, hi, 64)
+        rows = batch(grid(np.arange(64)[:, None])).T
+        coarse = (lambda elements: rows[elements]) if tabulated else None
+        xs, fs = maximize_scalar_batch(batch, 0.0, hi, 64, 1e-7, coarse)
+        for k in range(hi.size):
+            ck, dk, sk = float(c[k]), float(d[k]), float(s[k])
             spec = ScalarSearchSpec(0.0, float(hi[k]), coarse_points=64, tol=1e-7)
-            x, f = maximize_scalar(lambda x: -((x - ck) * (x - ck)) * ((x - dk) * (x - dk)) + 0.3 * x, spec)
+            x, f = maximize_scalar(lambda x: -((x - ck) * (x - ck)) * ((x - dk) * (x - dk)) + sk * x,
+                                   spec)
             assert (xs[k], fs[k]) == (x, f)
+        # the tied elements keep the smaller of their two maxima
+        assert xs[tied].tolist() == grid(10)[tied].tolist()
+        assert fs[tied].tolist() == [0.0] * len(tied)
+        # the elements run different numbers of golden-section steps, so
+        # the steps with finished elements frozen run too
+        best = rows.argmax(axis=1)
+        width = grid(np.minimum(best + 1, 63)) - grid(np.maximum(best - 1, 0))
+        steps = {math.ceil(math.log(1e-7 / w) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+                 for w in width.tolist()}
+        assert len(steps) >= 3
+
+    def test_each_element_equals_scalar_search(self):
+        self.search_and_compare(tabulated=False)
+
+    def test_each_tabulated_element_equals_scalar_search(self):
+        self.search_and_compare(tabulated=True)
 
     def test_non_finite_objective_reported(self):
         with pytest.raises(ValueError, match="non-finite"):
             maximize_scalar_batch(lambda x: np.where(x > 0.5, np.nan, 0.0), 0.0, np.ones(3), 5, 1e-7)
 
+    def test_elements_on_one_axis(self):
+        with pytest.raises(ValueError, match=r"one axis of elements, got shape \(2, 2\)"):
+            maximize_scalar_batch(lambda x: 0.0 * x, 0.0, np.ones((2, 2)), 5, 1e-7)
+
 
 class TestCoarseBlocks:
-    """The lockstep search reads its coarse grid a block of columns at a time."""
+    """The lockstep search reads its coarse grid a block of elements at a time."""
 
-    HI = np.array([1.0, 2.0, 3.0])
+    HI = np.linspace(1.0, 3.0, 2 * COARSE_BLOCK + 44)
 
     def test_tie_across_block_boundary_goes_to_smaller_column(self):
-        # equal maxima at columns 7 and 8, the last of one block and the
-        # first of the next; the golden-section steps only see 0
-        def block(columns):
-            return np.array([[1.0 if i in (7, 8) else 0.0] * 3
-                             for i in range(columns.start, columns.stop)])
+        # every row has equal maxima at columns 7 and 8, and the elements
+        # on either side of a block boundary also at columns 0 and 63;
+        # the golden-section steps only see 0
+        edges = {COARSE_BLOCK - 1, COARSE_BLOCK, 2 * COARSE_BLOCK - 1, 2 * COARSE_BLOCK}
+
+        def block(elements):
+            return np.array([[1.0 if i in (7, 8) or (k in edges and i in (0, 63)) else 0.0
+                              for i in range(64)] for k in range(elements.start, elements.stop)])
 
         xs, fs = maximize_scalar_batch(lambda x: 0.0 * x, 0.0, self.HI, 64, 1e-7, block)
-        assert xs.tolist() == coarse_abscissae(0.0, self.HI, 64)(7).tolist()
-        assert fs.tolist() == [1.0, 1.0, 1.0]
+        grid = coarse_abscissae(0.0, self.HI, 64)
+        expected = np.where(np.isin(np.arange(self.HI.size), list(edges)), grid(0), grid(7))
+        assert xs.tolist() == expected.tolist()
+        assert fs.tolist() == [1.0] * self.HI.size
 
     def test_constant_objective_picks_first_column(self):
         xs, fs = maximize_scalar_batch(lambda x: 0.0 * x + 7.5, 2.0, self.HI + 2.0, 64, 1e-7)
-        assert xs.tolist() == [2.0, 2.0, 2.0]
-        assert fs.tolist() == [7.5, 7.5, 7.5]
+        assert xs.tolist() == [2.0] * self.HI.size
+        assert fs.tolist() == [7.5] * self.HI.size
 
     def test_non_finite_value_in_later_block_names_its_abscissa(self):
-        def block(columns):
-            return np.array([[math.nan if (i, k) == (37, 1) else 0.0 for k in range(3)]
-                             for i in range(columns.start, columns.stop)])
+        # the first non-finite value in the order of elements, not of
+        # columns: element 200 at column 37 before element 250 at column 3
+        bad = {(200, 37), (200, 40), (250, 3)}
 
-        x = float(coarse_abscissae(0.0, self.HI, 64)(37)[1])
+        def block(elements):
+            return np.array([[math.nan if (k, i) in bad else 0.0 for i in range(64)]
+                             for k in range(elements.start, elements.stop)])
+
+        x = float(coarse_abscissae(0.0, self.HI, 64)(37)[200])
         with pytest.raises(ValueError, match=rf"non-finite value .*nan.* at x = {re.escape(repr(x))}$"):
             maximize_scalar_batch(lambda x: 0.0 * x, 0.0, self.HI, 64, 1e-7, block)
 
     def test_blocks_are_small_and_cover_the_grid_once(self):
-        # a bounded block keeps every temporary of the search small
+        # a bounded block keeps every temporary of the search small; the
+        # blocks cover every element once, in order
         requested = []
 
-        def block(columns):
-            requested.append(columns)
-            return np.zeros((columns.stop - columns.start, 3))
+        def block(elements):
+            requested.append(elements)
+            return np.zeros((elements.stop - elements.start, 64))
 
         maximize_scalar_batch(lambda x: 0.0 * x, 0.0, self.HI, 64, 1e-7, block)
-        assert all(c.step is None and 0 < c.stop - c.start <= 8 for c in requested)
-        assert [i for c in requested for i in range(c.start, c.stop)] == list(range(64))
+        assert all(e.step is None and 0 < e.stop - e.start <= COARSE_BLOCK for e in requested)
+        assert COARSE_BLOCK * 64 * 8 <= 64 * 1024
+        assert [k for e in requested for k in range(e.start, e.stop)] == list(range(self.HI.size))
 
     def test_block_of_wrong_shape_rejected(self):
-        with pytest.raises(ValueError, match=r"expected coarse values of shape \(8, 3\), got \(3,\)"):
-            maximize_scalar_batch(lambda x: 0.0 * x, 0.0, self.HI, 64, 1e-7, lambda _: np.zeros(3))
+        for shape in [(3,), (64, 3), (3, 63)]:
+            expected = re.escape(f"expected coarse values of shape (3, 64), got {shape}")
+            with pytest.raises(ValueError, match=expected):
+                maximize_scalar_batch(lambda x: 0.0 * x, 0.0, self.HI[:3], 64, 1e-7,
+                                      lambda _: np.zeros(shape))
 
 
 class TestMaximizeGrid:

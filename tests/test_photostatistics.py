@@ -13,6 +13,7 @@ from bpskrx.photostatistics import (
     DetectorModel,
     below_threshold,
     branch_means,
+    exp_rows,
     hl_difference_pmf,
     hl_sign_error,
     pnr_pmf,
@@ -377,6 +378,47 @@ def raised(fn, *args, **kwargs):
     return str(info.value)
 
 
+def same_bits(a, b):
+    """Equal shapes and equal floats bit for bit, the sign of a zero included."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def loop_q_below_rows(x, n_th):
+    """q_below_rows as it was written with a term update after the last term."""
+    if n_th == 1:
+        return np.exp(-x)
+    term = np.exp(-x)
+    q0 = 0.0
+    for s in range(n_th):
+        q0 = q0 + term
+        term = term * (x / (s + 1))
+    return np.minimum(1.0, q0)
+
+
+class TestRowKernels:
+    """The row kernels equal their references element for element, bit for bit."""
+
+    def test_exp_rows_equals_math_exp(self):
+        # down to subnormal results (e^-740) and results that underflow to 0
+        x = np.array([0.0, -0.0, 1e-300, -5e-324, -1.0, 2.5, 700.0, -700.0, -708.5, -740.0,
+                      -744.4, -745.1, -745.2, -746.0, -1e4])
+        expected = np.array([math.exp(v) for v in x.tolist()])
+        assert same_bits(exp_rows(x), expected)
+        assert 0.0 < expected[9] < 2.2250738585072014e-308 and expected[-3:].tolist() == [0.0] * 3
+        swept = np.random.default_rng(7).uniform(-750.0, 709.0, 5000)
+        assert same_bits(exp_rows(swept), np.array([math.exp(v) for v in swept.tolist()]))
+        assert exp_rows(x[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("n_th", range(1, 9))
+    def test_q_below_rows_equals_loop(self, n_th):
+        x = np.concatenate(([0.0, 1e-9, 745.0, 5e-324, 1e3],
+                            np.random.default_rng(n_th).uniform(0.0, 40.0, 200)))
+        assert same_bits(q_below_rows(x, n_th), loop_q_below_rows(x, n_th))
+        table = x[:200].reshape(8, 25)  # the kernel also reads tables
+        assert same_bits(q_below_rows(table, n_th), loop_q_below_rows(table, n_th))
+
+
 class TestThresholdKernel:
     """``below_threshold`` and ``q_thresh`` equal the plain loop bit for bit."""
 
@@ -447,3 +489,32 @@ class TestDetectorModel:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             DetectorModel(**kwargs)
+
+
+class TestIntegerParameters:
+    """Counts accept Python and numpy integers, store Python ints, and reject bools."""
+
+    @pytest.mark.parametrize("resolution", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_resolution_stored_as_int(self, resolution):
+        model = DetectorModel(resolution, nu=1e-3)
+        assert type(model.resolution) is int
+        assert model == DetectorModel(2, nu=1e-3)
+        assert repr(model) == repr(DetectorModel(2, nu=1e-3))
+
+    @pytest.mark.parametrize("resolution", [True, False, 2.0, np.float64(2.0), np.bool_(True), "2"])
+    def test_non_integer_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match=r"resolution must be an integer >= 1, got "):
+            DetectorModel(resolution)
+
+    def test_pnr_pmf_resolution(self):
+        assert same_bits(pnr_pmf(1.3, np.int64(3)), pnr_pmf(1.3, 3))
+        for resolution in (True, 3.0, 0):
+            with pytest.raises(ValueError, match="resolution must be an integer >= 1"):
+                pnr_pmf(1.3, resolution)
+
+    def test_q_thresh_threshold(self):
+        assert q_thresh(1.3, np.int64(2), np.int64(2)) == q_thresh(1.3, 2, 2)
+        assert q_thresh(1.3, np.int64(1)) == q_thresh(1.3, 1)
+        for n_th in (True, False, 2.0):
+            with pytest.raises(ValueError, match="n_th must be an integer >= 1"):
+                q_thresh(1.3, n_th)
