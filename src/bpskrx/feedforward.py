@@ -53,9 +53,11 @@ from .optimize import (
 from .photostatistics import (
     DetectorModel,
     _check_count,
-    below_threshold,
+    _check_rate,
     hl_difference_pmf,
     hl_sign_error,
+    q_above_below,
+    q_above_below_table,
     q_above_rows,
     q_below_rows,
     q_thresh,
@@ -164,93 +166,117 @@ def step_rates(beta: float, amplitude: float, n_copies: int, xi: float = 1.0) ->
     """
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
+    amplitude = _check_rate(amplitude, "amplitude")  # _check_alpha's rule, under its own name
+    n_copies = _check_count("n_copies", n_copies)
     base = amplitude * amplitude / n_copies + beta * beta
     cross = 2.0 * xi * amplitude / math.sqrt(n_copies) * beta
     return StepRates(base + cross, base - cross)
 
 
-def _flip_probabilities(
-    amplitude: float, n_copies: int, model: DetectorModel, n_th: int
-) -> Callable[[float], tuple[float, float]]:
-    """Per-copy switch flip probabilities, as a function of beta.
+def _rate_coefficients(amplitude, n_copies: int, model: DetectorModel):
+    """(a2n, cross_coef) of a copy: its rates at displacement beta are eta (base -+ cross) + nu,
+    with base = a2n + beta^2 and cross = cross_coef * beta."""
+    return amplitude * amplitude / n_copies, 2.0 * model.xi * amplitude / math.sqrt(n_copies)
 
-    Returns flips(beta) = (false_flip, missed_flip) = (Q1(rate_minus),
-    Q0(rate_plus)): the probability that a copy flips a correct switch,
-    and that it fails to flip a wrong one. Neither depends on the
-    switch's error probability, so one table of them on the coarse beta
-    grid serves every copy of a recursion.
 
-    ``flips.step(e_prev)`` is the recursion's step objective at e_prev,
-    beta -> -((1 - e_prev) F + e_prev M), from the same code as flips
-    itself; it combines F and M in place, so an evaluation builds no
-    tuple and makes no call besides the kernels'.
+def _beta_spec(amplitude: float, n_copies: int) -> ScalarSearchSpec:
+    """The per-copy beta search: beta in [0, amplitude / sqrt(N) + 5]."""
+    return ScalarSearchSpec(lo=0.0, hi=amplitude / math.sqrt(n_copies) + BETA_MARGIN,
+                            coarse_points=BETA_COARSE_POINTS, tol=BETA_TOL)
+
+
+def _flip_tables(amplitude: float, n_copies: int, model: DetectorModel, resolution: int,
+                 spec: ScalarSearchSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-copy switch flip probabilities on the coarse beta grid, at thresholds 1..resolution.
+
+    Returns (false_flip, missed_flip) = (Q1(rate_minus), Q0(rate_plus)):
+    the probability that a copy flips a correct switch, and that it fails
+    to flip a wrong one, one row per threshold 1..resolution and one
+    column per grid point. Neither depends on the switch's error
+    probability, so one table serves every copy of a recursion, and its
+    rows serve the recursions of every threshold. The rates are the step
+    objective's, so the values equal its flip probabilities bit for bit.
     """
-    a2n = amplitude * amplitude / n_copies
-    cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n_copies)
-    eta, nu = model.eta, model.nu
-    expm1, exp = math.expm1, math.exp
-    # The threshold is checked here, once per recursion, as q_thresh checks
-    # it (1.0 and True are no thresholds); each rate is checked in line by
-    # the kernel.
-    on_off = n_th == 1
-    if on_off:
+    a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
+    beta = np.array(spec.coarse_grid())
+    base = a2n + beta * beta
+    cross = cross_coef * beta
+    return q_above_below_table(model.eta * (base - cross) + model.nu,
+                               model.eta * (base + cross) + model.nu, resolution)
+
+
+def _step_objective(amplitude: float, n_copies: int, model: DetectorModel,
+                    n_th: int) -> Callable[[float], Callable[[float], float]]:
+    """The recursion's one step, negated, as a function of the error it starts from.
+
+    step(e_prev) is beta -> -e', where e' = (1 - e_prev) F + e_prev M is
+    the error after one more copy displaced by beta, with F = Q1(rate_minus)
+    and M = Q0(rate_plus) as in ``_flip_tables``. It is negated so the
+    maximizers can be reused for minimization. The threshold is checked
+    here, as q_thresh checks it (1.0 and True are no thresholds); at
+    n_th >= 2 each rate is checked in line by the kernel, which sums F's
+    and M's partial sums in one loop.
+    """
+    a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
+    # Python floats throughout, as q_thresh's float(x) gave them
+    a2n, cross_coef, eta, nu = float(a2n), float(cross_coef), float(model.eta), float(model.nu)
+    if n_th == 1:
         _check_count("n_th", n_th)
-    else:
-        # Python floats throughout, as q_thresh's float(x) gave them
-        q_thresh(0.0, n_th, model.resolution)
-        below = below_threshold(n_th)
-        a2n, cross_coef, eta, nu = float(a2n), float(cross_coef), float(eta), float(nu)
+        expm1, exp = math.expm1, math.exp
 
-    def step(e_prev: float | None) -> Callable[[float], float | tuple[float, float]]:
-        p_prev = None if e_prev is None else 1.0 - e_prev
+        def on_off(e_prev: float) -> Callable[[float], float]:
+            p_prev = 1.0 - e_prev
 
-        def at(beta: float):
+            def at(beta: float) -> float:
+                base = a2n + beta * beta
+                cross = cross_coef * beta
+                false_flip = -expm1(-(eta * (base - cross) + nu))
+                missed_flip = exp(-(eta * (base + cross) + nu))
+                return -(p_prev * false_flip + e_prev * missed_flip)
+
+            return at
+
+        return on_off
+
+    q_thresh(0.0, n_th, model.resolution)
+    flips = q_above_below(n_th)
+
+    def threshold(e_prev: float) -> Callable[[float], float]:
+        p_prev = 1.0 - e_prev
+
+        def at(beta: float) -> float:
             base = a2n + beta * beta
             cross = cross_coef * beta
-            rate_minus = eta * (base - cross) + nu
-            rate_plus = eta * (base + cross) + nu
-            if on_off:
-                false_flip, missed_flip = -expm1(-rate_minus), exp(-rate_plus)
-            else:
-                false_flip, missed_flip = 1.0 - below(rate_minus), below(rate_plus)
-            if p_prev is None:
-                return false_flip, missed_flip
+            false_flip, missed_flip = flips(eta * (base - cross) + nu, eta * (base + cross) + nu)
             return -(p_prev * false_flip + e_prev * missed_flip)
 
         return at
 
-    flips = step(None)
-    flips.step = step
-    return flips
+    return threshold
 
 
-def _negated_step_error(
-    e_prev: float,
-    flips: Callable[[float], tuple[float, float]],
-    table: Sequence[tuple[float, float]],
-) -> tuple[Callable[[float], float], list[float]]:
-    """Negated error probability after one more copy: as a function of beta, and on a grid.
+def _coarse_step(e_prev: float, false_flip: np.ndarray, missed_flip: np.ndarray) -> np.ndarray:
+    """The step objective at e_prev on the coarse grid, from one threshold's table rows.
 
-    The recursion's one step, e' = (1 - e) Q1(rate_minus) + e Q0(rate_plus),
-    returned negated so the maximizers can be reused for minimization.
-    ``table`` holds ``flips`` at the grid's abscissae; the grid values
-    use the objective's arithmetic, so they equal it there bit for bit.
+    -(p F + e M) elementwise, each operation one IEEE operation as in the
+    objective, so the values equal it bit for bit, the sign of a zero
+    included.
     """
-    p_prev = 1.0 - e_prev
-    coarse = [-(p_prev * false_flip + e_prev * missed_flip) for false_flip, missed_flip in table]
-    return flips.step(e_prev), coarse
+    values = false_flip * (1.0 - e_prev)
+    values += missed_flip * e_prev
+    return np.negative(values, out=values)
 
 
 def _error_trace(e_initial: float, betas: Sequence[float], amplitude: float, n_copies: int,
                  model: DetectorModel, n_th: int) -> list[float]:
     """Error trace e_0..e_N of the recursion's step at fixed displacements."""
-    flips = _flip_probabilities(amplitude, n_copies, model, n_th)
+    amplitude = _check_rate(amplitude, "amplitude")  # _check_alpha's rule, under its own name
+    step = _step_objective(amplitude, n_copies, model, n_th)
     errors = [e_initial]
     for beta in betas:
         if not 0.0 <= beta < math.inf:
             raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
-        negated, _ = _negated_step_error(errors[-1], flips, ())
-        errors.append(-negated(float(beta)))
+        errors.append(-step(errors[-1])(float(beta)))
     return errors
 
 
@@ -265,8 +291,7 @@ def step_correct_prob(
     """One step of the correct-decision recursion at a fixed displacement."""
     if not 0.0 <= p_prev <= 1.0:
         raise ValueError(f"p_prev must be in [0, 1], got {p_prev!r}")
-    if n_copies < 1:
-        raise ValueError("n_copies must be >= 1")
+    n_copies = _check_count("n_copies", n_copies)
     return 1.0 - _error_trace(1.0 - p_prev, (beta,), amplitude, n_copies, model, n_th)[-1]
 
 
@@ -287,41 +312,46 @@ def correct_probability_trace(
     return tuple(1.0 - e for e in errors)
 
 
-def _optimized_recursion(
-    amplitude: float, n_copies: int, model: DetectorModel, n_th: int, e_initial: float
-) -> tuple[list[float], tuple[float, ...]]:
-    """Greedy per-step displacement optimization in error space.
+def _greedy_recursion(spec: ScalarSearchSpec, step: Callable[[float], Callable[[float], float]],
+                      false_flip: np.ndarray, missed_flip: np.ndarray, n_copies: int,
+                      e_initial: float) -> tuple[list[float], tuple[float, ...]]:
+    """Greedy per-step displacement optimization in error space: (errors e_0..e_N, betas).
 
-    Returns (error trace e_0..e_N, betas).
-
-    Computed once per recursion: the search spec and its coarse beta
-    grid, the threshold check, and the flip probabilities on that grid.
-    None of them depends on the copy, so each copy's search sees the
-    same floats it would compute itself. Each copy's objective depends on
-    the copy only through e_prev, the error it starts from. A copy that
-    ends where it started (e_j == e_{j-1}) is a fixed point: every later
-    copy starts from that same float, so its search would repeat this
-    one exactly, and its (beta, error) is reused instead of searched.
+    Each copy searches ``step(e_prev)`` on ``spec``, seeded with the
+    objective on the coarse grid from one threshold's rows of
+    ``_flip_tables``. Each copy's objective depends on the copy only
+    through e_prev, the error it starts from. A copy that ends where it
+    started (e_j == e_{j-1}) is a fixed point: every later copy starts
+    from that same float, so its search would repeat this one exactly,
+    and its (beta, error) is reused instead of searched.
     """
-    spec = ScalarSearchSpec(
-        lo=0.0,
-        hi=amplitude / math.sqrt(n_copies) + BETA_MARGIN,
-        coarse_points=BETA_COARSE_POINTS,
-        tol=BETA_TOL,
-    )
-    flips = _flip_probabilities(amplitude, n_copies, model, n_th)
-    table = [flips(beta) for beta in spec.coarse_grid()]
     errors = [e_initial]
     betas: list[float] = []
     while len(betas) < n_copies:
         e_prev = errors[-1]
-        objective, coarse = _negated_step_error(e_prev, flips, table)
-        beta, negated = maximize_scalar(objective, spec, coarse)
+        beta, negated = maximize_scalar(step(e_prev), spec,
+                                        _coarse_step(e_prev, false_flip, missed_flip))
         # at a fixed point every later copy would repeat this search
         repeats = n_copies - len(betas) if -negated == e_prev else 1
         betas += [beta] * repeats
         errors += [-negated] * repeats
     return errors, tuple(betas)
+
+
+def _optimized_recursion(
+    amplitude: float, n_copies: int, model: DetectorModel, n_th: int, e_initial: float
+) -> tuple[list[float], tuple[float, ...]]:
+    """The greedy recursion at one click threshold: (error trace e_0..e_N, betas).
+
+    Computed once per recursion: the search spec and its coarse beta
+    grid, the threshold check, and the flip probabilities on that grid.
+    None of them depends on the copy, so each copy's search sees the
+    same floats it would compute itself.
+    """
+    spec = _beta_spec(amplitude, n_copies)
+    step = _step_objective(amplitude, n_copies, model, n_th)
+    false_flip, missed_flip = _flip_tables(amplitude, n_copies, model, n_th, spec)
+    return _greedy_recursion(spec, step, false_flip[-1], missed_flip[-1], n_copies, e_initial)
 
 
 def _threshold_candidates(model: DetectorModel) -> list[int]:
@@ -343,14 +373,25 @@ def _result(alpha: float, errors: Sequence[float], betas: tuple[float, ...] = ()
 
 def _threshold_scan(amplitude: float, cfg: FeedForwardConfig,
                     e_initial: float) -> tuple[list[float], tuple[float, ...], int]:
-    """The optimized recursion at the best click threshold: (errors, betas, n_th)."""
+    """The optimized recursion at the best click threshold: (errors, betas, n_th).
+
+    The coarse beta grid depends on the amplitude and N only, so one
+    pass of ``_flip_tables`` gives the flip probabilities of every
+    candidate threshold, and each threshold's recursion reads its own
+    rows: the same floats ``_optimized_recursion`` computes for it.
+    """
+    model, n = cfg.model, cfg.n_copies
+    candidates = _threshold_candidates(model)
+    spec = _beta_spec(amplitude, n)
+    false_flip, missed_flip = _flip_tables(amplitude, n, model, candidates[-1], spec)
     runs: dict[int, tuple[list[float], tuple[float, ...]]] = {}
 
     def negated_error(n_th: int) -> float:
-        runs[n_th] = _optimized_recursion(amplitude, cfg.n_copies, cfg.model, n_th, e_initial)
+        runs[n_th] = _greedy_recursion(spec, _step_objective(amplitude, n, model, n_th),
+                                       false_flip[n_th - 1], missed_flip[n_th - 1], n, e_initial)
         return -runs[n_th][0][-1]
 
-    n_th, _ = scan_discrete(negated_error, _threshold_candidates(cfg.model))
+    n_th, _ = scan_discrete(negated_error, candidates)
     return (*runs[n_th], n_th)
 
 
@@ -389,15 +430,14 @@ def _flip_rows(
     amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th: int
 ) -> tuple[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
            Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]]:
-    """``_flip_probabilities`` for arrays; beta broadcasts against amplitude.
+    """``_step_objective`` and its flip probabilities for arrays; beta broadcasts against amplitude.
 
     Returns (flips, step): flips(beta) = (F, M), and step(e_prev) the
     step objective at the array e_prev, beta -> -((1 - e_prev) F +
     e_prev M), element by element, equal bit for bit to the objective
     built from flips.
     """
-    a2n = amplitude * amplitude / n_copies
-    cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n_copies)
+    a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
     eta, nu = model.eta, model.nu
 
     def flips(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,11 +21,11 @@ indices; in a golden-section step the first element's.
 array of one element would only add overhead.
 
 Both 1-D searches accept the objective's values on the coarse grid from
-the caller (``ScalarSearchSpec.coarse_grid``; ``coarse_abscissae``, the
-rows of a block of elements per call): a caller that runs many searches
-on one grid, with objectives built from the same per-abscissa terms,
-tabulates those terms once instead of calling f at every coarse point
-of every search. The values must equal f on the grid; they only change
+the caller (``ScalarSearchSpec.coarse_grid``, one array per search;
+``coarse_abscissae``, the rows of a block of elements per call): a
+caller that runs many searches on one grid, with objectives built from
+the same per-abscissa terms, tabulates those terms once instead of
+calling f at every coarse point of every search. The values must equal f on the grid; they only change
 who computes them, and the search from there on, with its checks and
 tie rule, is the same.
 """
@@ -137,13 +137,14 @@ def _checked(f: Callable, x, label: str) -> float:
     return value
 
 
-def _checked_values(values: Sequence[float], points: Sequence, label: str) -> list[float]:
-    values = list(map(float, values))
-    if len(values) != len(points):
-        raise ValueError(f"expected {len(points)} objective values, got {len(values)}")
-    if not all(map(math.isfinite, values)):
-        i = next(i for i, value in enumerate(values) if not math.isfinite(value))
-        raise _non_finite(values[i], points[i], label)
+def _checked_values(values, points: Sequence, label: str) -> np.ndarray:
+    """values as a float array of one value per point, checked finite once."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(f"expected {len(points)} objective values, got {values.size}")
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))
+        raise _non_finite(float(values[i]), points[i], label)
     return values
 
 
@@ -166,7 +167,7 @@ def _axis_grid(lo: float, hi: float, n: int) -> list[float]:
 def maximize_scalar(
     f: Callable[[float], float],
     spec: ScalarSearchSpec,
-    coarse_values: Sequence[float] | None = None,
+    coarse_values: Sequence[float] | np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Maximize f on [lo, hi]; returns (x_star, f_star).
 
@@ -176,24 +177,25 @@ def maximize_scalar(
     improvement.
 
     ``coarse_values``, when given, are f at ``spec.coarse_grid()``, in
-    order, computed by the caller; they must equal f there. The search
-    then calls f only for its golden-section steps, and a non-finite
-    value is reported as if f had returned it.
+    order, computed by the caller: an array (or a sequence) of one value
+    per grid point, which must equal f there. The search then calls f
+    only for its golden-section steps. A wrong number of values raises a
+    ValueError; so does a non-finite value, reported as if f had
+    returned it. The values are checked once, as a whole.
 
     The coarse grid is the spec's own, computed at its first search and
     reused by every later search on the same spec; only the values and
-    the golden-section steps are new per call. Each value of f is
+    the golden-section steps are new per call. Each value f returns is
     checked to be finite as it arrives, and the first that is not
-    raises a ValueError naming its abscissa.
+    raises a ValueError naming its abscissa. The coarse maximum is the
+    first of equal values (argmax), so ties go to the smallest abscissa.
     """
     grid = spec._coarse_grid
     if coarse_values is None:
-        values = [_checked(f, x, "x") for x in grid]
-    else:
-        values = _checked_values(coarse_values, grid, "x")
-    # max keeps the first of equal values, as a strict-> scan does
-    best_f = max(values)
-    best_i = values.index(best_f)
+        coarse_values = [_checked(f, x, "x") for x in grid]
+    values = _checked_values(coarse_values, grid, "x")
+    best_i = int(values.argmax())
+    best_f = float(values[best_i])
     best_x = grid[best_i]
     a = grid[max(best_i - 1, 0)]
     b = grid[min(best_i + 1, len(grid) - 1)]
@@ -296,6 +298,8 @@ def maximize_scalar_batch(
     if lo.ndim != 1:
         raise ValueError(f"lo and hi must broadcast to one axis of elements, got shape {lo.shape}")
     size, last = lo.size, coarse_points - 1
+    if size == 0:
+        return np.empty(0), np.empty(0)
     grid = coarse_abscissae(lo, hi, coarse_points)
     if coarse_values is None:
         table = np.asarray(f(grid(np.arange(coarse_points)[:, None])), dtype=float).T

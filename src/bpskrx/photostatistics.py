@@ -36,7 +36,8 @@ __all__ = [
     "q_off",
     "q_on",
     "q_thresh",
-    "below_threshold",
+    "q_above_below",
+    "q_above_below_table",
     "q_below_rows",
     "q_above_rows",
     "exp_rows",
@@ -305,29 +306,72 @@ def q_on(x: float) -> float:
     return -math.expm1(-_check_rate(x))
 
 
-def below_threshold(n_th: int) -> Callable[[float], float]:
-    """q0 of ``q_thresh`` as a function of the rate, for one threshold n_th >= 2.
+def q_above_below(n_th: int) -> Callable[[float, float], tuple[float, float]]:
+    """(q1 at rate x, q0 at rate y) of ``q_thresh``, for one threshold n_th >= 2.
 
-    The one place the Poisson partial sum q0 = P(count < n_th) is
-    computed term by term. n_th is taken as given, so a caller that
+    The scalar Poisson partial sum q0 = P(count < n_th), term by term,
+    for two rates in one loop: a step of the feed-forward recursion needs
+    q1 of one rate and q0 of another, and ``q_thresh(x, n_th)`` is the
+    pair at (x, x), swapped. n_th is taken as given, so a caller that
     evaluates many rates at one threshold validates it once; each rate
-    is checked in line and raises ``q_thresh``'s ValueError.
+    is checked in line and raises ``q_thresh``'s ValueError, x before y.
     """
     exp, inf = math.exp, math.inf
     divisors = tuple(float(s + 1) for s in range(n_th - 1))
 
-    def q0(x: float) -> float:
-        if not 0.0 <= x < inf:
+    def pair(x: float, y: float) -> tuple[float, float]:
+        if not (0.0 <= x < inf and 0.0 <= y < inf):
             _check_rate(x)
-        # term_s = e^-x x^s / s!, summed for s < n_th, clamped to 1
-        term = exp(-x)
-        total = term
+            _check_rate(y)
+        # term_s = e^-rate rate^s / s!, summed for s < n_th, clamped to 1
+        term_x = exp(-x)
+        term_y = exp(-y)
+        below_x, below_y = term_x, term_y
         for divisor in divisors:
-            term *= x / divisor
-            total += term
-        return total if total < 1.0 else 1.0
+            term_x *= x / divisor
+            below_x += term_x
+            term_y *= y / divisor
+            below_y += term_y
+        return 1.0 - (below_x if below_x < 1.0 else 1.0), (below_y if below_y < 1.0 else 1.0)
 
-    return q0
+    return pair
+
+
+def q_above_below_table(x: np.ndarray, y: np.ndarray,
+                        resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """``q_above_below`` at every threshold 1..resolution, element by element, in one pass.
+
+    Returns (q1, q0), each of shape (resolution, size): row n_th - 1 holds
+    q1 of ``q_thresh(x[k], n_th)`` and q0 of ``q_thresh(y[k], n_th)``, bit
+    for bit. Each term term_s = term_(s-1) * (rate / s) is computed once,
+    and the running sum after s + 1 terms is q0 at threshold s + 1, in
+    the summation order of ``q_above_below``. Row 0 is the on/off pair
+    (-expm1(-x), exp(-y)); it takes any float, so that a rate rounded
+    below 0 at a nulling displacement gives its small negative
+    on-probability, as the on/off formulas do. With rows above it, every
+    rate is checked first and the first bad one, in the order x[0], y[0],
+    x[1], ..., raises ``q_thresh``'s ValueError.
+    """
+    if resolution > 1:
+        rates = np.stack((x, y), axis=1).ravel()
+        bad = ~((rates >= 0.0) & (rates < math.inf))
+        if bad.any():
+            _check_rate(float(rates[np.argmax(bad)]))
+    above = np.empty((resolution, x.size))
+    below = np.empty((resolution, y.size))
+    above[0] = -np.fromiter(map(math.expm1, (-x).tolist()), dtype=float, count=x.size)
+    term_x = total_x = exp_rows(-x)
+    term_y = total_y = exp_rows(-y)
+    below[0] = term_y
+    for s in range(1, resolution):
+        divisor = float(s)
+        term_x = term_x * (x / divisor)
+        total_x = total_x + term_x
+        term_y = term_y * (y / divisor)
+        total_y = total_y + term_y
+        np.subtract(1.0, np.minimum(total_x, 1.0), out=above[s])
+        np.minimum(total_y, 1.0, out=below[s])
+    return above, below
 
 
 def q_thresh(x: float, n_th: int, resolution: int | None = None) -> tuple[float, float]:
@@ -335,8 +379,10 @@ def q_thresh(x: float, n_th: int, resolution: int | None = None) -> tuple[float,
 
     q0 = P(count < n_th) for a Poisson count at rate x, q1 = 1 - q0.
     n_th = 1 reduces exactly to the on/off pair (q_off, q_on); above it
-    q0 is the ``below_threshold`` kernel and q1 = 1 - q0, which cancels
-    to 0 at small rates (the direct upper-tail sum is not used here).
+    q0 is the ``q_above_below`` kernel at (x, x) and q1 = 1 - q0, which
+    cancels to 0 at small rates (the direct upper-tail sum is not used
+    here). ``q_above_below_table`` gives the pair at every threshold at
+    once, bit for bit.
     When ``resolution`` is given, n_th must not exceed it.
     """
     x = _check_rate(x)
@@ -345,8 +391,8 @@ def q_thresh(x: float, n_th: int, resolution: int | None = None) -> tuple[float,
         raise ValueError(f"n_th must be <= resolution {resolution}, got {n_th}")
     if n_th == 1:
         return math.exp(-x), -math.expm1(-x)
-    q0 = below_threshold(n_th)(x)
-    return q0, 1.0 - q0
+    q1, q0 = q_above_below(n_th)(x, x)
+    return q0, q1
 
 
 def q_below_rows(x: np.ndarray, n_th: int) -> np.ndarray:

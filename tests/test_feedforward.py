@@ -1,6 +1,7 @@
 """Feed-forward recursions: hand values, reductions, orderings, saturation floors."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -28,11 +29,12 @@ from bpskrx.feedforward import (
     BETA_COARSE_POINTS,
     BETA_MARGIN,
     BETA_TOL,
-    _flip_probabilities,
+    _coarse_step,
     _flip_rows,
+    _flip_tables,
     _hybrid_error_batch,
     _hybrid_recursion,
-    _negated_step_error,
+    _step_objective,
 )
 from bpskrx.optimize import COARSE_BLOCK, ScalarSearchSpec, coarse_abscissae, maximize_scalar
 from bpskrx.photostatistics import DetectorModel, hl_sign_error, q_thresh
@@ -70,6 +72,35 @@ class TestStepRates:
             step_rates(math.nan, 1.0, 1)
         with pytest.raises(ValueError, match="beta must be >= 0"):
             correct_probability_trace(1.0, (math.nan,), IDEAL2)
+
+    # n_copies must be an integer >= 1 (a bool is no count); the amplitude
+    # finite and >= 0, the rule of alpha
+    BAD_COPIES = [0, -1, 2.5, 1.0, True, None]
+    BAD_AMPLITUDES = [math.nan, math.inf, -math.inf, -0.1]
+
+    @pytest.mark.parametrize("n_copies", BAD_COPIES)
+    def test_bad_copies_rejected(self, n_copies):
+        message = rf"n_copies must be an integer >= 1, got {re.escape(repr(n_copies))}$"
+        with pytest.raises(ValueError, match=message):
+            step_rates(0.4, 1.0, n_copies)
+        with pytest.raises(ValueError, match=message):
+            step_correct_prob(0.5, 0.4, 1.0, n_copies, IDEAL2)
+
+    @pytest.mark.parametrize("amplitude", BAD_AMPLITUDES)
+    @pytest.mark.parametrize("n_th", [1, 2])
+    def test_bad_amplitude_rejected(self, amplitude, n_th):
+        message = "amplitude must be"
+        with pytest.raises(ValueError, match=message):
+            step_rates(0.4, amplitude, 1)
+        with pytest.raises(ValueError, match=message):
+            step_correct_prob(0.5, 0.4, amplitude, 1, DetectorModel(2, nu=1e-3), n_th)
+        with pytest.raises(ValueError, match=message):
+            correct_probability_trace(1.0, [0.4], IDEAL2, n_th, amplitude=amplitude)
+
+    def test_numpy_copies_and_amplitude_accepted(self):
+        assert step_rates(0.4, np.float64(1.0), np.int64(4)) == step_rates(0.4, 1.0, 4)
+        assert (step_correct_prob(0.5, 0.4, np.float64(1.0), np.int64(4), IDEAL2)
+                == step_correct_prob(0.5, 0.4, 1.0, 4, IDEAL2))
 
     @pytest.mark.parametrize("n_th", [1, 2])
     def test_infinite_beta_rejected(self, n_th):
@@ -502,17 +533,41 @@ class TestCoarseTable:
                                        DetectorModel(8, nu=1e-3), DetectorModel(2, xi=0.998)])
     @pytest.mark.parametrize("amplitude, n", [(1.0, 1), (math.sqrt(3.0), 5)])
     def test_coarse_values_equal_objective(self, model, amplitude, n):
+        # the table of every threshold in one pass: each threshold's rows
+        # equal the table built for that threshold alone, and the coarse
+        # values from them equal the objective and the reference objective
+        # on the grid, sign bits included
         spec = ScalarSearchSpec(0.0, amplitude / math.sqrt(n) + BETA_MARGIN,
                                 BETA_COARSE_POINTS, BETA_TOL)
         grid = spec.coarse_grid()
+        false_flip, missed_flip = _flip_tables(amplitude, n, model, model.resolution, spec)
+        assert false_flip.shape == missed_flip.shape == (model.resolution, BETA_COARSE_POINTS)
         for n_th in range(1, model.resolution + 1):
-            flips = _flip_probabilities(amplitude, n, model, n_th)
-            table = [flips(beta) for beta in grid]
+            alone = _flip_tables(amplitude, n, model, n_th, spec)
+            assert same_bits(alone[0][-1], false_flip[n_th - 1])
+            assert same_bits(alone[1][-1], missed_flip[n_th - 1])
+            step = _step_objective(amplitude, n, model, n_th)
             for e_prev in (0.5, 1e-3, 1e-300, 0.0):
-                objective, coarse = _negated_step_error(e_prev, flips, table)
+                coarse = _coarse_step(e_prev, false_flip[n_th - 1], missed_flip[n_th - 1])
                 reference = reference_step_error(e_prev, amplitude, n, model, n_th)
-                assert coarse == [objective(beta) for beta in grid]
-                assert coarse == [reference(beta) for beta in grid]
+                assert same_bits(coarse, [step(e_prev)(beta) for beta in grid])
+                assert same_bits(coarse, [reference(beta) for beta in grid])
+
+    @pytest.mark.parametrize("model", [DetectorModel(64), DetectorModel(64, nu=1e-3),
+                                       DetectorModel(64, eta=0.7, xi=0.998)])
+    def test_step_equals_q_thresh_formula(self, model):
+        # the fused partial sums against -(p q1(rate_minus) + e q0(rate_plus))
+        # from q_thresh, sign bits included, at every threshold: low and
+        # high rates, exp underflow (amplitude 40 at N = 1) and, for the
+        # ideal model, the exact null beta = amplitude / sqrt(N) = 1
+        cases = [(2.0, 4, beta) for beta in (0.0, 1e-9, 0.3, 1.0, 2.5, 7.0)]
+        cases += [(40.0, 1, beta) for beta in (0.0, 5.0, 44.0)] + [(1e-3, 10, 0.0)]
+        for n_th in range(1, 65):
+            for e_prev in (0.0, 1e-300, 1e-3, 0.5, 1.0):
+                for amplitude, n, beta in cases:
+                    expected = reference_step_error(e_prev, amplitude, n, model, n_th)(beta)
+                    value = _step_objective(amplitude, n, model, n_th)(e_prev)(beta)
+                    assert same_bits(value, expected), (n_th, e_prev, amplitude, n, beta)
 
     @pytest.mark.parametrize("model", [IDEAL2, DARK2, DetectorModel(8, nu=1e-3),
                                        DetectorModel(2, xi=0.998)])
@@ -521,7 +576,8 @@ class TestCoarseTable:
         copies = []
 
         def comparing(f, spec, coarse):
-            assert coarse == [f(beta) for beta in spec.coarse_grid()]
+            assert isinstance(coarse, np.ndarray)
+            assert same_bits(coarse, [f(beta) for beta in spec.coarse_grid()])
             copies.append(spec.hi)
             return search(f, spec, coarse)
 
@@ -619,6 +675,32 @@ class TestRecursionReuse:
             for n_th in feedforward._threshold_candidates(model):
                 assert (feedforward._optimized_recursion(amplitude, n, model, n_th, e_initial)
                         == reference_recursion(amplitude, n, model, n_th, e_initial))
+
+    @pytest.mark.parametrize("model, n", [(DetectorModel(64, nu=1e-3), 1),
+                                          (DetectorModel(64, nu=1e-3), 10),
+                                          (DetectorModel(8, xi=0.998), 10)])
+    def test_scan_equals_plain_loop_at_every_threshold(self, model, n, monkeypatch):
+        # the scan's recursions read their rows of one shared table; each
+        # equals the plain loop at its threshold, and the scan picks the
+        # first best of them
+        recursion = feedforward._greedy_recursion
+        runs = []
+
+        def recording(*args):
+            runs.append(recursion(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(feedforward, "_greedy_recursion", recording)
+        candidates = feedforward._threshold_candidates(model)
+        for alpha2, e_initial in ((1.0, 0.5), (20.0, 0.05)):
+            runs.clear()
+            amplitude = math.sqrt(alpha2)
+            errors, betas, n_th = feedforward._threshold_scan(amplitude, cfg(n, model), e_initial)
+            expected = [reference_recursion(amplitude, n, model, k, e_initial) for k in candidates]
+            assert runs == expected
+            finals = [e[-1] for e, _ in expected]
+            assert n_th == candidates[finals.index(min(finals))]
+            assert (errors, betas) == expected[n_th - 1]
 
     def test_fixed_point_copies_run_no_search(self, monkeypatch):
         search = feedforward.maximize_scalar

@@ -121,16 +121,33 @@ class TestCoarseValues:
         grid = spec.coarse_grid()
         assert seen[:spec.coarse_points] == grid
         refinement = seen[spec.coarse_points:]
-        seen.clear()
-        assert maximize_scalar(recording, spec, [f(x) for x in grid]) == expected
-        assert seen == refinement
+        for coarse in ([f(x) for x in grid], np.array([f(x) for x in grid])):
+            seen.clear()
+            result = maximize_scalar(recording, spec, coarse)
+            assert result == expected and [type(v) for v in result] == [float, float]
+            assert seen == refinement
 
     def test_non_finite_value_names_abscissa(self):
         spec = ScalarSearchSpec(0.0, 1.0, coarse_points=5, tol=1e-7)
-        with pytest.raises(ValueError, match=r"non-finite value nan at x = 0\.5"):
-            maximize_scalar(lambda x: 0.0, spec, [0.0, 0.0, math.nan, 0.0, 0.0])
-        with pytest.raises(ValueError, match="expected 5 objective values"):
-            maximize_scalar(lambda x: 0.0, spec, [0.0] * 4)
+        for values in (list, np.array):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=rf"non-finite value {bad!r} at x = 0\.5$"):
+                    maximize_scalar(lambda x: 0.0, spec, values([0.0, 0.0, bad, -math.inf, 0.0]))
+            for size in (4, 6):
+                with pytest.raises(ValueError, match=f"expected 5 objective values, got {size}$"):
+                    maximize_scalar(lambda x: 0.0, spec, values([0.0] * size))
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_coarse_tie_goes_to_first_value(self, as_array):
+        # equal coarse maxima, signed zeros among them: the first one wins,
+        # with its own sign, as max/index over a list did
+        spec = ScalarSearchSpec(0.0, 1.0, coarse_points=5, tol=1e-7)
+        values = np.array if as_array else list
+        for coarse, index in (([-1.0, -0.0, 0.0, -0.0, -1.0], 1), ([-1.0, 0.0, -0.0, 0.0, -1.0], 1),
+                              ([-2.0, -1.0, -1.0, -2.0, -1.0], 1)):
+            x, f = maximize_scalar(lambda x: -3.0, spec, values(coarse))
+            assert x == spec.coarse_grid()[index]
+            assert math.copysign(1.0, f) == math.copysign(1.0, coarse[index]) and f == coarse[index]
 
     # the golden-section evaluations: the first two abscissae, the first
     # and the last step of the loop, and the closing midpoint
@@ -244,6 +261,16 @@ class TestMaximizeScalarBatch:
     def test_non_finite_objective_reported(self):
         with pytest.raises(ValueError, match="non-finite"):
             maximize_scalar_batch(lambda x: np.where(x > 0.5, np.nan, 0.0), 0.0, np.ones(3), 5, 1e-7)
+
+    def test_no_elements(self):
+        def f(x):
+            raise AssertionError("no element to evaluate")
+
+        for hi in (np.ones(0), []):
+            x, value = maximize_scalar_batch(f, 0.0, hi, 8, 1e-7)
+            assert x.shape == value.shape == (0,) and x.dtype == value.dtype == float
+        x, value = maximize_scalar_batch(f, np.zeros(0), 1.0, 8, 1e-7, lambda elements: f(None))
+        assert x.shape == value.shape == (0,)
 
     def test_elements_on_one_axis(self):
         with pytest.raises(ValueError, match=r"one axis of elements, got shape \(2, 2\)"):

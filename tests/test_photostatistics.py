@@ -11,12 +11,13 @@ from bpskrx.feedforward import correct_probability_trace, step_correct_prob
 from bpskrx.photostatistics import (
     BranchMeans,
     DetectorModel,
-    below_threshold,
     branch_means,
     exp_rows,
     hl_difference_pmf,
     hl_sign_error,
     pnr_pmf,
+    q_above_below,
+    q_above_below_table,
     q_above_rows,
     q_below_rows,
     q_off,
@@ -420,32 +421,85 @@ class TestRowKernels:
 
 
 class TestThresholdKernel:
-    """``below_threshold`` and ``q_thresh`` equal the plain loop bit for bit."""
+    """``q_above_below``, its table and ``q_thresh`` equal the plain loop bit for bit."""
 
     @pytest.mark.parametrize("n_th", range(2, 65))
     def test_equals_loop(self, n_th):
-        kernel = below_threshold(n_th)
-        for x in (0.0, 5e-324, 1e-12, 1e-3, 1.0, n_th - 1.0, n_th + 1.0, 70.0, 1e3):
+        kernel = q_above_below(n_th)
+        # at 0.0450768100853598 (n_th = 9) and 0.9646329473090614 (n_th = 46)
+        # the partial sum rounds to 1 + 2^-52 and is clamped
+        rates = (0.0, 5e-324, 1e-12, 1e-3, 0.0450768100853598, 0.9646329473090614, 1.0,
+                 n_th - 1.0, n_th + 1.0, 70.0, 1e3)
+        for x in rates:
             expected = term_by_term_q_thresh(x, n_th)
-            assert kernel(x) == expected[0]
+            assert kernel(x, x) == expected[::-1]
             assert q_thresh(x, n_th) == expected
+        # the two partial sums of one call do not mix
+        for x, y in zip(rates, rates[::-1]):
+            assert kernel(x, y) == (term_by_term_q_thresh(x, n_th)[1],
+                                    term_by_term_q_thresh(y, n_th)[0])
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(x=st.floats(0.0, 1e4, allow_subnormal=True), n_th=st.integers(2, 64))
-    def test_equals_loop_swept(self, x, n_th):
+    @given(x=st.floats(0.0, 1e4, allow_subnormal=True), y=st.floats(0.0, 1e4, allow_subnormal=True),
+           n_th=st.integers(2, 64))
+    def test_equals_loop_swept(self, x, y, n_th):
         expected = term_by_term_q_thresh(x, n_th)
-        assert below_threshold(n_th)(x) == expected[0]
+        assert q_above_below(n_th)(x, y) == (expected[1], term_by_term_q_thresh(y, n_th)[0])
         assert q_thresh(x, n_th) == expected
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
     def test_kernel_raises_q_thresh_error(self, x):
-        assert raised(below_threshold(3), x) == raised(q_thresh, x, 3)
+        message = raised(q_thresh, x, 3)
+        assert raised(q_above_below(3), x, 1.0) == message
+        assert raised(q_above_below(3), 1.0, x) == message
+        assert raised(q_above_below(3), x, math.nan) == message  # x first
+
+    # exp underflows past 745.13; at 0.0450768100853598 and
+    # 0.9646329473090614 some partial sums round above 1 and are clamped
+    TABLE_RATES = [0.0, 5e-324, 1e-300, 1e-9, 0.0450768100853598, 0.5, 0.9646329473090614, 1.0,
+                   8.0, 30.0, 100.0, 745.0, 746.0, 1e3]
+
+    def test_table_equals_q_thresh_at_every_threshold(self):
+        x = np.array(self.TABLE_RATES)
+        y = x[::-1].copy()  # q1 of x and q0 of y: a swap would show
+        above, below = q_above_below_table(x, y, 64)
+        assert above.shape == below.shape == (64, x.size)
+        for n_th in range(1, 65):
+            assert same_bits(above[n_th - 1], [q_thresh(r, n_th)[1] for r in x.tolist()])
+            assert same_bits(below[n_th - 1], [q_thresh(r, n_th)[0] for r in y.tolist()])
+            if n_th > 1:
+                assert same_bits(np.array([q_above_below(n_th)(a, b) for a, b in zip(x, y)]).T,
+                                 [above[n_th - 1], below[n_th - 1]])
+        # a table of fewer thresholds is the first rows of a longer one
+        assert all(same_bits(t, full[:5]) for t, full in
+                   zip(q_above_below_table(x, y, 5), (above, below)))
+        # the rates reach the clamp (y = 5e-324, 0) and the underflow of exp
+        # (y = 746 and 1e3; e^-745 is subnormal)
+        assert (below[:, -2:] == 1.0).all() and (above[1:, :2] == 0.0).all()
+        assert (below[0, :2] == 0.0).all() and 0.0 < below[0, 2] < 1e-300
+
+    def test_table_on_off_row_takes_any_rate(self):
+        # a rate rounded below 0 at nulling: the on/off formulas, unchecked
+        x = np.array([-8.881784197001252e-16, 0.0, 1.0])
+        above, below = q_above_below_table(x, x, 1)
+        assert same_bits(above[0], [-math.expm1(-r) for r in x.tolist()])
+        assert same_bits(below[0], [math.exp(-r) for r in x.tolist()])
+        assert above[0, 0] < 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -5e-324])
+    def test_table_raises_q_thresh_error_of_first_bad_rate(self, bad):
+        x, y = np.array([1.0, 2.0, bad]), np.array([1.0, bad, -2.0])
+        # order x[0], y[0], x[1], y[1], ...: y[1] is the first bad rate
+        assert raised(q_above_below_table, x, y, 2) == raised(q_thresh, bad, 2)
+        assert raised(q_above_below_table, y, x, 2) == raised(q_thresh, bad, 2)
 
     # (p_prev, beta, amplitude, n_copies, model): the rates are NaN (a NaN
-    # amplitude; a NaN or infinite beta is rejected as a beta), or
+    # amplitude is rejected as an amplitude, a NaN or infinite beta as a
+    # beta), or
     # a²/N + β² - 2aβ/√N cancels below 0 in rounding
     BAD_RATES = [
-        ((0.5, 0.4, math.nan, 1, DetectorModel(2, nu=1e-3)), math.nan),
+        # a²/N and 2aβ/√N both overflow: the minus rate is inf - inf
+        ((0.5, 1e200, 1e200, 1, DetectorModel(2, nu=1e-3)), math.nan),
         ((0.5, 1.5367617524113883, 1.5367617525666288, 1, DetectorModel(2)),
          -8.881784197001252e-16),
     ]
