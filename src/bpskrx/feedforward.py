@@ -168,6 +168,8 @@ def step_rates(beta: float, amplitude: float, n_copies: int, xi: float = 1.0) ->
         raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
     amplitude = _check_rate(amplitude, "amplitude")  # _check_alpha's rule, under its own name
     n_copies = _check_count("n_copies", n_copies)
+    if not 0.0 < xi <= 1.0:
+        raise ValueError(f"xi must be in (0, 1], got {xi!r}")
     base = amplitude * amplitude / n_copies + beta * beta
     cross = 2.0 * xi * amplitude / math.sqrt(n_copies) * beta
     return StepRates(base + cross, base - cross)
@@ -307,6 +309,8 @@ def correct_probability_trace(
     alpha = _check_alpha(alpha)
     if len(betas) < 1:
         raise ValueError("betas must contain at least one amplitude")
+    if not 0.0 <= p_initial <= 1.0:
+        raise ValueError(f"p_initial must be in [0, 1], got {p_initial!r}")
     amplitude = alpha if amplitude is None else amplitude
     errors = _error_trace(1.0 - p_initial, betas, amplitude, len(betas), model, n_th)
     return tuple(1.0 - e for e in errors)
@@ -644,9 +648,8 @@ def saturation_dark(nu: float, n_copies: int, resolution: int) -> float:
     """
     if nu < 0.0:
         raise ValueError(f"nu must be >= 0, got {nu!r}")
-    if n_copies < 1:
-        raise ValueError("n_copies must be >= 1")
-    return _saturation(nu, n_copies, resolution)
+    n_copies = _check_count("n_copies", n_copies)
+    return _saturation(nu, n_copies, _check_count("resolution", resolution))
 
 
 def saturation_visibility(xi: float, alpha: float, n_copies: int, resolution: int) -> float:
@@ -659,10 +662,9 @@ def saturation_visibility(xi: float, alpha: float, n_copies: int, resolution: in
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"xi must be in (0, 1], got {xi!r}")
     alpha = _check_alpha(alpha)
-    if n_copies < 1:
-        raise ValueError("n_copies must be >= 1")
+    n_copies = _check_count("n_copies", n_copies)
     g = 2.0 * alpha * alpha * (1.0 - xi) / n_copies
-    return _saturation(g, n_copies, resolution)
+    return _saturation(g, n_copies, _check_count("resolution", resolution))
 
 
 def ratio(p_err: float, alpha: float) -> float:

@@ -21,17 +21,27 @@ HL detector are chosen the same way by the hypothesis.
 Reproducibility: every estimate is fully determined by an RngSpec
 (seed, stream_id). Trials are processed in fixed-size batches
 (BATCH_SIZE) with per-batch derived streams and reduced in batch order,
-so the result does not depend on how batches might be scheduled. The
+so the result does not depend on how batches are scheduled. The
 stream is consumed by the same rng calls in the same order: int64
 hypotheses from ``integers(0, 2)``, then one ``poisson`` array per HL
 detector and per copy. A change to BATCH_SIZE, to that order or to a
 dtype changes every estimate.
+
+Concurrency: ``estimate_error`` runs its batches on min(number of
+batches, usable CPUs) threads, the calling thread among them, and joins
+them all before it returns; usable CPUs are the process's affinity mask
+where the platform has one, else ``os.cpu_count()``. The Poisson draws,
+most of a batch's time, release the GIL. A batch of BATCH_SIZE trials
+holds about 7 MB at its peak, so each extra thread adds about that much.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -60,10 +70,9 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
+        # kept as Python ints, so reprs read the same for numpy integers
         for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or not 0 <= value <= _MAX_UINT64:
-                raise ValueError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), 0, _MAX_UINT64))
 
     def generator(self, batch: int | None = None) -> np.random.Generator:
         key = (self.stream_id,) if batch is None else (self.stream_id, batch)
@@ -127,13 +136,22 @@ def _simulate_batch(
     n_trials: int,
     collect: bool = False,
 ):
-    """Vectorized trial batch; returns (n_errors, detail arrays or None)."""
+    """Vectorized trial batch; returns (n_errors, detail arrays or None).
+
+    Without ``collect`` the int64 hypotheses are dropped once read, the HL
+    counts are clipped in place and the first detector's kept as small
+    integers, and one rate buffer is refilled for every draw. A batch of
+    BATCH_SIZE trials then peaks at about 7 MB: the buffer, the counts of
+    two draws and a few boolean arrays.
+    """
     model = cfg.model
     resolution = model.resolution
     eta, nu, xi = model.eta, model.nu, model.xi
 
     hypothesis = rng.integers(0, 2, size=n_trials)
     plus = hypothesis == 1  # the "+alpha" state was sent
+    if not collect:
+        del hypothesis
 
     if cfg.receiver is Receiver.HFFRE:
         tau, z = params.tau, params.z
@@ -144,12 +162,19 @@ def _simulate_batch(
         # detector, "-alpha" at the second.
         low = _rate(eta * 0.5, base - cross, nu)
         high = _rate(eta * 0.5, base + cross, nu)
-        n_raw = rng.poisson(np.where(plus, low, high))
-        m_raw = rng.poisson(np.where(plus, high, low))
-        delta = np.minimum(n_raw, resolution) - np.minimum(m_raw, resolution)
-        switch = delta < 0
+        rate = np.where(plus, low, high)
+        n = rng.poisson(rate)
+        n = np.minimum(n, resolution, out=n).astype(np.min_scalar_type(resolution))
+        rate.fill(low)
+        np.copyto(rate, high, where=plus)
+        m = rng.poisson(rate)
+        np.minimum(m, resolution, out=m)
+        switch = n < m  # delta < 0
+        delta = n - m if collect else None
+        del n, m
         amplitude = math.sqrt(tau) * alpha
     else:
+        rate = np.empty(n_trials)
         delta = None
         switch = np.zeros(n_trials, dtype=bool)
         amplitude = alpha
@@ -157,20 +182,23 @@ def _simulate_batch(
     c = amplitude / math.sqrt(cfg.n_copies)
     counts_log = np.empty((cfg.n_copies, n_trials), dtype=np.int64) if collect else None
     switch_log = np.empty((cfg.n_copies, n_trials), dtype=np.int64) if collect else None
+    flag = np.empty(n_trials, dtype=bool)
     for j, beta in enumerate(params.betas):
         # The displacement adds to the signal when the switch points away
         # from the sent state, and nulls it otherwise.
         base = c * c + beta * beta
         cross = 2.0 * xi * c * beta
-        rate = np.where(switch != plus, _rate(eta, base + cross, nu), _rate(eta, base - cross, nu))
+        np.not_equal(switch, plus, out=flag)
+        rate.fill(_rate(eta, base - cross, nu))
+        np.copyto(rate, _rate(eta, base + cross, nu), where=flag)
         # Unclipped counts: with n_th <= M, min(count, M) >= n_th iff count >= n_th.
         counts = rng.poisson(rate)
-        switch = switch ^ (counts >= params.n_th)
+        switch ^= np.greater_equal(counts, params.n_th, out=flag)
         if collect:
             counts_log[j] = np.minimum(counts, resolution)
             switch_log[j] = switch
 
-    errors = int(np.count_nonzero(switch != plus))
+    errors = int(np.count_nonzero(np.not_equal(switch, plus, out=flag)))
     if not collect:
         return errors, None
     return errors, (hypothesis, delta, counts_log, switch_log, switch)
@@ -197,6 +225,55 @@ def simulate_trial(
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_batches(run: Callable[[int], int], count: int) -> list[int]:
+    """[run(0), ..., run(count - 1)] on min(count, usable CPUs) threads.
+
+    The calling thread is one of the workers, so a single worker starts
+    no thread. Each worker takes the lowest batch not yet taken. After a
+    batch raises, no worker takes another; every started thread is joined
+    before this returns, and the exception of the lowest failed batch is
+    raised. Every lower batch was taken before it, so it ran: a serial
+    loop would have raised the same exception.
+    """
+    results: list[int | None] = [None] * count
+    failed: dict[int, Exception] = {}
+    batches = iter(range(count))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while not stop.is_set():
+            with lock:
+                batch = next(batches, None)
+            if batch is None:
+                return
+            try:
+                results[batch] = run(batch)
+            except Exception as exc:  # raised below, in batch order
+                failed[batch] = exc
+                stop.set()
+
+    threads = [threading.Thread(target=work) for _ in range(min(count, _usable_cpus()) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        stop.set()  # every batch is taken, or one failed or this thread was interrupted
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 def estimate_error(
     alpha: float,
     params: ReceiverParams,
@@ -207,20 +284,22 @@ def estimate_error(
     """Monte Carlo error-probability estimate; returns (p_hat, std_err).
 
     std_err is the binomial standard error sqrt(p_hat (1 - p_hat) / trials).
+    The trials run in batches of BATCH_SIZE, batch b drawn from
+    ``rng_spec.generator(b)``, on min(number of batches, usable CPUs)
+    threads (the calling thread included); every thread is joined before
+    this returns. The error counts are added in batch order, so the
+    estimate does not depend on the thread count.
     """
     alpha = _check_alpha(alpha)
     if not isinstance(trials, (int, np.integer)) or trials < 10_000:
         raise ValueError(f"trials must be an integer >= 10000, got {trials!r}")
     _check_params(params, cfg)
-    errors = 0
-    done = 0
-    batch = 0
-    while done < trials:
-        size = min(BATCH_SIZE, trials - done)
-        n_err, _ = _simulate_batch(alpha, params, cfg, rng_spec.generator(batch), size)
-        errors += n_err
-        done += size
-        batch += 1
+    sizes = [min(BATCH_SIZE, trials - done) for done in range(0, trials, BATCH_SIZE)]
+
+    def run(batch: int) -> int:
+        return _simulate_batch(alpha, params, cfg, rng_spec.generator(batch), sizes[batch])[0]
+
+    errors = sum(_run_batches(run, len(sizes)))
     p_hat = errors / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return p_hat, std_err

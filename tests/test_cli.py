@@ -92,13 +92,25 @@ class TestSweep:
         main(args + ["--out", str(par), "--workers", "2"])
         assert seq.read_bytes() == par.read_bytes()
 
+    def test_mc_workers_do_not_change_output(self, tmp_path):
+        # Each sweep process runs its Monte Carlo batches on threads of its own.
+        args = ["sweep", "--receiver", "DFFRE", "--alpha2-min", "0.25", "--alpha2-max", "1",
+                "--points", "2", "--mc-trials", "300000", "--seed", "5"]
+        seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
+        main(args + ["--out", str(seq), "--workers", "1"])
+        main(args + ["--out", str(par), "--workers", "2"])
+        assert seq.read_bytes() == par.read_bytes()
+
     def test_import_loads_no_process_pool(self):
+        # Neither the sweep's process pool nor a thread pool is imported up front.
         path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
-        probe = "import sys, bpskrx.cli; print('concurrent.futures.process' in sys.modules)"
+        probe = ("import sys, bpskrx.cli; "
+                 "print([m in sys.modules for m in ('concurrent.futures.process', "
+                 "'concurrent.futures.thread')])")
         result = subprocess.run([sys.executable, "-c", probe], text=True, capture_output=True,
                                 env={**os.environ, "PYTHONPATH": path}, timeout=60)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[False, False]"
 
     def test_default_model_equivalence(self, tmp_path):
         base = ["sweep", "--receiver", "HFFRE", "--alpha2-min", "0.5", "--alpha2-max", "1",

@@ -102,6 +102,18 @@ class TestStepRates:
         assert (step_correct_prob(0.5, 0.4, np.float64(1.0), np.int64(4), IDEAL2)
                 == step_correct_prob(0.5, 0.4, 1.0, 4, IDEAL2))
 
+    @pytest.mark.parametrize("xi", [3.0, 0.0, -0.5, math.nan])
+    def test_bad_visibility_rejected(self, xi):
+        # xi = 3 gave lambda_minus = -1.24, and NaN gave NaN rates.
+        with pytest.raises(ValueError, match=r"xi must be in \(0, 1\], got "):
+            step_rates(0.4, 1.0, 1, xi=xi)
+
+    @pytest.mark.parametrize("p_initial", [2.0, -0.1, math.nan])
+    def test_bad_initial_probability_rejected(self, p_initial):
+        # p_initial = 2 gave the trace (2.0, 0.536), and NaN gave (nan, nan).
+        with pytest.raises(ValueError, match=r"p_initial must be in \[0, 1\], got "):
+            correct_probability_trace(1.0, [0.4], DetectorModel(2), p_initial=p_initial)
+
     @pytest.mark.parametrize("n_th", [1, 2])
     def test_infinite_beta_rejected(self, n_th):
         message = "beta must be >= 0 and finite, got inf"
@@ -783,6 +795,29 @@ class TestSaturation:
             saturation_dark(-1e-3, 1, 2)
         with pytest.raises(ValueError):
             saturation_visibility(0.0, 1.0, 1, 2)
+
+    @pytest.mark.parametrize("n_copies", [2.5, 0, True])
+    def test_non_integer_copies_rejected(self, n_copies):
+        # n_copies = 2.5 reached (-t) ** 2.5 and returned a complex number.
+        message = rf"n_copies must be an integer >= 1, got {re.escape(repr(n_copies))}$"
+        with pytest.raises(ValueError, match=message):
+            saturation_dark(1e-3, n_copies, 2)
+        with pytest.raises(ValueError, match=message):
+            saturation_visibility(0.998, 1.0, n_copies, 2)
+
+    @pytest.mark.parametrize("resolution", [2.5, 0, True])
+    def test_non_integer_resolution_rejected(self, resolution):
+        # resolution = 2.5 raised a TypeError from range().
+        message = rf"resolution must be an integer >= 1, got {re.escape(repr(resolution))}$"
+        with pytest.raises(ValueError, match=message):
+            saturation_dark(1e-3, 2, resolution)
+        with pytest.raises(ValueError, match=message):
+            saturation_visibility(0.998, 1.0, 2, resolution)
+
+    def test_numpy_counts_accepted(self):
+        assert saturation_dark(1e-3, np.int64(2), np.int64(2)) == saturation_dark(1e-3, 2, 2)
+        assert (saturation_visibility(0.998, 1.0, np.int64(2), np.int64(2))
+                == saturation_visibility(0.998, 1.0, 2, 2))
 
 
 class TestMetrics:

@@ -1,11 +1,15 @@
 """Trajectory simulator: marginal laws, determinism, agreement with the recursion."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from bpskrx import montecarlo
 from bpskrx.feedforward import FeedForwardConfig, Receiver, ReceiverParams, dffre_error, hffre_error
 from bpskrx.montecarlo import (
     BATCH_SIZE,
@@ -40,6 +44,22 @@ class TestRngSpec:
         a = RngSpec(1, stream_id=0).generator().integers(0, 2**31, size=8)
         b = RngSpec(1, stream_id=1).generator().integers(0, 2**31, size=8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("args", [(True,), (np.bool_(True),), (1, False), (1.0,), (-1,),
+                                      (2**64,), (0, np.int64(-1))])
+    def test_non_count_rejected(self, args):
+        # A bool is no seed, and a float such as 1.0 is no integer.
+        message = r"(seed|stream_id) must be an integer in \[0, 18446744073709551615\], got "
+        with pytest.raises(ValueError, match=message):
+            RngSpec(*args)
+
+    @pytest.mark.parametrize("value", [0, 2**64 - 1, np.int64(7), np.uint64(2**64 - 1)])
+    def test_integers_kept_as_python_ints(self, value):
+        spec, plain = RngSpec(value, stream_id=value), RngSpec(int(value), int(value))
+        assert type(spec.seed) is int and type(spec.stream_id) is int
+        assert spec == plain and repr(spec) == repr(plain)
+        assert np.array_equal(spec.generator(3).integers(0, 2**31, size=8),
+                              plain.generator(3).integers(0, 2**31, size=8))
 
     def test_reproducible_generator(self):
         a = RngSpec(9, 3).generator(batch=2).integers(0, 2**31, size=8)
@@ -384,3 +404,94 @@ class TestAgainstReferenceBatch:
         for array, reference in zip(got[1], want[1]):
             assert (array is None and reference is None) or np.array_equal(array, reference)
         assert _simulate_batch(alpha, params, cfg, spec.generator(), 20_000)[0] == want[0]
+
+
+M2_MODELS = [DetectorModel(2), DetectorModel(2, eta=0.7), DetectorModel(2, nu=1e-3),
+             DetectorModel(2, xi=0.998)]
+M2_IDS = ["ideal", "eta0.7", "nu1e-3", "xi0.998"]
+
+
+def serial_errors(alpha, params, cfg, trials, spec):
+    """The estimate's error count with its batches run one after another."""
+    sizes = [min(BATCH_SIZE, trials - done) for done in range(0, trials, BATCH_SIZE)]
+    return sum(_simulate_batch(alpha, params, cfg, spec.generator(b), size)[0]
+               for b, size in enumerate(sizes))
+
+
+def concurrent_case(receiver, model):
+    """(alpha, params, cfg) of a two-copy receiver."""
+    tau, z = (1.0, 0.0) if receiver == "DFFRE" else (0.8, 1.0)
+    params = ReceiverParams(tau=tau, z=z, betas=(0.6, 0.8), n_th=1)
+    return 0.9, params, FeedForwardConfig(2, model, Receiver[receiver])
+
+
+class TestConcurrentBatches:
+    # 1, 2 and 5 batches
+    TRIALS = [10_000, BATCH_SIZE + 17, 4 * BATCH_SIZE + 17]
+
+    @pytest.mark.parametrize("trials", TRIALS)
+    @pytest.mark.parametrize("receiver", ["DFFRE", "HFFRE"])
+    @pytest.mark.parametrize("model", M2_MODELS, ids=M2_IDS)
+    def test_equals_serial_sum(self, trials, receiver, model):
+        alpha, params, cfg = concurrent_case(receiver, model)
+        spec = RngSpec(71)
+        p_hat, _ = estimate_error(alpha, params, cfg, trials, spec)
+        assert p_hat == serial_errors(alpha, params, cfg, trials, spec) / trials
+
+    @pytest.mark.parametrize("workers", [None, 1, 3, 8])
+    def test_worker_count_does_not_change_estimate(self, monkeypatch, workers):
+        # The host's own CPU count (None), then more workers than cores with
+        # frequent thread switches; one worker runs every batch in the
+        # calling thread.
+        alpha, params, cfg = concurrent_case("HFFRE", DetectorModel(2, nu=1e-3))
+        trials, spec = 4 * BATCH_SIZE + 17, RngSpec(72)
+        expected = estimate_error(alpha, params, cfg, trials, spec)
+        assert expected[0] == serial_errors(alpha, params, cfg, trials, spec) / trials
+        simulate, live, before = montecarlo._simulate_batch, [], threading.active_count()
+
+        def counting(*args):
+            live.append(threading.active_count())
+            return simulate(*args)
+
+        if workers is None:
+            affinity = hasattr(os, "sched_getaffinity")
+            workers = len(os.sched_getaffinity(0)) if affinity else os.cpu_count() or 1
+        else:
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(montecarlo, "_simulate_batch", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = estimate_error(alpha, params, cfg, trials, spec)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert len(live) == 5
+        assert max(live) <= before + min(5, workers) - 1  # the calling thread is a worker
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_failed_batch_raises_and_threads_are_joined(self, monkeypatch, workers):
+        alpha, params, cfg = concurrent_case("DFFRE", IDEAL2)
+        spec = RngSpec(73)
+        states = {b: spec.generator(b).bit_generator.state for b in range(5)}
+        simulate, before = montecarlo._simulate_batch, threading.active_count()
+        batch_4_failed = threading.Event()
+
+        def failing(alpha, params, cfg, rng, n_trials):
+            state = rng.bit_generator.state
+            if state == states[4]:
+                batch_4_failed.set()
+                raise RuntimeError("batch 4")
+            if state == states[2]:
+                # With several workers, batch 4 fails first; batch 2's error still wins.
+                batch_4_failed.wait(timeout=30 if workers > 1 else 0)
+                raise ArithmeticError("batch 2")
+            return simulate(alpha, params, cfg, rng, n_trials)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(montecarlo, "_simulate_batch", failing)
+        with pytest.raises(ArithmeticError, match="^batch 2$"):
+            estimate_error(alpha, params, cfg, 4 * BATCH_SIZE + 17, spec)
+        assert batch_4_failed.is_set() == (workers > 1)
+        assert threading.active_count() == before
