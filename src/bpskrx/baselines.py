@@ -76,6 +76,12 @@ def optimized_displacement_error(alpha: float, model: DetectorModel):
     return dffre_error(alpha, cfg)
 
 
+def _pre_measurement_error(alpha: float, tau: np.ndarray, z: np.ndarray,
+                           model: DetectorModel) -> np.ndarray:
+    """HL sign error e0 at every (tau, z): the tap reflects sqrt(1 - tau) alpha to the HL stage."""
+    return hl_sign_error(np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha, z, model)
+
+
 def hynore_error(alpha: float, resolution: int):
     """Hybrid near-optimum receiver with ideal detectors.
 
@@ -103,8 +109,8 @@ def hynore_error(alpha: float, resolution: int):
         return _result(0.0, [0.5])
 
     def objective(tau: np.ndarray, z: np.ndarray) -> np.ndarray:
-        reflected = np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha
-        return -(hl_sign_error(reflected, z, model) * exp_rows(-4.0 * tau * alpha * alpha))
+        e0 = _pre_measurement_error(alpha, tau, z, model)
+        return -(e0 * exp_rows(-4.0 * tau * alpha * alpha))
 
     (tau_opt, z_opt), negated = maximize_grid_batch(objective, _tau_z_spec(alpha))
     return _result(alpha, [-negated], tau=tau_opt, z=z_opt)

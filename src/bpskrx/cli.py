@@ -120,6 +120,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.receiver not in RECEIVERS:
             raise ValueError(f"unknown receiver {self.receiver!r}; choose from {RECEIVERS}")
+        for flag, value in (("alpha2-min", self.alpha2_min), ("alpha2-max", self.alpha2_max)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value!r}")
         if not 0.0 < self.alpha2_min <= self.alpha2_max:
             raise ValueError("need 0 < alpha2-min <= alpha2-max")
         if self.points < 1:

@@ -22,8 +22,9 @@ the signal and measures it with the homodyne-like (HL) difference
 scheme, whose sign picks the first displacement: e(0) is the HL sign
 error and the copies carry sqrt(tau) alpha. tau and the HL
 local-oscillator amplitude z are optimized on a grid that always
-contains tau = 1, where the DFFRE is recovered exactly. The
-switch-conditional traces start at e(0) = 0 and 1.
+contains tau = 1, where the DFFRE is recovered up to the rounding of
+e(0) = 1/2 (the HL error of an untapped signal is 1/2 within 1e-15).
+The switch-conditional traces start at e(0) = 0 and 1.
 
 Detector imperfections (efficiency eta, dark counts nu, visibility xi)
 enter through the detected rates; with dark counts or reduced visibility
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .baselines import _check_alpha, helstrom_bound, sql_error
+from .baselines import _check_alpha, _pre_measurement_error, helstrom_bound, sql_error
 from .optimize import (
     GridSearchSpec,
     ScalarSearchSpec,
@@ -55,7 +56,6 @@ from .photostatistics import (
     _check_count,
     _check_rate,
     hl_difference_pmf,
-    hl_sign_error,
     q_above_below,
     q_above_below_table,
     q_above_rows,
@@ -181,10 +181,9 @@ def _rate_coefficients(amplitude, n_copies: int, model: DetectorModel):
     return amplitude * amplitude / n_copies, 2.0 * model.xi * amplitude / math.sqrt(n_copies)
 
 
-def _beta_spec(amplitude: float, n_copies: int) -> ScalarSearchSpec:
-    """The per-copy beta search: beta in [0, amplitude / sqrt(N) + 5]."""
-    return ScalarSearchSpec(lo=0.0, hi=amplitude / math.sqrt(n_copies) + BETA_MARGIN,
-                            coarse_points=BETA_COARSE_POINTS, tol=BETA_TOL)
+def _beta_hi(amplitude, n_copies: int):
+    """Upper end of the per-copy beta search, amplitude / sqrt(N) + 5; amplitude may be an array."""
+    return amplitude / math.sqrt(n_copies) + BETA_MARGIN
 
 
 def _flip_tables(amplitude: float, n_copies: int, model: DetectorModel, resolution: int,
@@ -342,22 +341,6 @@ def _greedy_recursion(spec: ScalarSearchSpec, step: Callable[[float], Callable[[
     return errors, tuple(betas)
 
 
-def _optimized_recursion(
-    amplitude: float, n_copies: int, model: DetectorModel, n_th: int, e_initial: float
-) -> tuple[list[float], tuple[float, ...]]:
-    """The greedy recursion at one click threshold: (error trace e_0..e_N, betas).
-
-    Computed once per recursion: the search spec and its coarse beta
-    grid, the threshold check, and the flip probabilities on that grid.
-    None of them depends on the copy, so each copy's search sees the
-    same floats it would compute itself.
-    """
-    spec = _beta_spec(amplitude, n_copies)
-    step = _step_objective(amplitude, n_copies, model, n_th)
-    false_flip, missed_flip = _flip_tables(amplitude, n_copies, model, n_th, spec)
-    return _greedy_recursion(spec, step, false_flip[-1], missed_flip[-1], n_copies, e_initial)
-
-
 def _threshold_candidates(model: DetectorModel) -> list[int]:
     # The click threshold only matters once dark counts or a visibility
     # reduction break the on/off optimality of the ideal rule.
@@ -375,18 +358,20 @@ def _result(alpha: float, errors: Sequence[float], betas: tuple[float, ...] = ()
                       ratio=ratio(p_err, alpha), gain=gain(p_err, alpha))
 
 
-def _threshold_scan(amplitude: float, cfg: FeedForwardConfig,
-                    e_initial: float) -> tuple[list[float], tuple[float, ...], int]:
-    """The optimized recursion at the best click threshold: (errors, betas, n_th).
+def _threshold_scan(amplitude: float, cfg: FeedForwardConfig, e_initial: float,
+                    candidates: Sequence[int]) -> tuple[list[float], tuple[float, ...], int]:
+    """The greedy recursion at the best of the ascending click thresholds
+    ``candidates``: (error trace e_0..e_N, betas, n_th).
 
-    The coarse beta grid depends on the amplitude and N only, so one
-    pass of ``_flip_tables`` gives the flip probabilities of every
-    candidate threshold, and each threshold's recursion reads its own
-    rows: the same floats ``_optimized_recursion`` computes for it.
+    Every receiver enters the recursion here. The search spec, its
+    coarse beta grid and the flip probabilities on that grid depend on
+    the amplitude and N only, not on the copy or the threshold: one pass
+    of ``_flip_tables`` gives every candidate's rows, the same floats a
+    table of that threshold alone holds, so each copy's search sees the
+    floats it would compute itself.
     """
     model, n = cfg.model, cfg.n_copies
-    candidates = _threshold_candidates(model)
-    spec = _beta_spec(amplitude, n)
+    spec = ScalarSearchSpec(0.0, _beta_hi(amplitude, n), BETA_COARSE_POINTS, BETA_TOL)
     false_flip, missed_flip = _flip_tables(amplitude, n, model, candidates[-1], spec)
     runs: dict[int, tuple[list[float], tuple[float, ...]]] = {}
 
@@ -406,7 +391,7 @@ def dffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
         raise ValueError("cfg.receiver must be Receiver.DFFRE")
     if alpha == 0.0:
         return _result(0.0, [0.5] * (cfg.n_copies + 1), (0.0,) * cfg.n_copies)
-    return _result(alpha, *_threshold_scan(alpha, cfg, 0.5))
+    return _result(alpha, *_threshold_scan(alpha, cfg, 0.5, _threshold_candidates(cfg.model)))
 
 
 def _hybrid_initial_error(alpha: float, tau: float, z: float, model: DetectorModel) -> float:
@@ -423,11 +408,12 @@ def _hybrid_initial_error(alpha: float, tau: float, z: float, model: DetectorMod
     return 0.5 * (pmf_r1.mass_nonnegative() + pmf_r0.mass_negative())
 
 
-def _hybrid_recursion(
-    alpha: float, cfg: FeedForwardConfig, tau: float, z: float, n_th: int
-) -> tuple[list[float], tuple[float, ...]]:
+def _hybrid_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float,
+               candidates: Sequence[int]) -> EvalResult:
+    """The HFFRE at a fixed (tau, z): the recursion from the HL pre-measurement
+    error, at amplitude sqrt(tau) alpha and the best of ``candidates``."""
     e0 = _hybrid_initial_error(alpha, tau, z, cfg.model)
-    return _optimized_recursion(math.sqrt(tau) * alpha, cfg.n_copies, cfg.model, n_th, e0)
+    return _result(alpha, *_threshold_scan(math.sqrt(tau) * alpha, cfg, e0, candidates), tau, z)
 
 
 def _flip_rows(
@@ -476,7 +462,7 @@ def _flip_rows(
 def _hybrid_error_batch(
     alpha: float, cfg: FeedForwardConfig, n_th: int
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Negated ``_hybrid_recursion`` error at every (tau, z) of a grid round.
+    """Negated HFFRE error at click threshold n_th at every (tau, z) of a grid round.
 
     The per-copy beta searches of all grid points run in lockstep. A
     point's coarse beta grid depends on tau only, so the flip
@@ -486,10 +472,11 @@ def _hybrid_error_batch(
     to the last-bit differences between np.exp and math.exp, which the
     1 - q0 tail of a threshold n_th >= 2 can raise to about 1e-16
     absolute, so every value within the window of the round's best is
-    replaced by the scalar recursion's, from the point's own e0
-    (``hl_sign_error`` gives it bit for bit as ``_hybrid_initial_error``
-    does). The round's first maximum is then a point-by-point search's.
-    z acts only through e0, so the scalar runs are memoised on (tau, e0).
+    replaced by the scalar recursion's (``_threshold_scan`` at n_th
+    alone), from the point's own e0 (``hl_sign_error`` gives it bit for
+    bit as ``_hybrid_initial_error`` does). The round's first maximum is
+    then a point-by-point search's. z acts only through e0, so the
+    scalar runs are memoised on (tau, e0).
     """
     model, n = cfg.model, cfg.n_copies
     indices = np.arange(BETA_COARSE_POINTS)
@@ -498,12 +485,12 @@ def _hybrid_error_batch(
     settled: dict[tuple[float, float], float] = {}
 
     def objective(tau: np.ndarray, z: np.ndarray) -> np.ndarray:
-        e0 = hl_sign_error(np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha, z, model)
+        e0 = _pre_measurement_error(alpha, tau, z, model)
         amplitude = np.sqrt(tau) * alpha
-        hi = amplitude / math.sqrt(n) + BETA_MARGIN
+        hi = _beta_hi(amplitude, n)
         taus, rows = np.unique(tau, return_inverse=True)
         amplitudes = np.sqrt(taus)[:, None] * alpha
-        grid = coarse_abscissae(0.0, amplitudes / math.sqrt(n) + BETA_MARGIN, BETA_COARSE_POINTS)
+        grid = coarse_abscissae(0.0, _beta_hi(amplitudes, n), BETA_COARSE_POINTS)
         # one row per distinct tau, one column per coarse grid index
         false_table, missed_table = _flip_rows(amplitudes, n, model, n_th)[0](grid(indices))
         _, step = _flip_rows(amplitude, n, model, n_th)
@@ -528,8 +515,8 @@ def _hybrid_error_batch(
         for i in np.flatnonzero(values >= top - (relative * abs(top) + absolute)).tolist():
             key = float(tau[i]), float(e0[i])
             if key not in settled:
-                settled[key] = -_optimized_recursion(
-                    math.sqrt(key[0]) * alpha, n, model, n_th, key[1])[0][-1]
+                settled[key] = -_threshold_scan(math.sqrt(key[0]) * alpha, cfg, key[1],
+                                                (n_th,))[0][-1]
             values[i] = settled[key]
         return values
 
@@ -552,13 +539,13 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     """Hybrid feed-forward receiver error probability, optimized over (tau, z).
 
     The search box is tau in [0, 1], z in [0, 5 + 4 alpha]; tau = 1 is a
-    mandatory grid point, so up to optimizer tolerance the result never
-    exceeds the DFFRE one. Each grid round is evaluated as one batch,
-    whose objective (``_hybrid_error_batch``) settles its own near-ties
-    with the scalar recursion; the box search just takes the first
-    maximum. The reported error, betas and trace come from the scalar
-    recursion at the chosen point, so the result is the one a
-    point-by-point scalar search gives.
+    mandatory grid point, so the result never exceeds the DFFRE one by
+    more than optimizer tolerance and the rounding of e0 = 1/2 there.
+    Each grid round is evaluated as one batch, whose objective
+    (``_hybrid_error_batch``) settles its own near-ties with the scalar
+    recursion; the box search just takes the first maximum. The reported
+    error, betas and trace come from the scalar recursion at the chosen
+    point, so the result is the one a point-by-point scalar search gives.
     """
     alpha = _check_alpha(alpha)
     if cfg.receiver is not Receiver.HFFRE:
@@ -574,8 +561,7 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
         return negated
 
     n_th, _ = scan_discrete(scan_threshold, _threshold_candidates(cfg.model))
-    tau, z = best[n_th]
-    return _result(alpha, *_hybrid_recursion(alpha, cfg, tau, z, n_th), n_th, tau, z)
+    return _hybrid_at(alpha, cfg, *best[n_th], (n_th,))
 
 
 def hffre_error_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float) -> EvalResult:
@@ -589,8 +575,7 @@ def hffre_error_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float) -
         raise ValueError(f"z must be >= 0, got {z!r}")
     if alpha == 0.0:
         return _result(0.0, [0.5] * (cfg.n_copies + 1), (0.0,) * cfg.n_copies)
-    e0 = _hybrid_initial_error(alpha, tau, z, cfg.model)
-    return _result(alpha, *_threshold_scan(math.sqrt(tau) * alpha, cfg, e0), tau, z)
+    return _hybrid_at(alpha, cfg, tau, z, _threshold_candidates(cfg.model))
 
 
 def optimized_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:

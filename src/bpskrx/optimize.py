@@ -39,6 +39,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .photostatistics import _check_count, _check_finite
+
 __all__ = [
     "ScalarSearchSpec",
     "GridSearchSpec",
@@ -67,10 +69,9 @@ class ScalarSearchSpec:
     tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
+        if not (_check_finite("lo", self.lo) < _check_finite("hi", self.hi)):
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.coarse_points < 3:
-            raise ValueError("coarse_points must be >= 3")
+        _check_count("coarse_points", self.coarse_points, 3)
         if not (0.0 < self.tol < self.hi - self.lo):
             raise ValueError("tol must be positive and smaller than the interval")
 
@@ -87,7 +88,8 @@ class ScalarSearchSpec:
 
     @cached_property
     def _coarse_grid(self) -> tuple[float, ...]:
-        return tuple(_axis_grid(self.lo, self.hi, self.coarse_points))
+        grid = coarse_abscissae(self.lo, self.hi, self.coarse_points)
+        return tuple(grid(np.arange(self.coarse_points)).tolist())
 
 
 @dataclass(frozen=True)
@@ -110,12 +112,10 @@ class GridSearchSpec:
         if len(self.bounds) != len(self.points):
             raise ValueError("bounds and points must have the same length")
         for (lo, hi), n in zip(self.bounds, self.points):
-            if not lo < hi:
+            if not _check_finite("axis bound", lo) < _check_finite("axis bound", hi):
                 raise ValueError(f"axis bounds must be ordered, got ({lo}, {hi})")
-            if n < 3:
-                raise ValueError("each axis needs at least 3 points")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be >= 0")
+            _check_count("axis points", n, 3)
+        _check_count("refinement_rounds", self.refinement_rounds, 0)
         if not self.shrink_factor > 1.0:
             raise ValueError("shrink_factor must be > 1")
         for point in self.mandatory:
@@ -155,13 +155,6 @@ def _checked_batch(values, points: Callable[[int], object], label: str) -> np.nd
         i = int(np.argmin(finite))  # the first in C order, also in a block of rows
         raise _non_finite(values.flat[i], points(i), label)
     return values
-
-
-def _axis_grid(lo: float, hi: float, n: int) -> list[float]:
-    step = (hi - lo) / (n - 1)
-    grid = [lo + i * step for i in range(n)]
-    grid[-1] = hi
-    return grid
 
 
 def maximize_scalar(
@@ -245,14 +238,16 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> 
 
 
 def coarse_abscissae(lo, hi, coarse_points: int) -> Callable[[int | np.ndarray], np.ndarray]:
-    """Coarse grid of ``maximize_scalar_batch`` on [lo, hi], as a function of the grid index.
+    """The evenly spaced grid of every search here, on [lo, hi], as a function of the grid index.
 
-    Index i gives the i-th coarse abscissa of every element of
-    broadcast(lo, hi); an index array broadcasts against them, so
-    ``coarse_abscissae(lo, hi, n)(np.arange(n)[:, None])`` is the whole
-    grid, one row per index.
+    Index i gives lo + i (hi - lo) / (n - 1), and exactly hi at i = n - 1,
+    for every element of broadcast(lo, hi); an index array broadcasts
+    against them, so ``coarse_abscissae(lo, hi, n)(np.arange(n)[:, None])``
+    is the whole grid, one row per index. ``ScalarSearchSpec.coarse_grid``,
+    ``maximize_scalar_batch`` and each axis of a ``maximize_grid_batch``
+    round are this grid.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)  # step broadcasts them
     last = coarse_points - 1
     step = (hi - lo) / last
 
@@ -401,7 +396,8 @@ def maximize_grid_batch(
             for (lo0, hi0), w, c in zip(spec.bounds, widths, center):
                 half = 0.5 * w / shrink
                 boxes.append((max(lo0, c - half), min(hi0, c + half)))
-        axes = [_axis_grid(lo, hi, n) for (lo, hi), n in zip(boxes, spec.points)]
+        axes = [coarse_abscissae(lo, hi, n)(np.arange(n))
+                for (lo, hi), n in zip(boxes, spec.points)]
         coords = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]
         if round_idx == 0 and spec.mandatory:
             head = np.array(spec.mandatory, dtype=float).T

@@ -152,6 +152,20 @@ class TestSweep:
         assert result.returncode != 0
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--alpha2-max", "inf"), ("--alpha2-min", "inf"),
+                                             ("--alpha2-max", "nan"), ("--alpha2-min", "nan")])
+    def test_non_finite_bound_rejected_before_evaluating(self, tmp_path, capsys, monkeypatch,
+                                                          flag, value):
+        monkeypatch.setattr("bpskrx.cli.evaluate_point", None)  # nothing may be evaluated
+        bounds = {"--alpha2-min": "0.5", "--alpha2-max": "2", flag: value}
+        out = tmp_path / "x.csv"
+        args = ["sweep", "--receiver", "SQL", *(x for kv in bounds.items() for x in kv),
+                "--points", "3", "--out", str(out)]
+        assert main(args) == 2
+        message = f"{flag[2:]} must be finite, got {float(value)!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_imperfections_rejected_for_ideal_only_receivers(self, tmp_path):
         # an ideal-only receiver with --eta would emit values that
         # contradict the recorded metadata

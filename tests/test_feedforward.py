@@ -32,8 +32,8 @@ from bpskrx.feedforward import (
     _coarse_step,
     _flip_rows,
     _flip_tables,
+    _hybrid_at,
     _hybrid_error_batch,
-    _hybrid_recursion,
     _step_objective,
 )
 from bpskrx.optimize import COARSE_BLOCK, ScalarSearchSpec, coarse_abscissae, maximize_scalar
@@ -346,7 +346,7 @@ class TestBatchedSearch:
                              indexing="ij")
         tau, z = tau.ravel(), z.ravel()
         batch = _hybrid_error_batch(alpha, c, n_th)(tau, z)
-        scalar = [-_hybrid_recursion(alpha, c, t, osc, n_th)[0][-1]
+        scalar = [-_hybrid_at(alpha, c, t, osc, (n_th,)).p_err
                   for t, osc in zip(tau.tolist(), z.tolist())]
         np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-15)
 
@@ -441,18 +441,19 @@ class TestSettlement:
         assert near
         for i in near:
             t, osc = float(tau[i]), float(z[i])
-            assert values[i] == -_hybrid_recursion(self.ALPHA, c, t, osc, n_th)[0][-1]
+            assert values[i] == -_hybrid_at(self.ALPHA, c, t, osc, (n_th,)).p_err
 
     @pytest.mark.parametrize("n_th", [2, 1])
     def test_one_scalar_run_per_distinct_tau_and_e0(self, n_th, monkeypatch):
-        recursion = feedforward._optimized_recursion
+        scan = feedforward._threshold_scan
         runs = []
 
-        def counting(amplitude, n_copies, model, n_th, e_initial):
+        def counting(amplitude, c, e_initial, candidates):
+            assert tuple(candidates) == (n_th,)
             runs.append((amplitude, e_initial))
-            return recursion(amplitude, n_copies, model, n_th, e_initial)
+            return scan(amplitude, c, e_initial, candidates)
 
-        monkeypatch.setattr(feedforward, "_optimized_recursion", counting)
+        monkeypatch.setattr(feedforward, "_threshold_scan", counting)
         c, tau, z, objective, values, near = self.round_zero(n_th)
         e0 = hl_sign_error(np.sqrt(np.maximum(0.0, 1.0 - tau)) * self.ALPHA, z, c.model)
         keys = {(float(tau[i]), float(e0[i])) for i in near}
@@ -685,8 +686,8 @@ class TestRecursionReuse:
                                   (1.0, 0.05)):
             amplitude = math.sqrt(alpha2)
             for n_th in feedforward._threshold_candidates(model):
-                assert (feedforward._optimized_recursion(amplitude, n, model, n_th, e_initial)
-                        == reference_recursion(amplitude, n, model, n_th, e_initial))
+                scan = feedforward._threshold_scan(amplitude, cfg(n, model), e_initial, (n_th,))
+                assert scan == (*reference_recursion(amplitude, n, model, n_th, e_initial), n_th)
 
     @pytest.mark.parametrize("model, n", [(DetectorModel(64, nu=1e-3), 1),
                                           (DetectorModel(64, nu=1e-3), 10),
@@ -707,7 +708,8 @@ class TestRecursionReuse:
         for alpha2, e_initial in ((1.0, 0.5), (20.0, 0.05)):
             runs.clear()
             amplitude = math.sqrt(alpha2)
-            errors, betas, n_th = feedforward._threshold_scan(amplitude, cfg(n, model), e_initial)
+            errors, betas, n_th = feedforward._threshold_scan(amplitude, cfg(n, model), e_initial,
+                                                              candidates)
             expected = [reference_recursion(amplitude, n, model, k, e_initial) for k in candidates]
             assert runs == expected
             finals = [e[-1] for e, _ in expected]
@@ -723,7 +725,7 @@ class TestRecursionReuse:
             return search(f, spec, coarse)
 
         monkeypatch.setattr(feedforward, "maximize_scalar", counting)
-        errors, betas = feedforward._optimized_recursion(math.sqrt(150.0), 50, DARK2, 2, 0.5)
+        errors, betas, _ = feedforward._threshold_scan(math.sqrt(150.0), cfg(50, DARK2), 0.5, (2,))
         assert (errors, betas) == reference_recursion(math.sqrt(150.0), 50, DARK2, 2, 0.5)
         # copy j starts from errors[j]; the first copy that leaves it
         # unchanged is the last one searched

@@ -86,6 +86,23 @@ class TestMaximizeScalar:
         with pytest.raises(ValueError):
             ScalarSearchSpec(0.0, 1.0, tol=2.0)
 
+    @pytest.mark.parametrize("lo, hi, coarse_points, match", [
+        (0.0, 1.0, 3.5, "coarse_points must be an integer"),
+        (0.0, 1.0, 64.0, "coarse_points must be an integer"),
+        (0.0, 1.0, True, "coarse_points must be an integer"),
+        (0.0, math.inf, 64, "hi must be finite"),
+        (-math.inf, 1.0, 64, "lo must be finite"),
+        (0.0, math.nan, 64, "hi must be finite"),
+    ])
+    def test_spec_rejects_non_integer_counts_and_non_finite_bounds(self, lo, hi, coarse_points,
+                                                                   match):
+        with pytest.raises(ValueError, match=match):
+            ScalarSearchSpec(lo, hi, coarse_points)
+
+    def test_spec_accepts_numpy_integer_count(self):
+        spec = ScalarSearchSpec(0.0, 1.0, np.int64(5))
+        assert spec.coarse_grid() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
 
 def step_bracket(beta):
     return 0.5 * math.exp(-((beta - 0.4) ** 2)) + 0.5 * (1.0 - math.exp(-((beta + 0.4) ** 2)))
@@ -384,21 +401,19 @@ class TestMaximizeGrid:
 
     def test_hynore_objective_against_dense_grid_oracle(self):
         # The full receiver optimization must get within 1e-6 of a dense
-        # 401 x 401 scan of the same objective.
+        # 401 x 401 scan of the same objective. Each row of tau is one
+        # hl_sign_error call, which equals half the two-PMF bracket
+        # 0.5 * (mass_negative(r) + mass_nonnegative(-r)) bit for bit.
         import bpskrx.baselines as baselines
-        from bpskrx.photostatistics import DetectorModel, hl_difference_pmf
+        from bpskrx.photostatistics import DetectorModel, hl_sign_error
 
         alpha = 1.0
         model = DetectorModel(2)
-
-        def objective(tau, z):
-            reflected = math.sqrt(1.0 - tau) * alpha
-            pmf0 = hl_difference_pmf(reflected, z, model)
-            pmf1 = hl_difference_pmf(-reflected, z, model)
-            return 0.5 * math.exp(-4.0 * tau) * (pmf0.mass_negative() + pmf1.mass_nonnegative())
-
+        zs = 9.0 * np.arange(401) / 400
         dense = min(
-            objective(i / 400, 9.0 * j / 400) for i in range(401) for j in range(401)
+            float((math.exp(-4.0 * tau) * hl_sign_error(
+                np.full(401, math.sqrt(1.0 - tau) * alpha), zs, model)).min())
+            for tau in (i / 400 for i in range(401))
         )
         engine = baselines.hynore_error(alpha, 2).p_err
         assert abs(engine - dense) <= 1e-6
@@ -428,6 +443,18 @@ class TestMaximizeGrid:
             GridSearchSpec(bounds=((1.0, 0.0),), points=(3,))
         with pytest.raises(ValueError):
             GridSearchSpec(bounds=((0.0, 1.0),), points=(3,), mandatory=((2.0,),))
+
+    @pytest.mark.parametrize("bounds, points, rounds, match", [
+        (((0.0, 1.0),), (3.5,), 0, "axis points must be an integer"),
+        (((0.0, 1.0),), (41.0,), 0, "axis points must be an integer"),
+        (((0.0, 1.0),), (3,), 1.5, "refinement_rounds must be an integer"),
+        (((0.0, math.inf),), (3,), 0, "axis bound must be finite"),
+        (((0.0, 1.0), (-math.inf, 0.0)), (3, 3), 0, "axis bound must be finite"),
+    ])
+    def test_spec_rejects_non_integer_counts_and_non_finite_bounds(self, bounds, points, rounds,
+                                                                   match):
+        with pytest.raises(ValueError, match=match):
+            GridSearchSpec(bounds, points, rounds)
 
 
 class TestScanDiscrete:
