@@ -116,8 +116,8 @@ class GridSearchSpec:
                 raise ValueError(f"axis bounds must be ordered, got ({lo}, {hi})")
             _check_count("axis points", n, 3)
         _check_count("refinement_rounds", self.refinement_rounds, 0)
-        if not self.shrink_factor > 1.0:
-            raise ValueError("shrink_factor must be > 1")
+        if not 1.0 < self.shrink_factor < math.inf:
+            raise ValueError(f"shrink_factor must be finite and > 1, got {self.shrink_factor!r}")
         for point in self.mandatory:
             if len(point) != len(self.bounds):
                 raise ValueError("mandatory points must match the box dimension")

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,53 @@ class TestAgainstReferenceBatch:
         for array, reference in zip(got[1], want[1]):
             assert (array is None and reference is None) or np.array_equal(array, reference)
         assert _simulate_batch(alpha, params, cfg, spec.generator(), 20_000)[0] == want[0]
+
+
+class TestChunkedBatch:
+    # Each stage is drawn in chunks of CHUNK trials, in order, so a batch of
+    # several chunks ending in a partial one draws the same trials as one
+    # whole-batch call per stage.
+    @pytest.mark.parametrize("chunk", [None, 331], ids=["CHUNK", "331"])
+    @pytest.mark.parametrize("alpha", [0.9, 4.0])  # copy rates below and above 10
+    @pytest.mark.parametrize("receiver", ["DFFRE", "HFFRE"])
+    def test_same_trials_as_reference(self, monkeypatch, receiver, alpha, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(montecarlo, "CHUNK", chunk)
+        n_trials = 2 * montecarlo.CHUNK + 977
+        assert n_trials % montecarlo.CHUNK != 0
+        model = DetectorModel(3, eta=0.7, nu=1e-3, xi=0.998)
+        params = ReceiverParams(tau=0.7, z=0.9, betas=(1.0, 1.5, 2.0), n_th=2)
+        cfg = FeedForwardConfig(3, model, Receiver[receiver])
+        spec = RngSpec(90)
+        got = _simulate_batch(alpha, params, cfg, spec.generator(), n_trials, collect=True)
+        want = reference_batch(alpha, params, cfg, spec.generator(), n_trials)
+        assert got[0] == want[0]
+        for array, reference in zip(got[1], want[1]):
+            assert (array is None and reference is None) or np.array_equal(array, reference)
+        assert _simulate_batch(alpha, params, cfg, spec.generator(), n_trials)[0] == want[0]
+
+
+class TestBatchMemory:
+    # Only chunk-sized arrays and a few per-trial booleans and small integers
+    # live through a batch; whole-batch float64 and int64 arrays of
+    # BATCH_SIZE trials peaked at 6.4 MiB (DFFRE N=10) and 4.6 MiB (HFFRE N=1).
+    @pytest.mark.parametrize("receiver, n", [("DFFRE", 10), ("HFFRE", 1)])
+    def test_traced_peak_of_one_batch(self, receiver, n):
+        cfg = FeedForwardConfig(n, DetectorModel(2, nu=1e-3), Receiver[receiver])
+        tau, z = (1.0, 0.0) if receiver == "DFFRE" else (0.9, 1.1)
+        params = ReceiverParams(tau=tau, z=z, betas=(0.8,) * n, n_th=1)
+        _simulate_batch(1.0, params, cfg, RngSpec(3).generator(), 1)  # any one-time set-up
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _simulate_batch(1.0, params, cfg, RngSpec(3).generator(), BATCH_SIZE)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
 
 M2_MODELS = [DetectorModel(2), DetectorModel(2, eta=0.7), DetectorModel(2, nu=1e-3),

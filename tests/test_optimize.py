@@ -444,17 +444,19 @@ class TestMaximizeGrid:
         with pytest.raises(ValueError):
             GridSearchSpec(bounds=((0.0, 1.0),), points=(3,), mandatory=((2.0,),))
 
-    @pytest.mark.parametrize("bounds, points, rounds, match", [
-        (((0.0, 1.0),), (3.5,), 0, "axis points must be an integer"),
-        (((0.0, 1.0),), (41.0,), 0, "axis points must be an integer"),
-        (((0.0, 1.0),), (3,), 1.5, "refinement_rounds must be an integer"),
-        (((0.0, math.inf),), (3,), 0, "axis bound must be finite"),
-        (((0.0, 1.0), (-math.inf, 0.0)), (3, 3), 0, "axis bound must be finite"),
+    @pytest.mark.parametrize("bounds, points, rounds, shrink_factor, match", [
+        (((0.0, 1.0),), (3.5,), 0, 8.0, "axis points must be an integer"),
+        (((0.0, 1.0),), (41.0,), 0, 8.0, "axis points must be an integer"),
+        (((0.0, 1.0),), (3,), 1.5, 8.0, "refinement_rounds must be an integer"),
+        (((0.0, math.inf),), (3,), 0, 8.0, "axis bound must be finite"),
+        (((0.0, 1.0), (-math.inf, 0.0)), (3, 3), 0, 8.0, "axis bound must be finite"),
+        # every refinement round would evaluate one point `points` times
+        (((0.0, 1.0),), (5,), 2, math.inf, "shrink_factor must be finite and > 1, got inf"),
     ])
     def test_spec_rejects_non_integer_counts_and_non_finite_bounds(self, bounds, points, rounds,
-                                                                   match):
+                                                                   shrink_factor, match):
         with pytest.raises(ValueError, match=match):
-            GridSearchSpec(bounds, points, rounds)
+            GridSearchSpec(bounds, points, rounds, shrink_factor)
 
 
 class TestScanDiscrete:
