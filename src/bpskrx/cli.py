@@ -28,8 +28,8 @@ from typing import Callable, Container, NamedTuple
 
 from . import __version__, baselines, feedforward
 from .feedforward import EvalResult, FeedForwardConfig, Receiver
-from .montecarlo import RngSpec, estimate_error
-from .photostatistics import DetectorModel
+from .montecarlo import MIN_TRIALS, RngSpec, estimate_error
+from .photostatistics import DetectorModel, _check_count
 
 
 class ReceiverEntry(NamedTuple):
@@ -93,6 +93,17 @@ def _switch(text: str) -> bool:
     return text.lower() in on
 
 
+def _check_monte_carlo(trials: int | None, seed: int | None) -> None:
+    """--mc-trials and --seed, when given, by the Monte Carlo oracle's rules, before evaluating."""
+    if trials is not None:
+        _check_count("--mc-trials", trials, MIN_TRIALS)
+    if seed is not None:
+        try:
+            RngSpec(seed)
+        except ValueError as exc:  # "seed must be ...", now naming the flag
+            raise ValueError(f"--{exc}") from None
+
+
 def _setting(default, parse, help=None):
     """A sweep setting: its default, the parser of its flag or file value, its flag help."""
     return field(default=default, metadata={"parse": parse, "help": help})
@@ -131,6 +142,7 @@ class SweepConfig:
             raise ValueError(f"--mc-trials is only supported for receivers {MC_RECEIVERS}")
         if self.mc_trials is not None and self.seed is None:
             raise ValueError("--mc-trials requires --seed for reproducibility")
+        _check_monte_carlo(self.mc_trials, self.seed)
         if self.receiver not in MC_RECEIVERS and not self.model.is_ideal:
             raise ValueError(
                 f"receiver {self.receiver} is evaluated with ideal detectors; --eta/--nu/--xi "
@@ -504,6 +516,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
+    _check_monte_carlo(args.mc_trials, args.seed)
     alpha, model, result, payload = _single_point(args)
     cfg = RECEIVER_TABLE[args.receiver].config(model, payload["n_copies"])
     p_hat, std_err = estimate_error(alpha, result.params, cfg, args.mc_trials, RngSpec(args.seed))
@@ -533,6 +546,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from . import validation
 
+    _check_monte_carlo(None, args.seed)
     results = validation.run_suite(suite=args.suite, seed=args.seed)
     failures = 0
     for check in results:

@@ -206,7 +206,7 @@ def _flip_tables(amplitude: float, n_copies: int, model: DetectorModel, resoluti
                                model.eta * (base + cross) + model.nu, resolution)
 
 
-def _step_objective(amplitude: float, n_copies: int, model: DetectorModel,
+def _step_objective(amplitude, n_copies: int, model: DetectorModel,
                     n_th: int) -> Callable[[float], Callable[[float], float]]:
     """The recursion's one step, negated, as a function of the error it starts from.
 
@@ -214,33 +214,49 @@ def _step_objective(amplitude: float, n_copies: int, model: DetectorModel,
     the error after one more copy displaced by beta, with F = Q1(rate_minus)
     and M = Q0(rate_plus) as in ``_flip_tables``. It is negated so the
     maximizers can be reused for minimization. The threshold is checked
-    here, as q_thresh checks it (1.0 and True are no thresholds); at
-    n_th >= 2 each rate is checked in line by the kernel, which sums F's
-    and M's partial sums in one loop.
+    here, as q_thresh checks it (1.0 and True are no thresholds).
+
+    The amplitude's type selects the arithmetic: a float gives Python-float
+    closures in math arithmetic for the scalar searches (at n_th >= 2 their
+    kernel checks each rate in line), an array the same closures in numpy
+    arithmetic, element by element, for the lockstep searches (e_prev holds
+    one error per element, and beta broadcasts against amplitude). Both
+    take the same IEEE operations in the same order; np.exp and math.exp
+    may still differ in the last bit.
     """
-    a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
-    # Python floats throughout, as q_thresh's float(x) gave them
-    a2n, cross_coef, eta, nu = float(a2n), float(cross_coef), float(model.eta), float(model.nu)
     if n_th == 1:
         _check_count("n_th", n_th)
-        expm1, exp = math.expm1, math.exp
+    else:
+        q_thresh(0.0, n_th, model.resolution)
+    a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
+    eta, nu = float(model.eta), float(model.nu)
+    if isinstance(amplitude, np.ndarray):
+        exp, expm1 = np.exp, np.expm1
 
-        def on_off(e_prev: float) -> Callable[[float], float]:
-            p_prev = 1.0 - e_prev
+        def flips(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return q_above_rows(x, n_th), q_below_rows(y, n_th)
+    else:
+        # Python floats throughout, as q_thresh's float(x) gave them
+        a2n, cross_coef = float(a2n), float(cross_coef)
+        exp, expm1 = math.exp, math.expm1
+        flips = q_above_below(n_th) if n_th > 1 else None
 
-            def at(beta: float) -> float:
-                base = a2n + beta * beta
-                cross = cross_coef * beta
-                false_flip = -expm1(-(eta * (base - cross) + nu))
-                missed_flip = exp(-(eta * (base + cross) + nu))
-                return -(p_prev * false_flip + e_prev * missed_flip)
+    def on_off(e_prev: float) -> Callable[[float], float]:
+        p_prev = 1.0 - e_prev
 
-            return at
+        def at(beta: float) -> float:
+            base = a2n + beta * beta
+            cross = cross_coef * beta
+            # F = -expm1(-rate_minus) and M = exp(-rate_plus), so -(p F + e M)
+            # is -(e M - p expm1(-rate_minus)): only signs move, which is
+            # exact, and negating the difference keeps the sign of a zero
+            return -(e_prev * exp(-(eta * (base + cross) + nu))
+                     - p_prev * expm1(-(eta * (base - cross) + nu)))
 
+        return at
+
+    if n_th == 1:
         return on_off
-
-    q_thresh(0.0, n_th, model.resolution)
-    flips = q_above_below(n_th)
 
     def threshold(e_prev: float) -> Callable[[float], float]:
         p_prev = 1.0 - e_prev
@@ -256,12 +272,13 @@ def _step_objective(amplitude: float, n_copies: int, model: DetectorModel,
     return threshold
 
 
-def _coarse_step(e_prev: float, false_flip: np.ndarray, missed_flip: np.ndarray) -> np.ndarray:
+def _coarse_step(e_prev, false_flip: np.ndarray, missed_flip: np.ndarray) -> np.ndarray:
     """The step objective at e_prev on the coarse grid, from one threshold's table rows.
 
     -(p F + e M) elementwise, each operation one IEEE operation as in the
     objective, so the values equal it bit for bit, the sign of a zero
-    included.
+    included. The scalar searches pass a float e_prev and one row, the
+    lockstep blocks an e_prev of shape (elements, 1) and one row each.
     """
     values = false_flip * (1.0 - e_prev)
     values += missed_flip * e_prev
@@ -416,47 +433,15 @@ def _hybrid_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float,
     return _result(alpha, *_threshold_scan(math.sqrt(tau) * alpha, cfg, e0, candidates), tau, z)
 
 
-def _flip_rows(
-    amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th: int
-) -> tuple[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-           Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]]:
-    """``_step_objective`` and its flip probabilities for arrays; beta broadcasts against amplitude.
-
-    Returns (flips, step): flips(beta) = (F, M), and step(e_prev) the
-    step objective at the array e_prev, beta -> -((1 - e_prev) F +
-    e_prev M), element by element, equal bit for bit to the objective
-    built from flips.
-    """
+def _flips(amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th: int,
+           beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, M) of the array step objective at threshold n_th, element by element;
+    beta broadcasts against amplitude. The values equal the objective's flips bit for bit."""
     a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
-    eta, nu = model.eta, model.nu
-
-    def flips(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        base = a2n + beta * beta
-        cross = cross_coef * beta
-        return (q_above_rows(eta * (base - cross) + nu, n_th),
-                q_below_rows(eta * (base + cross) + nu, n_th))
-
-    def step(e_prev: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        p_prev = 1.0 - e_prev
-
-        def at(beta: np.ndarray) -> np.ndarray:
-            false_flip, missed_flip = flips(beta)
-            return -(p_prev * false_flip + e_prev * missed_flip)
-
-        def on_off(beta: np.ndarray) -> np.ndarray:
-            base = a2n + beta * beta
-            cross = cross_coef * beta
-            minus, plus = base - cross, base + cross
-            if eta != 1.0:  # 1.0 * x is x
-                minus, plus = eta * minus, eta * plus
-            # F = -expm1(-rate_minus) and M = exp(-rate_plus), so -(p F + e M)
-            # is -(e M - p expm1(-rate_minus)): only signs move, which is
-            # exact, and negating the difference keeps the sign of a zero
-            return -(e_prev * np.exp(-(plus + nu)) - p_prev * np.expm1(-(minus + nu)))
-
-        return on_off if n_th == 1 else at
-
-    return flips, step
+    base = a2n + beta * beta
+    cross = cross_coef * beta
+    return (q_above_rows(model.eta * (base - cross) + model.nu, n_th),
+            q_below_rows(model.eta * (base + cross) + model.nu, n_th))
 
 
 def _hybrid_error_batch(
@@ -464,19 +449,20 @@ def _hybrid_error_batch(
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Negated HFFRE error at click threshold n_th at every (tau, z) of a grid round.
 
-    The per-copy beta searches of all grid points run in lockstep. A
-    point's coarse beta grid depends on tau only, so the flip
-    probabilities on it are tabulated once per distinct tau of the
-    round, one row per tau; a block of points reads its coarse rows with
-    one gather. The lockstep values agree with the scalar recursion up
-    to the last-bit differences between np.exp and math.exp, which the
-    1 - q0 tail of a threshold n_th >= 2 can raise to about 1e-16
-    absolute, so every value within the window of the round's best is
-    replaced by the scalar recursion's (``_threshold_scan`` at n_th
-    alone), from the point's own e0 (``hl_sign_error`` gives it bit for
-    bit as ``_hybrid_initial_error`` does). The round's first maximum is
-    then a point-by-point search's. z acts only through e0, so the
-    scalar runs are memoised on (tau, e0).
+    The per-copy beta searches of all grid points run in lockstep, on
+    the array step of ``_step_objective``. A point's coarse beta grid
+    depends on tau only, so the flip probabilities on it are tabulated
+    once per distinct tau of the round (``_flips``), one row per tau; a
+    block of points reads its coarse rows with one gather and forms its
+    coarse values with ``_coarse_step``. The lockstep values agree with
+    the scalar recursion up to the last-bit differences between np.exp
+    and math.exp, which the 1 - q0 tail of a threshold n_th >= 2 can
+    raise to about 1e-16 absolute, so every value within the window of
+    the round's best is replaced by the scalar recursion's
+    (``_threshold_scan`` at n_th alone), from the point's own e0
+    (``hl_sign_error`` gives it bit for bit as ``_hybrid_initial_error``
+    does). The round's first maximum is then a point-by-point search's.
+    z acts only through e0, so the scalar runs are memoised on (tau, e0).
     """
     model, n = cfg.model, cfg.n_copies
     indices = np.arange(BETA_COARSE_POINTS)
@@ -492,20 +478,13 @@ def _hybrid_error_batch(
         amplitudes = np.sqrt(taus)[:, None] * alpha
         grid = coarse_abscissae(0.0, _beta_hi(amplitudes, n), BETA_COARSE_POINTS)
         # one row per distinct tau, one column per coarse grid index
-        false_table, missed_table = _flip_rows(amplitudes, n, model, n_th)[0](grid(indices))
-        _, step = _flip_rows(amplitude, n, model, n_th)
+        false_table, missed_table = _flips(amplitudes, n, model, n_th, grid(indices))
+        step = _step_objective(amplitude, n, model, n_th)
         errors = e0
         for _ in range(n):
-            e_prev, p_prev = errors[:, None], 1.0 - errors[:, None]
-
             def coarse(block: slice) -> np.ndarray:  # element k reads row rows[k]
-                # -(p F + e M), in place on the two gathered rows
                 r = rows[block]
-                values, missed = false_table[r], missed_table[r]
-                values *= p_prev[block]
-                missed *= e_prev[block]
-                values += missed
-                return np.negative(values, out=values)
+                return _coarse_step(errors[block, None], false_table[r], missed_table[r])
 
             _, negated = maximize_scalar_batch(step(errors), 0.0, hi, BETA_COARSE_POINTS, BETA_TOL,
                                                coarse)
@@ -631,8 +610,7 @@ def saturation_dark(nu: float, n_copies: int, resolution: int) -> float:
     Derived from the recursion with nulling displacements and threshold
     at the full resolution; independent of the signal energy.
     """
-    if nu < 0.0:
-        raise ValueError(f"nu must be >= 0, got {nu!r}")
+    DetectorModel(1, nu=nu)  # its check of nu: finite and >= 0
     n_copies = _check_count("n_copies", n_copies)
     return _saturation(nu, n_copies, _check_count("resolution", resolution))
 

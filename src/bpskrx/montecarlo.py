@@ -64,6 +64,7 @@ __all__ = [
 
 BATCH_SIZE = 250_000
 CHUNK = 32_768  # trials per draw within a batch; no estimate depends on it
+MIN_TRIALS = 10_000  # the fewest trials an estimate takes
 _MAX_UINT64 = 2**64 - 1
 
 
@@ -320,8 +321,7 @@ def estimate_error(
     estimate does not depend on the thread count.
     """
     alpha = _check_alpha(alpha)
-    if not isinstance(trials, (int, np.integer)) or trials < 10_000:
-        raise ValueError(f"trials must be an integer >= 10000, got {trials!r}")
+    _check_count("trials", trials, MIN_TRIALS)
     _check_params(params, cfg)
     sizes = [min(BATCH_SIZE, trials - done) for done in range(0, trials, BATCH_SIZE)]
 

@@ -383,6 +383,39 @@ class TestCopyCount:
         assert captured.out == "" and captured.err == self.MESSAGE.format(n)
 
 
+class TestMonteCarloFlags:
+    """Every command rejects a bad --mc-trials or --seed before evaluating, naming the flag."""
+
+    TRIALS = "error: --mc-trials must be an integer >= 10000, got 5000\n"
+    SEED = "error: --seed must be an integer in [0, 18446744073709551615], got -1\n"
+    CASES = [pytest.param(["--mc-trials", "5000", "--seed", "1"], TRIALS, id="trials"),
+             pytest.param(["--mc-trials", "10000", "--seed", "-1"], SEED, id="seed")]
+
+    @pytest.mark.parametrize("flags, message",
+                             CASES + [pytest.param(["--seed", "-1"], SEED, id="seed-alone")])
+    def test_sweep(self, tmp_path, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr("bpskrx.cli.evaluate_point", None)  # nothing may be evaluated
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--receiver", "HFFRE", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", CASES)
+    def test_montecarlo(self, capsys, monkeypatch, flags, message):
+        monkeypatch.setattr("bpskrx.cli.evaluate_receiver", None)  # nothing may be evaluated
+        args = ["montecarlo", "--receiver", "HFFRE", "--alpha2", "1", "--n-copies", "10",
+                "--nu", "1e-3", *flags]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
+
+    def test_validate(self, capsys, monkeypatch):
+        monkeypatch.setattr(validation, "run_suite", None)  # nothing may be evaluated
+        assert main(["validate", "--suite", "full", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == self.SEED
+
+
 class TestFigure:
     def test_curve_sets(self):
         names = {figure_id: [name for name, _ in figure_curves(figure_id)]

@@ -30,8 +30,8 @@ from bpskrx.feedforward import (
     BETA_MARGIN,
     BETA_TOL,
     _coarse_step,
-    _flip_rows,
     _flip_tables,
+    _flips,
     _hybrid_at,
     _hybrid_error_batch,
     _step_objective,
@@ -491,8 +491,8 @@ class TestStepRows:
     @pytest.mark.parametrize("n_th", [1, 2])
     def test_step_equals_objective_of_flips(self, model, n, n_th):
         amplitude, beta, e = self.elements(n, model)
-        flips, step = _flip_rows(amplitude, n, model, n_th)
-        false_flip, missed_flip = flips(beta)
+        step = _step_objective(amplitude, n, model, n_th)
+        false_flip, missed_flip = _flips(amplitude, n, model, n_th, beta)
         expected = -((1.0 - e) * false_flip + e * missed_flip)
         assert same_bits(step(e)(beta), expected)
         if model.nu == 0.0 and model.xi == 1.0:
@@ -503,6 +503,21 @@ class TestStepRows:
             cross = 2.0 * amplitude / math.sqrt(n) * beta
             assert (base - cross < 0.0).any() and (base - cross == 0.0).any()
             assert (missed_flip == 0.0).any()
+
+    @pytest.mark.parametrize("model, n_th", [(IDEAL2, 1), (DARK2, 1), (DARK2, 2),
+                                             (DetectorModel(2, xi=0.998), 1),
+                                             (DetectorModel(2, xi=0.998), 2)])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_float_step_equals_reference(self, model, n, n_th):
+        # the float objective on the same elements, against the step written
+        # as -(p F + e M), sign bits included: for the ideal model these hold
+        # the minus rates of exactly 0 and below 0, the underflowed plus
+        # rates and the errors 0, 1 and -0.0 of the rearranged on/off form
+        amplitude, beta, e = self.elements(n, model)
+        for a, b, e_prev in zip(amplitude.tolist(), beta.tolist(), e.tolist()):
+            value = _step_objective(a, n, model, n_th)(e_prev)(b)
+            expected = reference_step_error(e_prev, a, n, model, n_th)(b)
+            assert same_bits(value, expected), (a, b, e_prev)
 
 
 def reference_step_error(e_prev, amplitude, n, model, n_th):
@@ -795,6 +810,10 @@ class TestSaturation:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             saturation_dark(-1e-3, 1, 2)
+        for nu in (math.nan, math.inf):
+            # q_thresh's "x must be finite" named an argument this function does not have
+            with pytest.raises(ValueError, match=rf"^nu must be finite and >= 0, got {nu!r}$"):
+                saturation_dark(nu, 2, 2)
         with pytest.raises(ValueError):
             saturation_visibility(0.0, 1.0, 1, 2)
 
