@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .optimize import maximize_grid_batch
-from .photostatistics import DetectorModel, exp_rows, hl_sign_error
+from .photostatistics import DetectorModel, _check_rate, exp_rows, hl_sign_error
 
 __all__ = [
     "sql_error",
@@ -28,20 +28,13 @@ __all__ = [
 ]
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
-    return alpha
-
-
 def sql_error(alpha: float) -> float:
     """Standard quantum limit: best semi-classical (homodyne) error probability.
 
     (1 - erf(sqrt(2) alpha)) / 2, evaluated as erfc so the tail keeps full
     relative precision at high energy.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_rate(alpha, "alpha")
     return 0.5 * math.erfc(math.sqrt(2.0) * alpha)
 
 
@@ -52,14 +45,14 @@ def helstrom_bound(alpha: float) -> float:
     o / (2 (1 + sqrt(1 - o))), which stays accurate when o underflows the
     subtraction.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_rate(alpha, "alpha")
     overlap = math.exp(-4.0 * alpha * alpha)
     return 0.5 * overlap / (1.0 + math.sqrt(1.0 - overlap))
 
 
 def kennedy_error(alpha: float) -> float:
     """Error probability of the nulling-displacement on/off receiver."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_rate(alpha, "alpha")
     return 0.5 * math.exp(-4.0 * alpha * alpha)
 
 
@@ -103,7 +96,7 @@ def hynore_error(alpha: float, resolution: int):
     """
     from .feedforward import _result, _tau_z_spec
 
-    alpha = _check_alpha(alpha)
+    alpha = _check_rate(alpha, "alpha")
     model = DetectorModel(resolution=resolution)
     if alpha == 0.0:
         return _result(0.0, [0.5])

@@ -29,7 +29,7 @@ from typing import Callable, Container, NamedTuple
 from . import __version__, baselines, feedforward
 from .feedforward import EvalResult, FeedForwardConfig, Receiver
 from .montecarlo import MIN_TRIALS, RngSpec, estimate_error
-from .photostatistics import DetectorModel, _check_count
+from .photostatistics import DetectorModel, _check_count, _check_rate
 
 
 class ReceiverEntry(NamedTuple):
@@ -46,6 +46,17 @@ class ReceiverEntry(NamedTuple):
 
     def n_copies(self, requested: int) -> int:
         return self.copies or requested
+
+    def check(self, name: str, model: DetectorModel, requested: int) -> int:
+        """N as evaluated, once the receiver's rules hold: detectors ideal outside
+        the recursion, and the requested N >= 1 whatever the receiver."""
+        if self.kind is None and not model.is_ideal:
+            raise ValueError(
+                f"receiver {name} is evaluated with ideal detectors; --eta/--nu/--xi "
+                f"apply to {', '.join(MC_RECEIVERS[:-1])} and {MC_RECEIVERS[-1]}"
+            )
+        FeedForwardConfig(requested, model)  # its N >= 1 check
+        return self.n_copies(requested)
 
     def config(self, model: DetectorModel, n_copies: int) -> FeedForwardConfig:
         return FeedForwardConfig(self.n_copies(n_copies), model, self.kind)
@@ -79,7 +90,6 @@ CSV_COLUMNS = (
     "mc_p_hat",
     "mc_std_err",
 )
-FIGURE_IDS = ("4", "5a", "5b", "6", "7a", "7b", "8a", "8b", "9a", "9b")
 FIGURE_POINTS = 60
 FIGURE_ALPHA2_RANGE = (0.01, 10.0)
 MC_MIN_EXPECTED_ERRORS = 10
@@ -143,12 +153,7 @@ class SweepConfig:
         if self.mc_trials is not None and self.seed is None:
             raise ValueError("--mc-trials requires --seed for reproducibility")
         _check_monte_carlo(self.mc_trials, self.seed)
-        if self.receiver not in MC_RECEIVERS and not self.model.is_ideal:
-            raise ValueError(
-                f"receiver {self.receiver} is evaluated with ideal detectors; --eta/--nu/--xi "
-                f"apply to {', '.join(MC_RECEIVERS[:-1])} and {MC_RECEIVERS[-1]}"
-            )
-        FeedForwardConfig(self.n_copies, self.model)  # its N >= 1 check, whatever the receiver
+        RECEIVER_TABLE[self.receiver].check(self.receiver, self.model, self.n_copies)
 
     @property
     def model(self) -> DetectorModel:
@@ -168,13 +173,11 @@ class SweepConfig:
 
 
 def evaluate_receiver(name: str, alpha: float, model: DetectorModel, n_copies: int) -> EvalResult:
-    """Optimized evaluation of a receiver without a closed form."""
+    """Optimized evaluation of a receiver without a closed form, its entry checked."""
     entry = RECEIVER_TABLE[name]
     if entry.kind is not None:
         return feedforward.optimized_error(alpha, entry.config(model, n_copies))
-    if not model.is_ideal:  # HYNORE, the one optimized receiver outside the recursion
-        raise ValueError(f"{name} is only evaluated with ideal detectors")
-    return baselines.hynore_error(alpha, model.resolution)
+    return baselines.hynore_error(alpha, model.resolution)  # HYNORE: the check admits only ideal models
 
 
 def evaluate_point(config: SweepConfig, alpha2: float, row_index: int) -> dict:
@@ -291,52 +294,41 @@ def _config_metadata(config: SweepConfig) -> list[tuple[str, object]]:
 
 # --- figure datasets -------------------------------------------------------
 
-def figure_curves(figure_id: str) -> list[tuple[str, dict]]:
-    """(curve_name, sweep-config overrides) for each curve of a figure.
+def _per_receiver(curves: list[tuple[str, dict]]) -> list[tuple[str, dict]]:
+    """Each (name, overrides) curve for the DFFRE, then each for the HFFRE."""
+    return [(f"{r.lower()}_{name}", {"receiver": r, **overrides})
+            for r in ("DFFRE", "HFFRE") for name, overrides in curves]
 
-    PNR resolution is 2 except where the figure varies it. The energy
-    axis is not numerically specified by the figure captions, so sweeps
-    cover alpha2 in [0.01, 10] (recorded in the output metadata).
-    """
-    curves: list[tuple[str, dict]] = []
-    if figure_id == "4":
-        for name in ("SQL", "HELSTROM", "KENNEDY", "HYNORE"):
-            curves.append((name.lower(), {"receiver": name}))
-        curves.append(("dffre_n1", {"receiver": "DFFRE", "n_copies": 1}))
-        curves.append(("hffre_n1", {"receiver": "HFFRE", "n_copies": 1}))
-    elif figure_id == "5a":
-        for receiver in ("DFFRE", "HFFRE"):
-            for n in (1, 2, 5):
-                curves.append((f"{receiver.lower()}_n{n}",
-                               {"receiver": receiver, "n_copies": n}))
-    elif figure_id == "5b":
-        for m in (1, 2, 4):
-            curves.append((f"hffre_n1_m{m}",
-                           {"receiver": "HFFRE", "n_copies": 1, "pnr": m}))
-        curves.append(("dffre_n1_m2", {"receiver": "DFFRE", "n_copies": 1, "pnr": 2}))
-    elif figure_id in ("6", "7a"):
-        for receiver in ("DFFRE", "HFFRE"):
-            for eta in (0.7, 0.8, 0.9):
-                curves.append((f"{receiver.lower()}_eta{eta}",
-                               {"receiver": receiver, "n_copies": 1, "eta": eta}))
-    elif figure_id == "7b":
-        for receiver in ("DFFRE", "HFFRE"):
-            for n in (1, 2, 5, 10):
-                curves.append((f"{receiver.lower()}_eta0.7_n{n}",
-                               {"receiver": receiver, "n_copies": n, "eta": 0.7}))
-    elif figure_id in ("8a", "8b"):
-        for receiver in ("DFFRE", "HFFRE"):
-            for n in (1, 2, 5, 10):
-                curves.append((f"{receiver.lower()}_nu1e-3_n{n}",
-                               {"receiver": receiver, "n_copies": n, "nu": 1e-3}))
-    elif figure_id in ("9a", "9b"):
-        for receiver in ("DFFRE", "HFFRE"):
-            for n in (1, 2, 5, 10):
-                curves.append((f"{receiver.lower()}_xi0.998_n{n}",
-                               {"receiver": receiver, "n_copies": n, "xi": 0.998}))
-    else:
+
+# (curve name, sweep-config overrides) for each curve of each figure. PNR
+# resolution is 2 except where the figure varies it. The energy axis is
+# not numerically specified by the figure captions, so sweeps cover
+# FIGURE_ALPHA2_RANGE (recorded in the output metadata).
+_ETA_CURVES = _per_receiver([(f"eta{eta}", {"n_copies": 1, "eta": eta}) for eta in (0.7, 0.8, 0.9)])
+_DARK_CURVES = _per_receiver([(f"nu1e-3_n{n}", {"n_copies": n, "nu": 1e-3}) for n in (1, 2, 5, 10)])
+_XI_CURVES = _per_receiver([(f"xi0.998_n{n}", {"n_copies": n, "xi": 0.998}) for n in (1, 2, 5, 10)])
+FIGURES = {
+    "4": [(r.lower(), {"receiver": r}) for r in ("SQL", "HELSTROM", "KENNEDY", "HYNORE")]
+         + _per_receiver([("n1", {"n_copies": 1})]),
+    "5a": _per_receiver([(f"n{n}", {"n_copies": n}) for n in (1, 2, 5)]),
+    "5b": [(f"hffre_n1_m{m}", {"receiver": "HFFRE", "n_copies": 1, "pnr": m}) for m in (1, 2, 4)]
+          + [("dffre_n1_m2", {"receiver": "DFFRE", "n_copies": 1, "pnr": 2})],
+    "6": _ETA_CURVES,
+    "7a": _ETA_CURVES,
+    "7b": _per_receiver([(f"eta0.7_n{n}", {"n_copies": n, "eta": 0.7}) for n in (1, 2, 5, 10)]),
+    "8a": _DARK_CURVES,
+    "8b": _DARK_CURVES,
+    "9a": _XI_CURVES,
+    "9b": _XI_CURVES,
+}
+FIGURE_IDS = tuple(FIGURES)
+
+
+def figure_curves(figure_id: str) -> list[tuple[str, dict]]:
+    """(curve_name, sweep-config overrides) for each curve of a figure, as fresh dicts."""
+    if figure_id not in FIGURES:
         raise ValueError(f"unknown figure id {figure_id!r}; choose from {FIGURE_IDS}")
-    return curves
+    return [(name, dict(overrides)) for name, overrides in FIGURES[figure_id]]
 
 
 def run_figure(figure_id: str, out_dir: str, points: int, as_json: bool) -> list[str]:
@@ -471,11 +463,8 @@ def _single_point(args: argparse.Namespace) -> tuple[float, DetectorModel, EvalR
     """Evaluate ``--receiver`` at ``--alpha2``; also returns the point's report."""
     get = lambda name: _setting_value(args, {}, name)
     model = DetectorModel(get("pnr"), get("eta"), get("nu"), get("xi"))
-    if args.alpha2 < 0.0:
-        raise ValueError("--alpha2 must be >= 0")
-    alpha = math.sqrt(args.alpha2)
-    FeedForwardConfig(get("n_copies"), model)  # its N >= 1 check, whatever the receiver
-    n_copies = RECEIVER_TABLE[args.receiver].n_copies(get("n_copies"))
+    alpha = math.sqrt(_check_rate(args.alpha2, "--alpha2"))
+    n_copies = RECEIVER_TABLE[args.receiver].check(args.receiver, model, get("n_copies"))
     result = evaluate_receiver(args.receiver, alpha, model, n_copies)
     return alpha, model, result, {
         "receiver": args.receiver,

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .baselines import _check_alpha, _pre_measurement_error, helstrom_bound, sql_error
+from .baselines import _pre_measurement_error, helstrom_bound, sql_error
 from .optimize import (
     GridSearchSpec,
     ScalarSearchSpec,
@@ -166,10 +166,9 @@ def step_rates(beta: float, amplitude: float, n_copies: int, xi: float = 1.0) ->
     """
     if not 0.0 <= beta < math.inf:
         raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
-    amplitude = _check_rate(amplitude, "amplitude")  # _check_alpha's rule, under its own name
+    amplitude = _check_rate(amplitude, "amplitude")
     n_copies = _check_count("n_copies", n_copies)
-    if not 0.0 < xi <= 1.0:
-        raise ValueError(f"xi must be in (0, 1], got {xi!r}")
+    DetectorModel(1, xi=xi)  # its check of xi
     base = amplitude * amplitude / n_copies + beta * beta
     cross = 2.0 * xi * amplitude / math.sqrt(n_copies) * beta
     return StepRates(base + cross, base - cross)
@@ -288,7 +287,7 @@ def _coarse_step(e_prev, false_flip: np.ndarray, missed_flip: np.ndarray) -> np.
 def _error_trace(e_initial: float, betas: Sequence[float], amplitude: float, n_copies: int,
                  model: DetectorModel, n_th: int) -> list[float]:
     """Error trace e_0..e_N of the recursion's step at fixed displacements."""
-    amplitude = _check_rate(amplitude, "amplitude")  # _check_alpha's rule, under its own name
+    amplitude = _check_rate(amplitude, "amplitude")
     step = _step_objective(amplitude, n_copies, model, n_th)
     errors = [e_initial]
     for beta in betas:
@@ -322,7 +321,7 @@ def correct_probability_trace(
     amplitude: float | None = None,
 ) -> tuple[float, ...]:
     """Correct-decision trace for a fixed displacement sequence (no optimization)."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_rate(alpha, "alpha")
     if len(betas) < 1:
         raise ValueError("betas must contain at least one amplitude")
     if not 0.0 <= p_initial <= 1.0:
@@ -403,7 +402,7 @@ def _threshold_scan(amplitude: float, cfg: FeedForwardConfig, e_initial: float,
 
 def dffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     """Optimized displacement feed-forward receiver error probability."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_rate(alpha, "alpha")
     if cfg.receiver is not Receiver.DFFRE:
         raise ValueError("cfg.receiver must be Receiver.DFFRE")
     if alpha == 0.0:
@@ -526,7 +525,7 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     error, betas and trace come from the scalar recursion at the chosen
     point, so the result is the one a point-by-point scalar search gives.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_rate(alpha, "alpha")
     if cfg.receiver is not Receiver.HFFRE:
         raise ValueError("cfg.receiver must be Receiver.HFFRE")
     if alpha == 0.0:
@@ -545,7 +544,7 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
 
 def hffre_error_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float) -> EvalResult:
     """HFFRE evaluation at a fixed beam-splitter setting (betas and n_th still optimized)."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_rate(alpha, "alpha")
     if cfg.receiver is not Receiver.HFFRE:
         raise ValueError("cfg.receiver must be Receiver.HFFRE")
     if not 0.0 <= tau <= 1.0:
@@ -575,7 +574,7 @@ def switch_conditional_traces(
     same linear recursion as the average correct-decision trace, which
     therefore equals (p00 + p11) / 2.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_rate(alpha, "alpha")
     if len(betas) < 1:
         raise ValueError("betas must contain at least one amplitude")
     # Given "0" the switch starts right (e = 0), given "1" wrong (e = 1).
@@ -622,9 +621,8 @@ def saturation_visibility(xi: float, alpha: float, n_copies: int, resolution: in
     2 alpha^2 (1 - xi) / N left by an imperfectly matched nulling
     displacement; increases with the signal energy.
     """
-    if not 0.0 < xi <= 1.0:
-        raise ValueError(f"xi must be in (0, 1], got {xi!r}")
-    alpha = _check_alpha(alpha)
+    DetectorModel(1, xi=xi)  # its check of xi
+    alpha = _check_rate(alpha, "alpha")
     n_copies = _check_count("n_copies", n_copies)
     g = 2.0 * alpha * alpha * (1.0 - xi) / n_copies
     return _saturation(g, n_copies, _check_count("resolution", resolution))

@@ -49,9 +49,8 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import _check_alpha
 from .feedforward import FeedForwardConfig, Receiver, ReceiverParams
-from .photostatistics import _check_count
+from .photostatistics import _check_count, _check_rate
 
 __all__ = [
     "RngSpec",
@@ -104,8 +103,7 @@ class TrajectoryRecord:
 
 def sample_pnr(rng: np.random.Generator, mu: float, resolution: int) -> int:
     """Draw one PNR(M) outcome at rate mu: a Poisson count clipped to M."""
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
+    mu = _check_rate(mu, "mu")
     resolution = _check_count("resolution", resolution)
     return int(min(rng.poisson(mu), resolution))
 
@@ -119,11 +117,9 @@ def _check_params(params: ReceiverParams, cfg: FeedForwardConfig) -> None:
     _check_count("n_th", params.n_th, 1, resolution)
     if not 0.0 <= params.tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {params.tau}")
-    if not 0.0 <= params.z < math.inf:
-        raise ValueError(f"z must be finite and >= 0, got {params.z}")
+    _check_rate(params.z, "z")
     for j, beta in enumerate(params.betas):
-        if not 0.0 <= beta < math.inf:
-            raise ValueError(f"betas[{j}] must be finite and >= 0, got {beta!r}")
+        _check_rate(beta, f"betas[{j}]")
 
 
 def _rate(eta: float, mean: float, nu: float) -> float:
@@ -241,7 +237,7 @@ def simulate_trial(
     rng: np.random.Generator,
 ) -> TrajectoryRecord:
     """Simulate a single trial and return its full record."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_rate(alpha, "alpha")
     _check_params(params, cfg)
     _, detail = _simulate_batch(alpha, params, cfg, rng, 1, collect=True)
     hypothesis, delta, counts_log, switch_log, final = detail
@@ -320,7 +316,7 @@ def estimate_error(
     this returns. The error counts are added in batch order, so the
     estimate does not depend on the thread count.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_rate(alpha, "alpha")
     _check_count("trials", trials, MIN_TRIALS)
     _check_params(params, cfg)
     sizes = [min(BATCH_SIZE, trials - done) for done in range(0, trials, BATCH_SIZE)]

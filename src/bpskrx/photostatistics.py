@@ -64,6 +64,14 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
+def _check_rate(x: float, name: str = "x") -> float:
+    """x as a float, if it is finite and >= 0: the rule of every rate and amplitude."""
+    x = float(x)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """PNR(M) detector with efficiency, dark-count and visibility parameters.
@@ -94,8 +102,7 @@ class DetectorModel:
         object.__setattr__(self, "resolution", _check_count("resolution", self.resolution))
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must be in (0, 1], got {self.eta!r}")
-        if not (self.nu >= 0.0 and math.isfinite(self.nu)):
-            raise ValueError(f"nu must be finite and >= 0, got {self.nu!r}")
+        _check_rate(self.nu, "nu")
         if not (0.0 < self.xi <= 1.0):
             raise ValueError(f"xi must be in (0, 1], got {self.xi!r}")
 
@@ -166,8 +173,7 @@ def branch_means(zeta: float, z: float, xi: float = 1.0) -> BranchMeans:
     z = _check_finite("z", z)
     if z < 0.0:
         raise ValueError(f"z must be >= 0, got {z!r}")
-    if not (0.0 < xi <= 1.0):
-        raise ValueError(f"xi must be in (0, 1], got {xi!r}")
+    DetectorModel(1, xi=xi)  # its check of xi
     base = zeta * zeta + z * z
     cross = 2.0 * xi * z * zeta
     return BranchMeans(0.5 * (base + cross), 0.5 * (base - cross))
@@ -287,13 +293,6 @@ def skellam_pmf(delta: int, mu_plus: float, mu_minus: float) -> float:
             break
         prev = term
     return total
-
-
-def _check_rate(x: float, name: str = "x") -> float:
-    x = _check_finite(name, x)
-    if x < 0.0:
-        raise ValueError(f"{name} must be >= 0, got {x!r}")
-    return x
 
 
 def q_off(x: float) -> float:

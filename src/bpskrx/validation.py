@@ -61,16 +61,12 @@ class CheckResult:
         self.details.append(f"{'ok  ' if ok else 'FAIL'} {label}: {margin}")
 
 
-def _cfg(n: int, model: DetectorModel, receiver: Receiver) -> FeedForwardConfig:
-    return FeedForwardConfig(n, model, receiver)
-
-
 def _dffre(alpha2: float, n: int = 1, model: DetectorModel = IDEAL2):
-    return feedforward.dffre_error(math.sqrt(alpha2), _cfg(n, model, Receiver.DFFRE))
+    return feedforward.dffre_error(math.sqrt(alpha2), FeedForwardConfig(n, model, Receiver.DFFRE))
 
 
 def _hffre(alpha2: float, n: int = 1, model: DetectorModel = IDEAL2):
-    return feedforward.hffre_error(math.sqrt(alpha2), _cfg(n, model, Receiver.HFFRE))
+    return feedforward.hffre_error(math.sqrt(alpha2), FeedForwardConfig(n, model, Receiver.HFFRE))
 
 
 def criterion_01(fast: bool = False, seed: int = 0) -> CheckResult:
@@ -296,7 +292,7 @@ def criterion_09(fast: bool = False, seed: int = 1234) -> CheckResult:
     trials = 100_000 if fast else 1_000_000
     points = MC_POINTS[::3] if fast else MC_POINTS
     for index, (name, model_key, alpha2, n_copies) in enumerate(points):
-        cfg = _cfg(n_copies, MC_MODELS[model_key], Receiver[name])
+        cfg = FeedForwardConfig(n_copies, MC_MODELS[model_key], Receiver[name])
         alpha = math.sqrt(alpha2)
         res = feedforward.optimized_error(alpha, cfg)
         p_hat, std_err = montecarlo.estimate_error(
@@ -333,8 +329,9 @@ def criterion_11(fast: bool = False, seed: int = 0) -> CheckResult:
     result = CheckResult("11 reduction identities (1e-12)")
     for model in (IDEAL2, DetectorModel(2, nu=1e-3)):
         label = "ideal" if model.is_ideal else "dark"
-        pd = feedforward.dffre_error(1.0, _cfg(2, model, Receiver.DFFRE)).p_err
-        ph = feedforward.hffre_error_at(1.0, _cfg(2, model, Receiver.HFFRE), tau=1.0, z=0.0).p_err
+        pd = feedforward.dffre_error(1.0, FeedForwardConfig(2, model, Receiver.DFFRE)).p_err
+        ph = feedforward.hffre_error_at(1.0, FeedForwardConfig(2, model, Receiver.HFFRE),
+                                        tau=1.0, z=0.0).p_err
         diff = abs(pd - ph)
         result.check(f"tau=1 hffre equals dffre ({label})", diff <= 1e-12, f"|diff|={diff:.2e}")
     worst = 0.0
@@ -344,8 +341,8 @@ def criterion_11(fast: bool = False, seed: int = 0) -> CheckResult:
     result.check("n_th=1 equals on/off formulas", worst <= 1e-12, f"sup={worst:.2e}")
     explicit = DetectorModel(2, eta=1.0, nu=0.0, xi=1.0)
     diff = abs(
-        feedforward.dffre_error(1.0, _cfg(2, explicit, Receiver.DFFRE)).p_err
-        - feedforward.dffre_error(1.0, _cfg(2, IDEAL2, Receiver.DFFRE)).p_err
+        feedforward.dffre_error(1.0, FeedForwardConfig(2, explicit, Receiver.DFFRE)).p_err
+        - feedforward.dffre_error(1.0, FeedForwardConfig(2, IDEAL2, Receiver.DFFRE)).p_err
     )
     result.check("explicit (1, 0, 1) model equals ideal path", diff <= 1e-12, f"|diff|={diff:.2e}")
     pmf_a = hl_difference_pmf(0.7, 1.1, explicit).probs

@@ -14,7 +14,17 @@ import pytest
 
 import bpskrx
 from bpskrx import feedforward, validation
-from bpskrx.cli import CSV_COLUMNS, SweepConfig, evaluate_point, figure_curves, main
+from bpskrx.cli import (
+    CSV_COLUMNS,
+    FIGURE_ALPHA2_RANGE,
+    FIGURE_IDS,
+    FIGURES,
+    SweepConfig,
+    build_parser,
+    evaluate_point,
+    figure_curves,
+    main,
+)
 
 # The subprocess imports the same bpskrx as these tests, installed or not.
 PACKAGE_ROOT = str(Path(bpskrx.__file__).resolve().parents[1])
@@ -416,6 +426,34 @@ class TestMonteCarloFlags:
         assert captured.out == "" and captured.err == self.SEED
 
 
+class TestSinglePointChecks:
+    """``optimize`` and ``montecarlo`` check --alpha2 and the receiver's rules before evaluating."""
+
+    @pytest.mark.parametrize("command", ["optimize", "montecarlo"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_alpha2_must_be_finite_and_nonnegative(self, capsys, monkeypatch, command, value):
+        monkeypatch.setattr("bpskrx.cli.evaluate_receiver", None)  # nothing may be evaluated
+        assert main([command, "--receiver", "DFFRE", "--alpha2", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --alpha2 must be finite and >= 0, got {float(value)!r}\n"
+
+    def test_ideal_only_receiver_has_one_message(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("bpskrx.cli.evaluate_receiver", None)  # nothing may be evaluated
+        monkeypatch.setattr("bpskrx.cli.evaluate_point", None)
+        assert main(["optimize", "--receiver", "HYNORE", "--alpha2", "1", "--eta", "0.7"]) == 2
+        single = capsys.readouterr()
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--receiver", "HYNORE", "--alpha2-min", "1", "--alpha2-max", "2",
+                     "--points", "2", "--eta", "0.7", "--out", str(out)]) == 2
+        sweep = capsys.readouterr()
+        assert single.out == sweep.out == ""
+        assert single.err == sweep.err == (
+            "error: receiver HYNORE is evaluated with ideal detectors; --eta/--nu/--xi apply to "
+            "DISP_OPT, DFFRE and HFFRE\n")
+        assert not out.exists()
+
+
 class TestFigure:
     def test_curve_sets(self):
         names = {figure_id: [name for name, _ in figure_curves(figure_id)]
@@ -448,6 +486,31 @@ class TestFigure:
         for row in rows:
             assert float(row[1]) == pytest.approx(math.exp(-4 * float(row[0])) / 2,
                                                   rel=1e-14, abs=0.0)
+
+    def test_id_choices_are_the_table(self):
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        figure_id = next(a for a in commands.choices["figure"]._actions if a.dest == "id")
+        assert tuple(figure_id.choices) == FIGURE_IDS == tuple(FIGURES)
+
+    def test_every_curve_is_a_valid_sweep(self, monkeypatch):
+        monkeypatch.setattr("bpskrx.cli.evaluate_point", None)  # nothing may be evaluated
+        monkeypatch.setattr("bpskrx.cli.evaluate_receiver", None)
+        alpha2_min, alpha2_max = FIGURE_ALPHA2_RANGE
+        for figure_id in FIGURE_IDS:
+            curves = figure_curves(figure_id)
+            names = [name for name, _ in curves]
+            assert len(set(names)) == len(names), figure_id
+            for _, overrides in curves:
+                SweepConfig(alpha2_min=alpha2_min, alpha2_max=alpha2_max, points=2, log=True,
+                            **overrides)
+
+    def test_returned_curves_are_fresh(self):
+        first = figure_curves("7a")
+        first[0][1]["eta"] = 0.5
+        first.clear()
+        assert figure_curves("7a")[0] == ("dffre_eta0.7", {"receiver": "DFFRE", "n_copies": 1,
+                                                           "eta": 0.7})
+        assert figure_curves("6") == figure_curves("7a")
 
 
 class TestOptimize:

@@ -183,7 +183,7 @@ class TestHlDifferencePmf:
             hl_difference_pmf(0.0, 0.0, IDEAL2).prob(3)
 
     @pytest.mark.parametrize("zeta, z, message", [
-        (1e200, 0.0, "mu must be finite, got inf"),
+        (1e200, 0.0, "mu must be finite and >= 0, got inf"),
         (math.nan, 1.0, "zeta must be finite, got nan"),
         (1.0, -1.0, "z must be >= 0, got -1.0"),
     ])
