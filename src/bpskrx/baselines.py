@@ -69,10 +69,15 @@ def optimized_displacement_error(alpha: float, model: DetectorModel):
     return dffre_error(alpha, cfg)
 
 
+def _tap_amplitude(alpha: float, tau: np.ndarray) -> np.ndarray:
+    """sqrt(1 - tau) alpha: what a tap of transmissivity tau reflects to the HL stage."""
+    return np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha
+
+
 def _pre_measurement_error(alpha: float, tau: np.ndarray, z: np.ndarray,
                            model: DetectorModel) -> np.ndarray:
-    """HL sign error e0 at every (tau, z): the tap reflects sqrt(1 - tau) alpha to the HL stage."""
-    return hl_sign_error(np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha, z, model)
+    """HL sign error e0 at every (tau, z)."""
+    return hl_sign_error(_tap_amplitude(alpha, tau), z, model)
 
 
 def hynore_error(alpha: float, resolution: int):

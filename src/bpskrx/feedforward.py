@@ -20,11 +20,14 @@ e(0) = 1/2, and at N = 1 it is the optimized displacement receiver. The
 hybrid feed-forward receiver (HFFRE) first taps a fraction 1 - tau of
 the signal and measures it with the homodyne-like (HL) difference
 scheme, whose sign picks the first displacement: e(0) is the HL sign
-error and the copies carry sqrt(tau) alpha. tau and the HL
-local-oscillator amplitude z are optimized on a grid that always
-contains tau = 1, where the DFFRE is recovered up to the rounding of
-e(0) = 1/2 (the HL error of an untapped signal is 1/2 within 1e-15).
-The switch-conditional traces start at e(0) = 0 and 1.
+error and the copies carry sqrt(tau) alpha. The HL local-oscillator
+amplitude z acts only through e(0), which runs from its minimum over z
+(``photostatistics.hl_sign_minimum``) to 1/2 at z = 0; the step is
+concave in the error it starts from, so the search is over tau alone,
+with z at one of those two ends. The tau grid always contains tau = 1,
+where the DFFRE is recovered up to the rounding of e(0) = 1/2 (the HL
+error of an untapped signal is 1/2 within 1e-15). The
+switch-conditional traces start at e(0) = 0 and 1.
 
 Detector imperfections (efficiency eta, dark counts nu, visibility xi)
 enter through the detected rates; with dark counts or reduced visibility
@@ -41,7 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .baselines import _pre_measurement_error, helstrom_bound, sql_error
+from .baselines import _pre_measurement_error, _tap_amplitude, helstrom_bound, sql_error
 from .optimize import (
     GridSearchSpec,
     ScalarSearchSpec,
@@ -55,7 +58,7 @@ from .photostatistics import (
     DetectorModel,
     _check_count,
     _check_rate,
-    hl_difference_pmf,
+    hl_sign_minimum,
     q_above_below,
     q_above_below_table,
     q_above_rows,
@@ -413,15 +416,10 @@ def dffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
 def _hybrid_initial_error(alpha: float, tau: float, z: float, model: DetectorModel) -> float:
     """Probability that the HL pre-measurement starts the switch on the wrong side.
 
-    The reflected amplitudes are -sqrt(1-tau) * (-+ alpha) for the two
-    hypotheses; a nonnegative difference outcome selects the positive
-    first displacement (ties go with inferring "0"), so the wrong-side
-    masses are Delta >= 0 under "+alpha" and Delta < 0 under "-alpha".
+    The one-element view of the rows a lockstep round evaluates
+    (``_pre_measurement_error``), so it equals their e0 bit for bit.
     """
-    reflected = math.sqrt(max(0.0, 1.0 - tau)) * alpha
-    pmf_r1 = hl_difference_pmf(-reflected, z, model)  # hypothesis "+alpha"
-    pmf_r0 = hl_difference_pmf(reflected, z, model)   # hypothesis "-alpha"
-    return 0.5 * (pmf_r1.mass_nonnegative() + pmf_r0.mass_negative())
+    return float(_pre_measurement_error(alpha, np.array([tau]), np.array([z]), model)[0])
 
 
 def _hybrid_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float,
@@ -446,9 +444,9 @@ def _flips(amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th: int
 def _hybrid_error_batch(
     alpha: float, cfg: FeedForwardConfig, n_th: int
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Negated HFFRE error at click threshold n_th at every (tau, z) of a grid round.
+    """Negated HFFRE error at click threshold n_th at every (tau, z) of a search round.
 
-    The per-copy beta searches of all grid points run in lockstep, on
+    The per-copy beta searches of all points run in lockstep, on
     the array step of ``_step_objective``. A point's coarse beta grid
     depends on tau only, so the flip probabilities on it are tabulated
     once per distinct tau of the round (``_flips``), one row per tau; a
@@ -502,10 +500,10 @@ def _hybrid_error_batch(
 
 
 def _tau_z_spec(alpha: float) -> GridSearchSpec:
-    """The (tau, z) search box of the hybrid receivers: tau in [0, 1],
-    z in [0, 5 + 4 alpha], with the no-tap point tau = 1 always searched."""
+    """The (tau, z) search box of HYNORE: tau in [0, 1], z in [0, 5 + 4 alpha],
+    with the no-tap point tau = 1 always searched."""
     return GridSearchSpec(
-        bounds=((0.0, 1.0), (0.0, BETA_MARGIN + 4.0 * alpha)),
+        bounds=((0.0, 1.0), (0.0, _oscillator_hi(alpha))),
         points=(TAU_Z_POINTS, TAU_Z_POINTS),
         refinement_rounds=TAU_Z_ROUNDS,
         shrink_factor=TAU_Z_SHRINK,
@@ -513,17 +511,61 @@ def _tau_z_spec(alpha: float) -> GridSearchSpec:
     )
 
 
+def _oscillator_hi(alpha: float) -> float:
+    """Upper end of the HL local-oscillator box, 5 + 4 alpha."""
+    return BETA_MARGIN + 4.0 * alpha
+
+
+# The tau axis of the HFFRE search: the tau axis of _tau_z_spec, with one
+# refinement round more. A round of the axis alone is 82 lockstep elements,
+# and four rounds leave a tau spacing of 6.1e-6, which at flat optima costs
+# up to about 4e-11 of p_err, relative.
+TAU_ROUNDS = TAU_Z_ROUNDS + 1
+TAU_SPEC = GridSearchSpec(bounds=((0.0, 1.0),), points=(TAU_Z_POINTS,),
+                          refinement_rounds=TAU_ROUNDS, shrink_factor=TAU_Z_SHRINK,
+                          mandatory=((1.0,),))
+
+
+def _oscillator_at_minimum(alpha: float,
+                           model: DetectorModel) -> Callable[[np.ndarray], np.ndarray]:
+    """tau -> z*(tau), the local oscillator in [0, 5 + 4 alpha] at which the HL error
+    e0 is smallest (``hl_sign_minimum``), memoised by tau.
+
+    Each call searches the taus it has not seen yet, all in one lockstep
+    search; a tau's z* depends on that tau alone. At tau = 1 nothing is
+    reflected, and z* = 0.
+    """
+    z_hi = _oscillator_hi(alpha)
+    memo: dict[float, float] = {}
+
+    def z_star(tau: np.ndarray) -> np.ndarray:
+        taus = tau.tolist()
+        new = list(dict.fromkeys(t for t in taus if t not in memo))
+        if new:
+            z, _ = hl_sign_minimum(_tap_amplitude(alpha, np.array(new)), z_hi, model)
+            memo.update(zip(new, z.tolist()))
+        return np.array([memo[t] for t in taus])
+
+    return z_star
+
+
 def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     """Hybrid feed-forward receiver error probability, optimized over (tau, z).
 
-    The search box is tau in [0, 1], z in [0, 5 + 4 alpha]; tau = 1 is a
-    mandatory grid point, so the result never exceeds the DFFRE one by
-    more than optimizer tolerance and the rounding of e0 = 1/2 there.
-    Each grid round is evaluated as one batch, whose objective
-    (``_hybrid_error_batch``) settles its own near-ties with the scalar
-    recursion; the box search just takes the first maximum. The reported
-    error, betas and trace come from the scalar recursion at the chosen
-    point, so the result is the one a point-by-point scalar search gives.
+    z acts only through the HL error e0, which runs from its minimum over
+    z, at z*(tau) (``_oscillator_at_minimum``), to 1/2 at z = 0. Each
+    copy's step is concave in the error it starts from, so wherever e_N
+    is concave in e0 its minimum over z lies at one of these two ends.
+    The search is over tau alone (``TAU_SPEC``), with each tau evaluated
+    at (tau, z*(tau)) and at (tau, 0); ties keep z*. tau = 1 is always
+    searched, so the result never exceeds the DFFRE one by more than
+    optimizer tolerance and the rounding of e0 = 1/2 there. z* is shared
+    by every click threshold. Each round is one lockstep batch
+    (``_hybrid_error_batch``), which settles its own near-ties with the
+    scalar recursion; the search just takes the first maximum. The
+    reported error, betas and trace come from the scalar recursion at the
+    chosen point, so the result is the one a point-by-point scalar
+    search of these settings gives.
     """
     alpha = _check_rate(alpha, "alpha")
     if cfg.receiver is not Receiver.HFFRE:
@@ -531,11 +573,23 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     if alpha == 0.0:
         return _result(0.0, [0.5] * (cfg.n_copies + 1), (0.0,) * cfg.n_copies)
 
-    spec = _tau_z_spec(alpha)
+    z_star = _oscillator_at_minimum(alpha, cfg.model)
     best: dict[int, tuple[float, float]] = {}
 
     def scan_threshold(n_th: int) -> float:
-        best[n_th], negated = maximize_grid_batch(_hybrid_error_batch(alpha, cfg, n_th), spec)
+        batch = _hybrid_error_batch(alpha, cfg, n_th)
+        oscillator: dict[float, float] = {}
+
+        def objective(tau: np.ndarray) -> np.ndarray:
+            z = z_star(tau)
+            values = batch(np.concatenate((tau, tau)), np.concatenate((z, np.zeros_like(z))))
+            at_min, at_half = values[:tau.size], values[tau.size:]
+            half = at_half > at_min
+            oscillator.update(zip(tau.tolist(), np.where(half, 0.0, z).tolist()))
+            return np.where(half, at_half, at_min)
+
+        (tau,), negated = maximize_grid_batch(objective, TAU_SPEC)
+        best[n_th] = tau, oscillator[tau]
         return negated
 
     n_th, _ = scan_discrete(scan_threshold, _threshold_candidates(cfg.model))
@@ -549,8 +603,7 @@ def hffre_error_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float) -
         raise ValueError("cfg.receiver must be Receiver.HFFRE")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau!r}")
-    if z < 0.0:
-        raise ValueError(f"z must be >= 0, got {z!r}")
+    z = _check_rate(z, "z")
     if alpha == 0.0:
         return _result(0.0, [0.5] * (cfg.n_copies + 1), (0.0,) * cfg.n_copies)
     return _hybrid_at(alpha, cfg, tau, z, _threshold_candidates(cfg.model))

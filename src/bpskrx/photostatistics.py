@@ -32,6 +32,7 @@ __all__ = [
     "branch_means",
     "hl_difference_pmf",
     "hl_sign_error",
+    "hl_sign_minimum",
     "skellam_pmf",
     "q_off",
     "q_on",
@@ -239,22 +240,117 @@ def hl_sign_error(reflected: np.ndarray, z: np.ndarray, model: DetectorModel) ->
     oscillator z[k]. A nonnegative Delta infers "-alpha" (ties go with
     it), so the error, the HFFRE's e0, is
 
-        0.5 * [ P(Delta >= 0 | -reflected) + P(Delta < 0 | reflected) ],
+        0.5 * [ P(Delta >= 0 | -reflected) + P(Delta < 0 | reflected) ].
 
-    bit for bit the value built from two ``hl_difference_pmf`` calls.
-    The two hypotheses swap the branch means, so two PNR PMFs per
-    element suffice.
+    The two hypotheses swap the branch means, so two PNR PMFs p+ and p-
+    per element suffice (``_hl_sign_terms``). Every z must be finite and
+    >= 0 (``_check_rate``); the first that is not raises.
     """
-    if np.any(z < 0.0):
-        raise ValueError("z must be >= 0")
+    z = np.asarray(z, dtype=float)
+    bad = ~(np.isfinite(z) & (z >= 0.0))
+    if bad.any():
+        _check_rate(float(z.flat[np.argmax(bad)]), "z")
+    return _hl_sign_terms(reflected, z, model)[0]
+
+
+def _hl_sign_terms(reflected: np.ndarray, z: np.ndarray, model: DetectorModel,
+                   slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """(e0, de0/dz) of ``hl_sign_error`` at every element, in O(M) per element; z unchecked.
+
+    With C+[n] = sum_(m <= n) p+[m] and T-[n] = sum_(m > n) p-[m],
+
+        e0 = 0.5 * [ sum_n p-[n] C+[n] + sum_(n < M) p+[n] T-[n] ],
+
+    sums of positive terms only. Each element's value depends on that
+    element alone, so a row of many equals the same row alone, bit for
+    bit. With ``slope``, the z-derivative comes from the same rows:
+    dp[n]/dmu = p[n-1] - p[n] (n < M) and dp[M]/dmu = p[M-1], and
+    summation by parts leaves
+
+        de0/dz = 0.5 * [ mu-' (A + S) - mu+' (B + S) ],
+
+    with A = sum_(n<M) p-[n] p+[n+1], B = sum_(n<M) p+[n] p-[n+1],
+    S = sum_(n<M) p+[n] p-[n] and mu+-' = eta (z +- xi reflected).
+    Without it the second entry is None.
+    """
     base = reflected * reflected + z * z
     cross = 2.0 * model.xi * z * reflected
-    p_plus = _pnr_rows(model.eta * (0.5 * (base + cross)) + model.nu, model.resolution)
-    p_minus = _pnr_rows(model.eta * (0.5 * (base - cross)) + model.nu, model.resolution)
     m = model.resolution
-    nonnegative = _diagonal_mass(p_minus, p_plus, range(0, m + 1)).sum(axis=1)  # "+alpha"
-    negative = _diagonal_mass(p_plus, p_minus, range(-m, 0)).sum(axis=1)        # "-alpha"
-    return 0.5 * (nonnegative + negative)
+    p_plus = _pnr_rows(model.eta * (0.5 * (base + cross)) + model.nu, m)
+    p_minus = _pnr_rows(model.eta * (0.5 * (base - cross)) + model.nu, m)
+    at_or_below_plus = np.cumsum(p_plus, axis=1)
+    above_minus = np.cumsum(p_minus[:, :0:-1], axis=1)[:, ::-1]  # T-[n] for n < M
+    e0 = 0.5 * ((p_minus * at_or_below_plus).sum(axis=1)        # "+alpha": Delta >= 0
+                + (p_plus[:, :m] * above_minus).sum(axis=1))    # "-alpha": Delta < 0
+    if not slope:
+        return e0, None
+    same = (p_plus[:, :m] * p_minus[:, :m]).sum(axis=1)
+    up = (p_minus[:, :m] * p_plus[:, 1:]).sum(axis=1)
+    down = (p_plus[:, :m] * p_minus[:, 1:]).sum(axis=1)
+    reach = model.xi * reflected
+    return e0, 0.5 * model.eta * ((z - reach) * (up + same) - (z + reach) * (down + same))
+
+
+# The z search of ``hl_sign_minimum``: slope scan points, Illinois step cap,
+# and the bracket width, relative to the box, at which a search stops
+HL_SCAN_POINTS = 12
+HL_MAX_STEPS = 64
+HL_Z_RTOL = 1e-12
+
+
+def hl_sign_minimum(reflected: np.ndarray, z_hi: float,
+                    model: DetectorModel) -> tuple[np.ndarray, np.ndarray]:
+    """(z*, e0*) of every element: the local oscillator in [0, z_hi] at which
+    ``hl_sign_error`` is smallest, and its value there.
+
+    e0 is 1/2 at z = 0 and falls from there, and it is unimodal in z. A
+    ``HL_SCAN_POINTS``-point scan of (e0, de0/dz) over the box, every
+    element in one kernel call, brackets the first z where the slope
+    turns nonnegative; Illinois steps (regula falsi with the retained
+    end's slope halved) on the slope close each bracket, one kernel call
+    per step for the unfinished elements, until it is narrower than
+    ``HL_Z_RTOL`` z_hi. Each element's z* is the evaluated point with the
+    smallest e0, so it is never worse than the scan. A zero amplitude
+    carries no information: e0 is 1/2 at every z, and z* = 0. Each
+    element's search depends on that element alone.
+    """
+    reflected = np.asarray(reflected, dtype=float)
+    z_hi = _check_rate(z_hi, "z_hi")
+    size, n = reflected.size, HL_SCAN_POINTS
+    grid = z_hi * np.arange(n) / (n - 1)
+    e0, slope = (v.reshape(size, n) for v in
+                 _hl_sign_terms(np.repeat(reflected, n), np.tile(grid, size), model, slope=True))
+    found = np.where(reflected == 0.0, 0, e0.argmin(axis=1))
+    best_z = grid[found]
+    best_e = e0[np.arange(size), found]
+    # the first nonnegative slope past z = 0 ends the bracket
+    rising = slope >= 0.0
+    k = rising.argmax(axis=1)
+    bracketed = rising.any(axis=1) & (k > 0) & (reflected > 0.0)
+    rows = np.flatnonzero(bracketed)
+    k = k[rows]
+    a, b = grid[k - 1], grid[k]
+    slope_a, slope_b = slope[rows, k - 1], slope[rows, k]
+    kept = np.zeros(rows.size, dtype=np.int8)  # the end the last step kept: -1 a, +1 b
+    for _ in range(HL_MAX_STEPS):
+        open_ = (b - a > HL_Z_RTOL * z_hi) & (slope_b > 0.0)
+        if not open_.any():
+            break
+        rows, a, b, slope_a, slope_b, kept = (
+            v[open_] for v in (rows, a, b, slope_a, slope_b, kept))
+        x = np.clip(b - slope_b * (b - a) / (slope_b - slope_a), a, b)
+        value, slope_x = _hl_sign_terms(reflected[rows], x, model, slope=True)
+        better = value < best_e[rows]
+        best_z[rows[better]] = x[better]
+        best_e[rows[better]] = value[better]
+        left = slope_x < 0.0  # the root lies right of x: x replaces a, b is kept
+        # an end kept twice in a row has its slope halved (Illinois)
+        slope_b = np.where(left & (kept == 1), 0.5 * slope_b, slope_b)
+        slope_a = np.where(~left & (kept == -1), 0.5 * slope_a, slope_a)
+        a, slope_a = np.where(left, x, a), np.where(left, slope_x, slope_a)
+        b, slope_b = np.where(left, b, x), np.where(left, slope_b, slope_x)
+        kept = np.where(left, 1, -1).astype(np.int8)
+    return best_z, best_e
 
 
 def skellam_pmf(delta: int, mu_plus: float, mu_minus: float) -> float:

@@ -29,12 +29,13 @@ PATHS = [
     ("HYNORE", {}, ("baselines.hynore_error",)),
     ("DFFRE", {"nu": 1e-3}, ("feedforward.dffre_error", "optimize.scan_discrete",
                              "optimize.maximize_scalar", "photostatistics.q_thresh")),
+    # The HL error comes from hl_sign_error's rows, which the tracer does not wrap.
     ("HFFRE", {"n_copies": 1}, ("feedforward.hffre_error", "optimize.scan_discrete",
-                                "optimize.maximize_scalar", "photostatistics.hl_difference_pmf")),
+                                "optimize.maximize_scalar")),
     # dark counts: both thresholds, and the near-tie settlement at n_th = 2
     ("HFFRE", {"nu": 1e-3, "n_copies": 1}, ("feedforward.hffre_error", "optimize.scan_discrete",
                                             "optimize.maximize_scalar",
-                                            "photostatistics.hl_difference_pmf")),
+                                            "photostatistics.q_thresh")),
 ]
 
 

@@ -758,17 +758,17 @@ GOLDEN_ROWS = [
      "1.9999463881718769, 0.9999608137656704, 1.0, None, 1, "
      "'1.7320720960839568;1.7320508277483275', None, None)"),
     ("HFFRE", {}, 0.05,
-     "(0.05, 0.30204474776593404, 0.287121368544176, 0.3273604230092885, "
-     "1.051975857099824, 0.07733273011635922, 0.9520593261718749, 1.356394616425042, 1, "
-     "'0.610647196605258;0.39649484422749737', None, None)"),
+     "(0.05, 0.30204474776501544, 0.287121368544176, 0.3273604230092885, 1.0519758570966247, "
+     "0.0773327301191653, 0.9520578002929687, 1.3563881354796696, 1, "
+     "'0.6106456245497507;0.39649450368526584', None, None)"),
     ("HFFRE", {}, 1.0,
-     "(1.0, 0.006650187047958846, 0.004600070369588713, 0.022750131948179198, "
-     "1.445670721022781, 0.7076857812030803, 0.9642675781250001, 1.3623596191406253, 1, "
-     "'0.7904830187991227;0.7039813468585429', None, None)"),
+     "(1.0, 0.006650187047236634, 0.004600070369588713, 0.022750131948179198, "
+     "1.4456707208657809, 0.7076857812348257, 0.9642660522460939, 1.3623836349177683, 1, "
+     "'0.7904817306927524;0.7039807816510846', None, None)"),
     ("HFFRE", {}, 6.0,
-     "(6.0, 1.5872152853392038e-11, 9.43783636078685e-12, 4.816785043215479e-07, "
-     "1.681757581572303, 0.9999670482433595, 0.9899658203124999, 1.366806110291451, 1, "
-     "'1.7233508466026546;1.7233390518979799', None, None)"),
+     "(6.0, 1.5871263632996605e-11, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "1.681663362901684, 0.9999670500894464, 0.9899734497070312, 1.3667865679314648, 1, "
+     "'1.7233574877162674;1.723345692999943', None, None)"),
     ("DISP_OPT", {"nu": 0.001, "pnr": 4}, 1.0,
      "(1.0, 0.009051973975512695, 0.004600070369588713, 0.022750131948179198, "
      "1.9677903267210282, 0.6021133417541709, 1.0, None, 1, '1.032669080188172', None, "
@@ -794,17 +794,17 @@ GOLDEN_ROWS = [
      "4.452490701573549, 0.09970761515442561, 1.0, None, 1, "
      "'0.9167757974250841;0.6493083147843851;0.6023638559234145', None, None)"),
     ("HFFRE", {"nu": 0.001, "pnr": 4}, 1.0,
-     "(1.0, 0.007541372493668151, 0.004600070369588713, 0.022750131948179198, "
-     "1.6394037238048633, 0.6685130217773649, 0.954432373046875, 1.9436462402343746, 1, "
-     "'0.7792526540026642;0.7002892510206251', None, None)"),
+     "(1.0, 0.007541372493408227, 0.004600070369588713, 0.022750131948179198, "
+     "1.639403723748359, 0.6685130217887902, 0.9544338989257812, 1.943664266763888, 1, "
+     "'0.7792538436003428;0.7002898274129598', None, None)"),
     ("HFFRE", {"nu": 0.001, "pnr": 4}, 6.0,
-     "(6.0, 3.078199052226415e-08, 9.43783636078685e-12, 4.816785043215479e-07, "
-     "3261.551625344964, 0.9360943238153816, 0.990474853515625, 1.9453029804703146, 3, "
-     "'1.9397666085319407;1.7586760307563076', None, None)"),
+     "(6.0, 3.0781990506614496e-08, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "3261.5516236867816, 0.9360943238478714, 0.9904756164550782, 1.9452862950570888, 3, "
+     "'1.9397681162498412;1.7586754180393047', None, None)"),
     ("HFFRE", {"eta": 0.7, "n_copies": 3}, 1.0,
-     "(1.0, 0.01965768778664245, 0.004600070369588713, 0.022750131948179198, "
-     "4.27334501589375, 0.13593082310822602, 0.973743896484375, 1.624603271484375, 1, "
-     "'0.823839125576713;0.6351731092825514;0.593334759799981', None, None)"),
+     "(1.0, 0.019657687784293523, 0.004600070369588713, 0.022750131948179198, "
+     "4.273345015383121, 0.13593082321147498, 0.9737461853027344, 1.6246266300746084, 1, "
+     "'0.8238429904284976;0.6351740271101022;0.5933354600882009', None, None)"),
     ("DISP_OPT", {"mc_trials": 10000, "seed": 9, "n_copies": 3}, 0.5,
      "(0.5, 0.05436143896080257, 0.03506325248390309, 0.07864960352514253, "
      "1.5503820983452385, 0.30881483791047426, 1.0, None, 1, '0.8483009063351009', "
@@ -866,21 +866,20 @@ THRESHOLD_ROWS = [
      "0.821327995629498;0.7964911164379893;0.7819836466329654;0.7762900510909188;"
      "0.7744594192411127;0.7738901562332673', None, None)"),
     ("HFFRE", {"nu": 0.001, "n_copies": 1}, 3.313,
-     "(3.313, 9.62207947091719e-06, 4.392074773728386e-07, 0.00013614460070675982, "
-     "21.907822536338806, 0.9293245606438549, 0.9813012695312501, 1.3672577300316135, 2, "
-     "'1.8291043555206514', None, None)"),
+     "(3.313, 9.622079461577026e-06, 4.392074773728386e-07, 0.00013614460070675982, "
+     "21.90782251507286, 0.9293245607124596, 0.9813043212890625, 1.3672299722833037, 2, "
+     "'1.8291074519083568', None, None)"),
     ("HFFRE", {"nu": 0.001, "n_copies": 2}, 3.313,
-     "(3.313, 2.1071049696710006e-05, 4.392074773728386e-07, 0.00013614460070675982, "
-     "47.97516158592859, 0.8452303683926865, 0.9882019042968749, 1.3631351942522296, 2, "
-     "'1.4644502829589072;1.3056897103129026', None, None)"),
+     "(3.313, 2.107104969427321e-05, 4.392074773728386e-07, 0.00013614460070675982, "
+     "47.97516158038043, 0.8452303684105851, 0.9882026672363281, 1.3631159438584066, 2, "
+     "'1.4644514870914558;1.305690200670879', None, None)"),
 ]
 
 
 # The same for the five curves of the benchmark's (tau, z) search workload
 # at its seed-1 energies, with the sweep settings and row indices of that
 # workload: (receiver, sweep overrides, row index, alpha2, row). They
-# include threshold-2 winners and points where the tau = 1 column nearly
-# ties the best grid point.
+# include threshold-2 winners.
 CURVE_BASE = {"alpha2_min": 0.10568031570970383, "alpha2_max": 3.313455838415151, "points": 2,
               "log": True, "n_copies": 1, "pnr": 2, "eta": 1.0, "nu": 0.0, "xi": 1.0,
               "mc_trials": None, "seed": None}
@@ -894,37 +893,37 @@ CURVE_ROWS = [
      "0.00013601223906541243, 1.6818251669492803, 0.9945789837473908, 0.98185302734375, "
      "1.3667887849827633, None, None, None, None)"),
     ("HFFRE", {}, 0, 0.10568031570970383,
-     "(0.10568031570970383, 0.23334816067864533, 0.20642771474502636, "
-     "0.25779115044019685, 1.1304110059391508, 0.09481702424545357, 0.899774169921875, "
-     "1.357857168245309, 1, '0.6299206622761815', None, None)"),
+     "(0.10568031570970383, 0.23334816067816683, 0.20642771474502636, 0.25779115044019685, "
+     "1.1304110059368329, 0.09481702424730976, 0.8997756958007812, 1.3578604047554659, 1, "
+     "'0.6299214820720705', None, None)"),
     ("HFFRE", {}, 1, 3.313455838415151,
-     "(3.313455838415151, 7.373139906719044e-07, 4.3840737611556455e-07, "
-     "0.00013601223906541243, 1.6818010618451542, 0.9945790614452181, 0.98185302734375, "
-     "1.3667887849827633, 1, '1.8037020301459536', None, None)"),
+     "(3.313455838415151, 7.373139900921267e-07, 4.3840737611556455e-07, "
+     "0.00013601223906541243, 1.681801060522691, 0.9945790614494808, 0.9818522644042968, "
+     "1.366781591606182, 1, '1.8037013082462519', None, None)"),
     ("HFFRE", {"pnr": 4}, 0, 0.10568031570970383,
-     "(0.10568031570970383, 0.2314462688867717, 0.20642771474502636, "
-     "0.25779115044019685, 1.121197651064672, 0.10219467002043858, 0.8576843261718751, "
-     "1.938900520520425, 1, '0.6014355573215431', None, None)"),
+     "(0.10568031570970383, 0.23144626888665792, 0.20642771474502636, 0.25779115044019685, "
+     "1.1211976510641208, 0.1021946700208799, 0.8576843261718751, 1.9389055566765987, 1, "
+     "'0.6014355573215431', None, None)"),
     ("HFFRE", {"pnr": 4}, 1, 3.313455838415151,
-     "(3.313455838415151, 7.098116727940084e-07, 4.3840737611556455e-07, "
-     "0.00013601223906541243, 1.6190687280017422, 0.9947812661737548, "
-     "0.9763952636718749, 1.9477902038925692, 1, '1.7986816517716233', None, None)"),
+     "(3.313455838415151, 7.098116727350603e-07, 4.3840737611556455e-07, "
+     "0.00013601223906541243, 1.6190687278672824, 0.9947812661741883, 0.9763960266113281, "
+     "1.947764027239187, 1, '1.798682339562505', None, None)"),
     ("HFFRE", {"nu": 0.001}, 0, 0.10568031570970383,
-     "(0.10568031570970383, 0.23369969404715701, 0.20642771474502636, "
-     "0.25779115044019685, 1.1321139428192393, 0.09345338795339542, 0.90107421875, "
-     "1.357972530922796, 1, '0.630667297840941', None, None)"),
+     "(0.10568031570970383, 0.233699694047157, 0.20642771474502636, 0.25779115044019685, "
+     "1.1321139428192393, 0.09345338795339553, 0.90107421875, 1.357972558320528, 1, "
+     "'0.630667297840941', None, None)"),
     ("HFFRE", {"nu": 0.001}, 1, 3.313455838415151,
-     "(3.313455838415151, 9.607277349446487e-06, 4.3840737611556455e-07, "
-     "0.00013601223906541243, 21.914041306900824, 0.9293646114830442, "
-     "0.981307373046875, 1.3672385345006912, 2, '1.8292129425217938', None, None)"),
+     "(3.313455838415151, 9.607277349298599e-06, 4.3840737611556455e-07, "
+     "0.00013601223906541243, 21.914041306563494, 0.9293646114841314, 0.981307373046875, "
+     "1.3672296860936652, 2, '1.8292129425217938', None, None)"),
     ("HFFRE", {"nu": 0.001, "n_copies": 2}, 0, 0.10568031570970383,
-     "(0.10568031570970383, 0.2250702640044096, 0.20642771474502636, "
-     "0.25779115044019685, 1.090310301998014, 0.1269278886413051, 0.9539074707031251, "
-     "1.356972721051244, 1, '0.6212600836019441;0.4136480757475', None, None)"),
+     "(0.10568031570970383, 0.2250702640039095, 0.20642771474502636, 0.25779115044019685, "
+     "1.0903103019955915, 0.1269278886432451, 0.9539089965820313, 1.3569708334431427, 1, "
+     "'0.6212616705778545;0.41364841250056067', None, None)"),
     ("HFFRE", {"nu": 0.001, "n_copies": 2}, 1, 3.313455838415151,
-     "(3.313455838415151, 2.104158203906907e-05, 4.3840737611556455e-07, "
-     "0.00013601223906541243, 47.99550186747426, 0.845296407267073, 0.9882019042968749, "
-     "1.3631158305863524, 2, '1.4644975131450488;1.3057584071276906', None, None)"),
+     "(3.313455838415151, 2.1041582036306854e-05, 4.3840737611556455e-07, "
+     "0.00013601223906541243, 47.99550186117369, 0.8452964072873815, 0.9882026672363281, "
+     "1.3631169114343675, 2, '1.4644987173028854;1.305758930612906', None, None)"),
 ]
 
 

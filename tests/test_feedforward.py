@@ -25,6 +25,7 @@ from bpskrx.feedforward import (
     switch_conditional_traces,
 )
 import bpskrx.feedforward as feedforward
+import bpskrx.photostatistics as photostatistics
 from bpskrx.feedforward import (
     BETA_COARSE_POINTS,
     BETA_MARGIN,
@@ -40,6 +41,7 @@ from bpskrx.optimize import COARSE_BLOCK, ScalarSearchSpec, coarse_abscissae, ma
 from bpskrx.photostatistics import DetectorModel, hl_sign_error, q_thresh
 
 IDEAL2 = DetectorModel(2)
+DARK2 = DetectorModel(2, nu=1e-3)
 
 
 def cfg(n, model=IDEAL2, receiver=Receiver.DFFRE):
@@ -292,6 +294,22 @@ class TestHffre:
         assert 0.0 <= result.params.tau <= 1.0
         assert result.params.z >= 0.0
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -1.0])
+    def test_bad_oscillator_rejected(self, alpha, z):
+        # checked before the alpha = 0 shortcut, by the rule of every rate
+        with pytest.raises(ValueError, match=re.escape(f"z must be finite and >= 0, got {z!r}")):
+            hffre_error_at(alpha, cfg(1, receiver=Receiver.HFFRE), 0.5, z)
+
+    @pytest.mark.parametrize("alpha2, n, model", [(1.0, 2, IDEAL2), (3.0, 1, DARK2),
+                                                  (2.0, 5, DARK2), (8.0, 2, DetectorModel(2, xi=0.998))])
+    def test_oscillator_at_an_end_of_the_hl_error(self, alpha2, n, model):
+        # z is z*(tau), where e0 is smallest, or 0, where e0 = 1/2
+        alpha = math.sqrt(alpha2)
+        result = hffre_error(alpha, cfg(n, model, Receiver.HFFRE))
+        tau = np.array([result.params.tau])
+        assert result.params.z in (feedforward._oscillator_at_minimum(alpha, model)(tau)[0], 0.0)
+
     def test_dominance_with_two_copies(self):
         alpha = math.sqrt(0.5)
         hybrid = hffre_error(alpha, cfg(2, receiver=Receiver.HFFRE))
@@ -307,30 +325,27 @@ class TestHffre:
             assert hybrid.p_err <= sql_error(alpha) and disp.p_err <= sql_error(alpha)
 
 
-DARK2 = DetectorModel(2, nu=1e-3)
-
-# (tau, z, n_th, betas, p_err) of the scalar per-point grid search that
-# the batched one replaced, as repr literals.
+# (tau, z, n_th, betas, p_err) of the tau search with z at the HL error's
+# minimum, as repr literals; each equals hffre_error_at at its (tau, z).
 PINNED_HFFRE = [
-    (0.4, 1, IDEAL2, ("0.91632080078125", "1.3619767991166503", 1,
-                      ("0.7384633072957204",), "0.07211906631924177")),
-    (1.0, 2, DetectorModel(2, eta=0.7), ("0.961046142578125", "1.6265258789062502", 1,
-                                         ("0.8726105030546233", "0.7245357372379736"),
-                                         "0.020891826316181666")),
-    (3.0, 1, DARK2, ("0.9791625976562501", "1.3673314506091576", 2,
-                     ("1.7565165723667566",), "2.7761210565935826e-05")),
-    # Near-ties the batch alone breaks differently: two last-round grid
-    # values 1.5e-10 apart (the 1 - q0 tail at n_th = 2), and the tau = 1
-    # column, where only the rounding of e0 = 1/2 separates the z values.
-    (6.260516572014826, 2, DARK2, ("0.991402587890625", "1.3657249788633161", 2,
-                                   ("1.7957570755697154", "1.7616345975255074"),
-                                   "5.005472546249615e-07")),
+    (0.4, 1, IDEAL2, ("0.9163223266601562", "1.3619761548452605", 1,
+                      ("0.7384641249189178",), "0.07211906631879311")),
+    (1.0, 2, DetectorModel(2, eta=0.7), ("0.9610453796386719", "1.6265383082538263", 1,
+                                         ("0.8726096607958467", "0.7245354364282679"),
+                                         "0.020891826315804888")),
+    (3.0, 1, DARK2, ("0.9791648864746095", "1.3673320477423094", 2,
+                     ("1.75651885222432",), "2.7761210556401667e-05")),
+    # A near-tie the lockstep alone breaks differently: without the
+    # settlement the search picks tau = 0.9913987731933593, 1.0e-17 worse.
+    (6.260516572014826, 2, DARK2, ("0.9914010620117187", "1.365770150239701", 2,
+                                   ("1.7957551339453584", "1.7616332227844866"),
+                                   "5.005472546238615e-07")),
     (4.437690356997562, 1, DetectorModel(4, nu=1e-3), ("1.0", "0.0", 2, ("2.1080248049001353",),
                                                        "4.318084976038311e-07")),
 ]
 PINNED_HYNORE = [
     (0.05, ("0.0", "1.3649570777986868", "0.3446970250751855")),
-    (3.0, ("0.97995849609375", "1.3667490188108042", "2.5833738761465776e-06")),
+    (3.0, ("0.97995849609375", "1.3667490188108042", "2.583373876146578e-06")),
 ]
 
 
@@ -362,15 +377,14 @@ class TestBatchedSearch:
         result = hynore_error(math.sqrt(alpha2), 2)
         assert (repr(result.params.tau), repr(result.params.z), repr(result.p_err)) == expected
 
-    @pytest.mark.parametrize("model", [IDEAL2, DetectorModel(2, eta=0.7), DARK2,
-                                       DetectorModel(2, xi=0.998)])
-    def test_hffre_against_dense_grid_oracle(self, model):
-        # The 41-point grid with four refinement rounds must get within
-        # 1e-6 of a dense 401 x 401 scan over (tau, z) and the thresholds.
-        alpha = 1.0
-        c = cfg(1, model, Receiver.HFFRE)
+    @staticmethod
+    def dense_grid_optimum(alpha2, n, model):
+        """The smallest lockstep value on the 401 x 401 grid over the (tau, z)
+        box and on every click threshold: an oracle blind to how z acts."""
+        alpha = math.sqrt(alpha2)
+        c = cfg(n, model, Receiver.HFFRE)
         taus = np.arange(401) / 400
-        zs = 9.0 * np.arange(401) / 400
+        zs = (5.0 + 4.0 * alpha) * np.arange(401) / 400
         thresholds = (1,) if model.nu == 0.0 and model.xi == 1.0 else (1, 2)
         dense = math.inf
         for n_th in thresholds:
@@ -378,19 +392,60 @@ class TestBatchedSearch:
             for rows in np.array_split(taus, 20):
                 tau, z = np.meshgrid(rows, zs, indexing="ij")
                 dense = min(dense, -float(objective(tau.ravel(), z.ravel()).max()))
-        assert abs(hffre_error(alpha, c).p_err - dense) <= 1e-6
+        return hffre_error(alpha, c).p_err, dense
+
+    @pytest.mark.parametrize("model", [IDEAL2, DetectorModel(2, eta=0.7), DARK2,
+                                       DetectorModel(2, xi=0.998)])
+    def test_hffre_against_dense_grid_oracle(self, model):
+        # The tau search must get within 1e-6 of a dense 401 x 401 scan
+        # over (tau, z) and the thresholds.
+        p_err, dense = self.dense_grid_optimum(1.0, 1, model)
+        assert abs(p_err - dense) <= 1e-6
+
+    # N >= 5, where the earlier (tau, z) grid missed optima just below
+    # tau = 1 by 7.7e-7 to 2.2e-5, so besides the 1e-6 window the search
+    # must not lie above the grid's optimum (1e-12 relative).
+    @pytest.mark.parametrize("n", [5, 10])
+    @pytest.mark.parametrize("model", [DARK2, DetectorModel(2, xi=0.998)], ids=["nu", "xi"])
+    def test_hffre_against_dense_grid_oracle_at_many_copies(self, n, model):
+        p_err, dense = self.dense_grid_optimum(1.0, n, model)
+        assert abs(p_err - dense) <= 1e-6
+        assert p_err <= dense * (1.0 + 1e-12)
+
+    # Saturation, where e_N can fall as e0 rises and the two-end rule is
+    # weakest; p_err is below 1e-5 in the first three rows, so only the
+    # relative bound counts. In the last the z = 0 end wins.
+    @pytest.mark.parametrize("alpha2, n, model", [
+        (7.0, 2, DARK2), (10.0, 2, DARK2), (8.0, 2, DetectorModel(2, xi=0.998)),
+        (16.0, 1, DetectorModel(2, xi=0.9)),
+    ])
+    def test_hffre_against_dense_grid_oracle_at_saturation(self, alpha2, n, model):
+        p_err, dense = self.dense_grid_optimum(alpha2, n, model)
+        assert p_err <= dense * (1.0 + 1e-12)
+
+    def test_untapped_oscillator_wins_in_visibility_saturation(self):
+        # At xi = 0.9 the DFFRE error grows with the energy above alpha2 ~ 2,
+        # so the best tap reflects most of the signal and measures it with
+        # z = 0 (e0 = 1/2): the copies keep a fraction tau of the energy.
+        alpha, model = 4.0, DetectorModel(2, xi=0.9)
+        c = cfg(1, model, Receiver.HFFRE)
+        result = hffre_error(alpha, c)
+        tau = result.params.tau
+        assert result.params.z == 0.0 and tau < 0.5
+        z_star = feedforward._oscillator_at_minimum(alpha, model)(np.array([tau]))[0]
+        assert result.p_err < hffre_error_at(alpha, c, tau, z_star).p_err
+        assert result.p_err < dffre_error(alpha, cfg(1, model)).p_err
 
     # (alpha2, N, model, tau, z): a setting just below tau = 1, in the
-    # valley z ~ 1.36, that the (tau, z) grid search misses at N >= 5.
-    # hffre_error finds 8.1071e-3, 1.3684e-3 and 4.4754e-4 here; the
-    # fixed settings give 8.0856e-3, 1.3669e-3 and 4.4677e-4.
+    # valley z ~ 1.36, that the earlier (tau, z) grid search missed at
+    # N >= 5 (it found 8.1071e-3, 1.3684e-3 and 4.4754e-4). The fixed
+    # settings give 8.0856e-3, 1.3669e-3 and 4.4677e-4.
     MISSED_OPTIMA = [
         (1.0, 10, DARK2, 0.9948, 1.36),
         (2.0, 5, DARK2, 0.9963, 1.36),
         (3.16, 10, DetectorModel(2, xi=0.998), 0.9987, 1.36),
     ]
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     @pytest.mark.parametrize("alpha2, n, model, tau, z", MISSED_OPTIMA)
     def test_hffre_not_above_a_fixed_setting(self, alpha2, n, model, tau, z):
         alpha, c = math.sqrt(alpha2), cfg(n, model, Receiver.HFFRE)
@@ -399,33 +454,47 @@ class TestBatchedSearch:
 
 class TestSettlement:
     def test_near_ties_take_e0_from_the_round(self, monkeypatch):
-        # At nu = 1e-3 and alpha2 ~ 3.31 the rounds leave hundreds of
-        # near-ties, mostly on the tau = 1 column. Their e0 comes from the
-        # round's hl_sign_error, so only the final replay calls the
-        # two-PMF kernel.
-        kernel = feedforward.hl_difference_pmf
-        calls = []
+        # At nu = 1e-3 and alpha2 ~ 3.31 the rounds leave near-ties at both
+        # thresholds. Every scalar run starts from an e0 a lockstep round
+        # computed, and the final replay, whose e0 is the one-element view
+        # of the same rows, reproduces one of them; no e0 comes from the
+        # O(M^2) diagonal sums.
+        rounds, replays, starts = set(), [], []
+        pre_measurement, scan = feedforward._pre_measurement_error, feedforward._threshold_scan
 
-        def counting(*args):
-            calls.append(args)
-            return kernel(*args)
+        def recording(*args):
+            e0 = pre_measurement(*args)
+            (rounds.update if e0.size > 1 else replays.extend)(e0.tolist())
+            return e0
 
-        monkeypatch.setattr(feedforward, "hl_difference_pmf", counting)
-        result = hffre_error(math.sqrt(3.313455838415151), cfg(1, DARK2, Receiver.HFFRE))
+        def counting(amplitude, c, e_initial, candidates):
+            starts.append(e_initial)
+            return scan(amplitude, c, e_initial, candidates)
+
+        def diagonal(*args):
+            raise AssertionError("the HL error summed the diagonals")
+
+        monkeypatch.setattr(feedforward, "_pre_measurement_error", recording)
+        monkeypatch.setattr(feedforward, "_threshold_scan", counting)
+        monkeypatch.setattr(photostatistics, "_diagonal_mass", diagonal)
+        result = hffre_error(self.ALPHA, cfg(1, DARK2, Receiver.HFFRE))
         assert result.params.n_th == 2
-        assert len(calls) <= 2
+        assert len(replays) == 1 and len(starts) > 1
+        assert set(starts) <= rounds
 
     ALPHA = math.sqrt(3.313455838415151)
 
     def round_zero(self, n_th):
-        # The mandatory point followed by the 41 x 41 grid, as hffre_error's
-        # first round hands them to the objective, and the points within
-        # the settlement window of the round's best value.
+        # The mandatory tau followed by the 41-point tau grid, each at z*(tau)
+        # and at z = 0, as hffre_error's first round hands them to the
+        # objective, and the points within the settlement window of the
+        # round's best value.
         c = cfg(1, DARK2, Receiver.HFFRE)
-        spec = feedforward._tau_z_spec(self.ALPHA)
-        axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(spec.bounds, spec.points)]
-        tau, z = (np.concatenate(([m], g.ravel()))
-                  for m, g in zip(spec.mandatory[0], np.meshgrid(*axes, indexing="ij")))
+        (lo, hi), = feedforward.TAU_SPEC.bounds
+        taus = np.concatenate((feedforward.TAU_SPEC.mandatory[0],
+                               np.linspace(lo, hi, feedforward.TAU_SPEC.points[0])))
+        z_star = feedforward._oscillator_at_minimum(self.ALPHA, c.model)(taus)
+        tau, z = np.concatenate((taus, taus)), np.concatenate((z_star, np.zeros_like(z_star)))
         objective = _hybrid_error_batch(self.ALPHA, c, n_th)
         values = objective(tau, z)
         top = values.max()
@@ -433,8 +502,6 @@ class TestSettlement:
                   + (feedforward.BATCH_ATOL_PER_COPY if n_th > 1 else 0.0))
         return c, tau, z, objective, values, np.flatnonzero(values >= top - window).tolist()
 
-    # At n_th = 2 one point lies in the window; at n_th = 1 the whole
-    # tau = 1 column does, where z moves e0 only in its rounding.
     @pytest.mark.parametrize("n_th", [2, 1])
     def test_values_in_the_window_are_the_scalar_recursion(self, n_th):
         c, tau, z, _, values, near = self.round_zero(n_th)
@@ -442,6 +509,22 @@ class TestSettlement:
         for i in near:
             t, osc = float(tau[i]), float(z[i])
             assert values[i] == -_hybrid_at(self.ALPHA, c, t, osc, (n_th,)).p_err
+
+    def test_scalar_runs_bounded_at_the_dark_count_floor(self, monkeypatch):
+        # At alpha2 = 10, N = 2, nu = 1e-3, e_N sits on the dark-count floor
+        # over most of the tau axis, so most of a round falls inside the
+        # settlement window and each distinct (tau, e0) there costs a
+        # scalar recursion; the tau rounds, two settings per tau, run 169.
+        scan = feedforward._threshold_scan
+        runs = []
+
+        def counting(*args):
+            runs.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(feedforward, "_threshold_scan", counting)
+        hffre_error(math.sqrt(10.0), cfg(2, DARK2, Receiver.HFFRE))
+        assert len(runs) <= 300
 
     @pytest.mark.parametrize("n_th", [2, 1])
     def test_one_scalar_run_per_distinct_tau_and_e0(self, n_th, monkeypatch):

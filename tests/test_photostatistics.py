@@ -1,7 +1,9 @@
 """Detection-statistics kernel: frozen values, brute-force oracles, invariants."""
 
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from bpskrx.photostatistics import (
     branch_means,
     exp_rows,
     hl_difference_pmf,
+    _hl_sign_terms,
     hl_sign_error,
+    hl_sign_minimum,
     pnr_pmf,
     q_above_below,
     q_above_below_table,
@@ -27,6 +31,12 @@ from bpskrx.photostatistics import (
 )
 
 IDEAL2 = DetectorModel(2)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal floats bit for bit."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 # 40-digit references for e^-1 and the PNR(2) tail at mu = 1
 EXP_M1 = 0.3678794411714423216
@@ -191,21 +201,76 @@ class TestHlDifferencePmf:
         assert raised(hl_difference_pmf, zeta, z, IDEAL2) == message
 
 
+def mp_sign_error(reflected, z, model):
+    """e0 of ``hl_sign_error`` at the working precision of mpmath: the double
+    sums over the two truncated Poisson PMFs."""
+    r, z = mpmath.mpf(reflected), mpmath.mpf(z)
+    eta, nu, xi = mpmath.mpf(model.eta), mpmath.mpf(model.nu), mpmath.mpf(model.xi)
+    m = model.resolution
+
+    def pmf(mu):
+        p = [mpmath.exp(-mu) * mu**k / mpmath.factorial(k) for k in range(m)]
+        return p + [1 - mpmath.fsum(p)]
+
+    base, cross = r * r + z * z, 2 * xi * z * r
+    p_plus, p_minus = pmf(eta * (base + cross) / 2 + nu), pmf(eta * (base - cross) / 2 + nu)
+    # "+alpha" swaps the branch means: Delta = n - m >= 0 with n ~ p-, m ~ p+
+    plus = mpmath.fsum(p_minus[n] * p_plus[k] for n in range(m + 1) for k in range(n + 1))
+    minus = mpmath.fsum(p_plus[n] * p_minus[k] for n in range(m + 1) for k in range(n + 1, m + 1))
+    return (plus + minus) / 2
+
+
+SIGN_MODELS = [
+    lambda m: DetectorModel(m, eta=0.7),
+    lambda m: DetectorModel(m, nu=1e-3),
+    lambda m: DetectorModel(m, xi=0.998),
+]
+# The saturated bin of a PNR PMF is 1 minus its partial sum, good to about
+# one ulp of 1 (ROADMAP item 2(b)), which bounds small e0 and slopes absolutely.
+SIGN_ATOL = 2.0**-52
+
+
 class TestHlSignError:
     @pytest.mark.parametrize("model", [
         DetectorModel(1), IDEAL2, DetectorModel(4), DetectorModel(2, nu=1e-3),
         DetectorModel(3, eta=0.7, nu=1e-4, xi=0.998), DetectorModel(16),
     ])
-    def test_bit_identical_to_scalar_masses(self, model):
+    def test_within_ulps_of_diagonal_masses(self, model):
+        # The O(M) sums against the O(M^2) diagonals of hl_difference_pmf.
         rng = np.random.default_rng(5)
         reflected = np.concatenate(([0.0, 0.0, 1.2], rng.uniform(0.0, 3.0, 200)))
         z = np.concatenate(([0.0, 2.0, 0.0], rng.uniform(0.0, 9.0, 200)))
-        expected = [
+        diagonals = np.array([
             0.5 * (hl_difference_pmf(-r, osc, model).mass_nonnegative()
                    + hl_difference_pmf(r, osc, model).mass_negative())
             for r, osc in zip(reflected.tolist(), z.tolist())
-        ]
-        assert hl_sign_error(reflected, z, model).tolist() == expected
+        ])
+        e0 = hl_sign_error(reflected, z, model)
+        assert np.all(np.abs(e0 - diagonals) <= 4.0 * np.spacing(diagonals))
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 64])
+    @pytest.mark.parametrize("make", SIGN_MODELS, ids=["eta", "nu", "xi"])
+    def test_value_and_slope_against_mpmath(self, m, make):
+        model = make(m)
+        points = [(0.05, 0.3), (0.4, 1.3), (1.2, 0.7), (2.5, 4.0), (3.0, 9.0), (0.0, 2.0)]
+        reflected, z = (np.array(c) for c in zip(*points))
+        e0, slope = _hl_sign_terms(reflected, z, model, slope=True)
+        assert e0.tolist() == hl_sign_error(reflected, z, model).tolist()
+        for k, (r, osc) in enumerate(points):
+            with mpmath.workdps(40):
+                ref = mp_sign_error(r, osc, model)
+                ref_slope = mpmath.diff(lambda x: mp_sign_error(r, x, model), osc)
+            assert abs(e0[k] - ref) <= 1e-14 * ref + SIGN_ATOL, (r, osc)
+            assert abs(slope[k] - ref_slope) <= 1e-14 * abs(ref_slope) + SIGN_ATOL, (r, osc)
+
+    def test_a_row_alone_equals_the_row_among_others(self):
+        # what lets one (tau, z) replay the e0 of its lockstep round bit for bit
+        model = DetectorModel(3, eta=0.7, nu=1e-4, xi=0.998)
+        rng = np.random.default_rng(8)
+        reflected, z = rng.uniform(0.0, 3.0, 300), rng.uniform(0.0, 9.0, 300)
+        rows = hl_sign_error(reflected, z, model)
+        alone = [hl_sign_error(reflected[k:k + 1], z[k:k + 1], model)[0] for k in range(300)]
+        assert same_bits(rows, alone)
 
     def test_no_tap_is_a_coin_flip(self):
         # reflected = 0 carries no information: e0 = 1/2 up to rounding.
@@ -215,6 +280,41 @@ class TestHlSignError:
     def test_negative_oscillator_rejected(self):
         with pytest.raises(ValueError):
             hl_sign_error(np.array([1.0]), np.array([-0.1]), IDEAL2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_non_finite_oscillator_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"z must be finite and >= 0, got {bad!r}")):
+            hl_sign_error(np.array([1.0, 1.0]), np.array([0.5, bad]), IDEAL2)
+
+
+class TestHlSignMinimum:
+    @pytest.mark.parametrize("model", [
+        DetectorModel(1), IDEAL2, DetectorModel(2, eta=0.7), DetectorModel(2, nu=1e-3),
+        DetectorModel(2, xi=0.998), DetectorModel(8, eta=0.7, nu=1e-3, xi=0.998),
+        DetectorModel(64, nu=1e-3),
+    ])
+    def test_at_or_below_a_dense_scan(self, model):
+        reflected = np.array([0.02, 0.1, 0.3, 0.7, 1.0, 1.6, 2.2, 3.0])
+        z_hi = 5.0 + 4.0 * 3.0
+        z_star, e0_star = hl_sign_minimum(reflected, z_hi, model)
+        dense = z_hi * np.arange(20_001) / 20_000
+        for r, z, e in zip(reflected, z_star, e0_star):
+            assert 0.0 <= z <= z_hi
+            assert e == hl_sign_error(np.array([r]), np.array([z]), model)[0]
+            assert e <= hl_sign_error(np.full(dense.size, r), dense, model).min()
+
+    def test_no_tap_gives_zero_oscillator(self):
+        z_star, e0_star = hl_sign_minimum(np.array([0.0, 1.0]), 9.0, IDEAL2)
+        assert z_star[0] == 0.0 and abs(e0_star[0] - 0.5) <= 1e-15
+        assert z_star[1] > 0.0 and e0_star[1] < 0.5
+
+    def test_each_element_searched_alone(self):
+        model = DetectorModel(2, nu=1e-3)
+        reflected = np.linspace(0.0, 3.0, 41)
+        together = hl_sign_minimum(reflected, 9.0, model)
+        alone = [hl_sign_minimum(reflected[k:k + 1], 9.0, model) for k in range(41)]
+        assert same_bits(together[0], [z[0] for z, _ in alone])
+        assert same_bits(together[1], [e[0] for _, e in alone])
 
 
 def term_loop_pnr_pmf(mu, m):
