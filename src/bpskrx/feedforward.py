@@ -49,7 +49,7 @@ from .optimize import (
     GridSearchSpec,
     ScalarSearchSpec,
     coarse_abscissae,
-    maximize_grid_batch,
+    maximize_grid_searches,
     maximize_scalar,
     maximize_scalar_batch,
     scan_discrete,
@@ -60,9 +60,8 @@ from .photostatistics import (
     _check_rate,
     hl_sign_minimum,
     q_above_below,
+    q_above_below_rows,
     q_above_below_table,
-    q_above_rows,
-    q_below_rows,
     q_thresh,
 )
 
@@ -209,7 +208,7 @@ def _flip_tables(amplitude: float, n_copies: int, model: DetectorModel, resoluti
 
 
 def _step_objective(amplitude, n_copies: int, model: DetectorModel,
-                    n_th: int) -> Callable[[float], Callable[[float], float]]:
+                    n_th) -> Callable[[float], Callable[[float], float]]:
     """The recursion's one step, negated, as a function of the error it starts from.
 
     step(e_prev) is beta -> -e', where e' = (1 - e_prev) F + e_prev M is
@@ -224,24 +223,27 @@ def _step_objective(amplitude, n_copies: int, model: DetectorModel,
     arithmetic, element by element, for the lockstep searches (e_prev holds
     one error per element, and beta broadcasts against amplitude). Both
     take the same IEEE operations in the same order; np.exp and math.exp
-    may still differ in the last bit.
+    may still differ in the last bit. With an array amplitude, n_th may
+    also be an array of one threshold per element, in non-decreasing
+    order: the flips of all thresholds then come from one cumulative pass
+    (``q_above_below_rows``), and an element at n_th = 1 gets the on/off
+    step's value, which -(p F + e M) with F = -expm1(-rate_minus) and
+    M = exp(-rate_plus) equals bit for bit.
     """
-    if n_th == 1:
-        _check_count("n_th", n_th)
-    else:
-        q_thresh(0.0, n_th, model.resolution)
+    thresholds = list(dict.fromkeys(n_th.tolist())) if isinstance(n_th, np.ndarray) else [n_th]
+    for t in thresholds:
+        if t == 1:
+            _check_count("n_th", t)
+        else:
+            q_thresh(0.0, t, model.resolution)
     a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
     eta, nu = float(model.eta), float(model.nu)
     if isinstance(amplitude, np.ndarray):
-        exp, expm1 = np.exp, np.expm1
-
-        def flips(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return q_above_rows(x, n_th), q_below_rows(y, n_th)
+        exp, expm1, kernel = np.exp, np.expm1, q_above_below_rows
     else:
         # Python floats throughout, as q_thresh's float(x) gave them
         a2n, cross_coef = float(a2n), float(cross_coef)
-        exp, expm1 = math.exp, math.expm1
-        flips = q_above_below(n_th) if n_th > 1 else None
+        exp, expm1, kernel = math.exp, math.expm1, q_above_below
 
     def on_off(e_prev: float) -> Callable[[float], float]:
         p_prev = 1.0 - e_prev
@@ -257,8 +259,9 @@ def _step_objective(amplitude, n_copies: int, model: DetectorModel,
 
         return at
 
-    if n_th == 1:
+    if thresholds == [1]:
         return on_off
+    flips = kernel(n_th)
 
     def threshold(e_prev: float) -> Callable[[float], float]:
         p_prev = 1.0 - e_prev
@@ -430,70 +433,88 @@ def _hybrid_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float,
     return _result(alpha, *_threshold_scan(math.sqrt(tau) * alpha, cfg, e0, candidates), tau, z)
 
 
-def _flips(amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th: int,
+def _flips(amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th,
            beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, M) of the array step objective at threshold n_th, element by element;
-    beta broadcasts against amplitude. The values equal the objective's flips bit for bit."""
+    """(F, M) of the array step objective, element by element, at threshold n_th: one
+    threshold, or one per row in non-decreasing order (``q_above_below_rows``); beta
+    broadcasts against amplitude. The values equal the objective's flips bit for bit."""
     a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
     base = a2n + beta * beta
     cross = cross_coef * beta
-    return (q_above_rows(model.eta * (base - cross) + model.nu, n_th),
-            q_below_rows(model.eta * (base + cross) + model.nu, n_th))
+    return q_above_below_rows(n_th)(model.eta * (base - cross) + model.nu,
+                                    model.eta * (base + cross) + model.nu)
 
 
 def _hybrid_error_batch(
-    alpha: float, cfg: FeedForwardConfig, n_th: int
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Negated HFFRE error at click threshold n_th at every (tau, z) of a search round.
+    alpha: float, cfg: FeedForwardConfig
+) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Negated HFFRE error at every (tau, z, n_th) of a search round.
 
-    The per-copy beta searches of all points run in lockstep, on
-    the array step of ``_step_objective``. A point's coarse beta grid
-    depends on tau only, so the flip probabilities on it are tabulated
-    once per distinct tau of the round (``_flips``), one row per tau; a
-    block of points reads its coarse rows with one gather and forms its
-    coarse values with ``_coarse_step``. The lockstep values agree with
-    the scalar recursion up to the last-bit differences between np.exp
-    and math.exp, which the 1 - q0 tail of a threshold n_th >= 2 can
-    raise to about 1e-16 absolute, so every value within the window of
-    the round's best is replaced by the scalar recursion's
-    (``_threshold_scan`` at n_th alone), from the point's own e0
-    (``hl_sign_error`` gives it bit for bit as ``_hybrid_initial_error``
-    does). The round's first maximum is then a point-by-point search's.
-    z acts only through e0, so the scalar runs are memoised on (tau, e0).
+    n_th holds the click threshold of each element, grouped in contiguous
+    slices of non-decreasing threshold. The per-copy beta searches of all
+    elements, of every threshold, run in lockstep on the array step of
+    ``_step_objective``, whose flips come from one cumulative Poisson
+    pass per golden-section step. An element's coarse
+    beta grid depends on tau only, so the flip probabilities on it are
+    tabulated once per distinct (tau, n_th) of the round (``_flips``),
+    one row each; a block of elements reads its coarse rows with one
+    gather and forms its coarse values with ``_coarse_step``. The
+    lockstep values agree with the scalar recursion up to the last-bit
+    differences between np.exp and math.exp, which the 1 - q0 tail of a
+    threshold n_th >= 2 can raise to about 1e-16 absolute, so within each
+    threshold's slice every value within the window of that slice's best
+    is replaced by the scalar recursion's (``_threshold_scan`` at that
+    n_th alone), from the element's own e0 (``hl_sign_error`` gives it
+    bit for bit as ``_hybrid_initial_error`` does). Each slice's first
+    maximum is then a point-by-point search's at its threshold. z acts
+    only through e0, so the scalar runs are memoised on (tau, e0, n_th).
     """
     model, n = cfg.model, cfg.n_copies
     indices = np.arange(BETA_COARSE_POINTS)
     relative = BATCH_RTOL_PER_COPY * n
-    absolute = BATCH_ATOL_PER_COPY * n if n_th > 1 else 0.0
-    settled: dict[tuple[float, float], float] = {}
+    settled: dict[tuple[float, float, int], float] = {}
 
-    def objective(tau: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def objective(tau: np.ndarray, z: np.ndarray, n_th: np.ndarray) -> np.ndarray:
+        # the slices of equal threshold, in order
+        bounds = [0, *(np.flatnonzero(n_th[1:] != n_th[:-1]) + 1).tolist(), tau.size]
+        slices = [(lo, hi, int(n_th[lo])) for lo, hi in zip(bounds, bounds[1:])]
         e0 = _pre_measurement_error(alpha, tau, z, model)
         amplitude = np.sqrt(tau) * alpha
-        hi = _beta_hi(amplitude, n)
-        taus, rows = np.unique(tau, return_inverse=True)
-        amplitudes = np.sqrt(taus)[:, None] * alpha
-        grid = coarse_abscissae(0.0, _beta_hi(amplitudes, n), BETA_COARSE_POINTS)
-        # one row per distinct tau, one column per coarse grid index
-        false_table, missed_table = _flips(amplitudes, n, model, n_th, grid(indices))
         step = _step_objective(amplitude, n, model, n_th)
+        beta_hi = _beta_hi(amplitude, n)
+        # one table row per distinct tau of each slice; element k reads row rows[k]
+        rows = np.empty(tau.size, dtype=np.intp)
+        taus, row_thresholds = [], []
+        for lo, hi, t in slices:
+            distinct, inverse = np.unique(tau[lo:hi], return_inverse=True)
+            rows[lo:hi] = inverse + len(row_thresholds)
+            taus.append(distinct)
+            row_thresholds += [t] * distinct.size
+        amplitudes = np.sqrt(np.concatenate(taus))[:, None] * alpha
+        grid = coarse_abscissae(0.0, _beta_hi(amplitudes, n), BETA_COARSE_POINTS)
+        # one row per distinct (tau, n_th), one column per coarse grid index
+        false_table, missed_table = _flips(amplitudes, n, model, np.array(row_thresholds),
+                                           grid(indices))
         errors = e0
         for _ in range(n):
             def coarse(block: slice) -> np.ndarray:  # element k reads row rows[k]
                 r = rows[block]
                 return _coarse_step(errors[block, None], false_table[r], missed_table[r])
 
-            _, negated = maximize_scalar_batch(step(errors), 0.0, hi, BETA_COARSE_POINTS, BETA_TOL,
-                                               coarse)
+            _, negated = maximize_scalar_batch(step(errors), 0.0, beta_hi, BETA_COARSE_POINTS,
+                                               BETA_TOL, coarse)
             errors = -negated
         values = -errors
-        top = float(values.max())
-        for i in np.flatnonzero(values >= top - (relative * abs(top) + absolute)).tolist():
-            key = float(tau[i]), float(e0[i])
-            if key not in settled:
-                settled[key] = -_threshold_scan(math.sqrt(key[0]) * alpha, cfg, key[1],
-                                                (n_th,))[0][-1]
-            values[i] = settled[key]
+        for lo, hi, t in slices:
+            top = float(values[lo:hi].max())
+            absolute = BATCH_ATOL_PER_COPY * n if t > 1 else 0.0
+            near = np.flatnonzero(values[lo:hi] >= top - (relative * abs(top) + absolute)) + lo
+            for i in near.tolist():
+                key = float(tau[i]), float(e0[i]), t
+                if key not in settled:
+                    settled[key] = -_threshold_scan(math.sqrt(key[0]) * alpha, cfg, key[1],
+                                                    (t,))[0][-1]
+                values[i] = settled[key]
         return values
 
     return objective
@@ -550,7 +571,7 @@ def _oscillator_at_minimum(alpha: float,
 
 
 def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
-    """Hybrid feed-forward receiver error probability, optimized over (tau, z).
+    """Hybrid feed-forward receiver error probability, optimized over (tau, z, n_th).
 
     z acts only through the HL error e0, which runs from its minimum over
     z, at z*(tau) (``_oscillator_at_minimum``), to 1/2 at z = 0. Each
@@ -559,13 +580,18 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     The search is over tau alone (``TAU_SPEC``), with each tau evaluated
     at (tau, z*(tau)) and at (tau, 0); ties keep z*. tau = 1 is always
     searched, so the result never exceeds the DFFRE one by more than
-    optimizer tolerance and the rounding of e0 = 1/2 there. z* is shared
-    by every click threshold. Each round is one lockstep batch
-    (``_hybrid_error_batch``), which settles its own near-ties with the
-    scalar recursion; the search just takes the first maximum. The
-    reported error, betas and trace come from the scalar recursion at the
-    chosen point, so the result is the one a point-by-point scalar
-    search of these settings gives.
+    optimizer tolerance and the rounding of e0 = 1/2 there.
+
+    Every click threshold runs its own tau search, and the searches
+    advance in lockstep (``maximize_grid_searches``, one search per
+    threshold): each round computes z* once for the taus no earlier round
+    saw, in one ``hl_sign_minimum`` call, and evaluates every threshold's
+    points in one lockstep batch (``_hybrid_error_batch``), which settles
+    each threshold's near-ties with the scalar recursion. The threshold
+    is the first maximum over the per-threshold optima, so ties keep the
+    smaller n_th. The reported error, betas and trace come from the
+    scalar recursion at the chosen point, so the result is the one a
+    point-by-point scalar search of these settings gives.
     """
     alpha = _check_rate(alpha, "alpha")
     if cfg.receiver is not Receiver.HFFRE:
@@ -573,27 +599,32 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     if alpha == 0.0:
         return _result(0.0, [0.5] * (cfg.n_copies + 1), (0.0,) * cfg.n_copies)
 
+    candidates = _threshold_candidates(cfg.model)
     z_star = _oscillator_at_minimum(alpha, cfg.model)
-    best: dict[int, tuple[float, float]] = {}
+    batch = _hybrid_error_batch(alpha, cfg)
+    # per threshold, tau -> the z of its latest value
+    oscillators: list[dict[float, float]] = [{} for _ in candidates]
 
-    def scan_threshold(n_th: int) -> float:
-        batch = _hybrid_error_batch(alpha, cfg, n_th)
-        oscillator: dict[float, float] = {}
+    def objective(tau: np.ndarray) -> np.ndarray:
+        # tau holds one row of points per threshold; each row is evaluated
+        # at z* and at z = 0, the two halves of one slice of the batch
+        z = z_star(tau.ravel()).reshape(tau.shape)
+        points = tau.shape[1]
+        values = batch(np.concatenate((tau, tau), axis=1).ravel(),
+                       np.concatenate((z, np.zeros_like(z)), axis=1).ravel(),
+                       np.repeat(candidates, 2 * points)).reshape(len(candidates), 2 * points)
+        at_min, at_half = values[:, :points], values[:, points:]
+        half = at_half > at_min
+        for oscillator, row, z_row in zip(oscillators, tau.tolist(),
+                                          np.where(half, 0.0, z).tolist()):
+            oscillator.update(zip(row, z_row))
+        return np.where(half, at_half, at_min)
 
-        def objective(tau: np.ndarray) -> np.ndarray:
-            z = z_star(tau)
-            values = batch(np.concatenate((tau, tau)), np.concatenate((z, np.zeros_like(z))))
-            at_min, at_half = values[:tau.size], values[tau.size:]
-            half = at_half > at_min
-            oscillator.update(zip(tau.tolist(), np.where(half, 0.0, z).tolist()))
-            return np.where(half, at_half, at_min)
-
-        (tau,), negated = maximize_grid_batch(objective, TAU_SPEC)
-        best[n_th] = tau, oscillator[tau]
-        return negated
-
-    n_th, _ = scan_discrete(scan_threshold, _threshold_candidates(cfg.model))
-    return _hybrid_at(alpha, cfg, *best[n_th], (n_th,))
+    optima = maximize_grid_searches(objective, TAU_SPEC, len(candidates))
+    # the first maximum: ties keep the smaller threshold
+    k = int(np.argmax([negated for _, negated in optima]))
+    (tau,), _ = optima[k]
+    return _hybrid_at(alpha, cfg, tau, oscillators[k][tau], (candidates[k],))
 
 
 def hffre_error_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float) -> EvalResult:

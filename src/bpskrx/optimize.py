@@ -7,13 +7,17 @@ Identical inputs always produce bit-identical results; ties are broken
 toward the smallest argument (the first point evaluated) so regression
 tests stay stable.
 
-The box search ``maximize_grid_batch`` hands each round's whole grid to
-an array objective in one call, and ``maximize_scalar_batch`` runs one
-bounded 1-D search per array element in lockstep: the coarse grid a
-block of elements at a time, each element's whole coarse row at once,
-the block size bounded so that its temporaries stay small, then
-golden-section steps with finished elements frozen. Element for element
-they make the same comparisons as the scalar searches. A non-finite
+The box search ``maximize_grid_searches`` runs independent searches over
+one box in lockstep. Each keeps its own incumbent and box centre, and
+each round hands the grids of all searches, one row per search, to an
+array objective in one call; row for row these are the points each
+search alone would evaluate. ``maximize_grid_batch`` is its one-search
+view. ``maximize_scalar_batch`` runs one bounded 1-D search per array
+element in lockstep: the coarse grid a block of elements at a time, each
+element's whole coarse row at once, the block size bounded so that its
+temporaries stay small, then golden-section steps with finished elements
+frozen. Element for element it makes the same comparisons as
+``maximize_scalar``. A non-finite
 value raises as soon as its block or step is evaluated: in the coarse
 scan the first in the order of elements and, within an element, of grid
 indices; in a golden-section step the first element's.
@@ -47,6 +51,7 @@ __all__ = [
     "maximize_scalar",
     "maximize_scalar_batch",
     "maximize_grid_batch",
+    "maximize_grid_searches",
     "scan_discrete",
     "coarse_abscissae",
 ]
@@ -378,41 +383,75 @@ def maximize_grid_batch(
     """Maximize f over a box; returns (x_star, f_star).
 
     f takes one coordinate array per axis and returns the objective at
-    every point. Each round is one call: round 0 holds the mandatory
-    points followed by the grid in ``itertools.product`` order, so the
-    mandatory points win ties. Refinement rounds only ever improve the
-    incumbent and never step outside the original bounds.
+    every point. It is the one-search view of ``maximize_grid_searches``:
+    each round is one call, round 0 holds the mandatory points followed
+    by the grid in ``itertools.product`` order, so the mandatory points
+    win ties, and refinement rounds only ever improve the incumbent and
+    never step outside the original bounds.
     """
-    best_x: tuple[float, ...] | None = None
-    best_f = -math.inf
-    widths = [hi - lo for lo, hi in spec.bounds]
-    center = [0.5 * (lo + hi) for lo, hi in spec.bounds]
+    def one(*coords: np.ndarray) -> np.ndarray:
+        return np.reshape(f(*(c[0] for c in coords)), (1, -1))
+
+    return maximize_grid_searches(one, spec, 1)[0]
+
+
+def maximize_grid_searches(
+    f: Callable[..., np.ndarray], spec: GridSearchSpec, searches: int
+) -> list[tuple[tuple[float, ...], float]]:
+    """``searches`` independent box searches over one spec, in lockstep;
+    returns (x_star, f_star) of each.
+
+    Each round is one call of f for all searches: f takes one coordinate
+    array per axis, of shape (searches, points), row k the points of
+    search k, and returns the objective there in that shape. Every
+    search keeps its own incumbent and box centre, so row k is the round
+    a search on its own would evaluate. Round 0 holds the mandatory
+    points followed by the grid in ``itertools.product`` order, the same
+    for every search; each later round re-grids a box of per-axis width
+    (hi - lo) / shrink_factor**round centred on the search's incumbent,
+    clipped to the bounds. Within a row argmax keeps the first of equal
+    values, so the mandatory points win ties, and rounds merge on a
+    strict >. A non-finite value raises, naming the first such point in
+    the order of searches and, within a search, of points.
+    """
+    searches = _check_count("searches", searches)
+    lows = np.array([lo for lo, _ in spec.bounds])
+    highs = np.array([hi for _, hi in spec.bounds])
+    # one row per search, one column per axis
+    center = np.tile(0.5 * (lows + highs), (searches, 1))
+    best_x: list[tuple[float, ...]] = [()] * searches
+    best_f = [-math.inf] * searches
+    # the grid indices of each axis, point by point in itertools.product order
+    grid_indices = np.indices(spec.points).reshape(len(spec.points), -1)
     for round_idx in range(spec.refinement_rounds + 1):
         if round_idx == 0:
-            boxes = list(spec.bounds)
+            lo, hi = np.tile(lows, (searches, 1)), np.tile(highs, (searches, 1))
         else:
-            shrink = spec.shrink_factor**round_idx
-            boxes = []
-            for (lo0, hi0), w, c in zip(spec.bounds, widths, center):
-                half = 0.5 * w / shrink
-                boxes.append((max(lo0, c - half), min(hi0, c + half)))
-        axes = [coarse_abscissae(lo, hi, n)(np.arange(n))
-                for (lo, hi), n in zip(boxes, spec.points)]
-        coords = [axis.ravel() for axis in np.meshgrid(*axes, indexing="ij")]
+            half = 0.5 * (highs - lows) / spec.shrink_factor**round_idx
+            lo, hi = np.maximum(lows, center - half), np.minimum(highs, center + half)
+        coords = [coarse_abscissae(lo[:, d, None], hi[:, d, None], n)(i)
+                  for d, (n, i) in enumerate(zip(spec.points, grid_indices))]
         if round_idx == 0 and spec.mandatory:
             head = np.array(spec.mandatory, dtype=float).T
-            coords = [np.concatenate((m, c)) for m, c in zip(head, coords)]
+            coords = [np.concatenate((np.tile(m, (searches, 1)), c), axis=1)
+                      for m, c in zip(head, coords)]
+        points = coords[0].shape[1]
 
         def point(i: int) -> tuple[float, ...]:
-            return tuple(float(c[i]) for c in coords)
+            k, j = divmod(i, points)
+            return tuple(float(c[k, j]) for c in coords)
 
-        values = _checked_batch(f(*coords), point, "x")
+        values = np.asarray(f(*coords), dtype=float)
+        if values.shape != (searches, points):
+            raise ValueError(f"expected objective values of shape {(searches, points)}, "
+                             f"got {values.shape}")
+        _checked_batch(values, point, "x")
         # argmax keeps the first of equal values; rounds merge on a strict >
-        i = int(np.argmax(values))
-        if values[i] > best_f:
-            best_x, best_f = point(i), float(values[i])
-        center = list(best_x)
-    return best_x, best_f
+        for k, j in enumerate(values.argmax(axis=1).tolist()):
+            if values[k, j] > best_f[k]:
+                best_x[k], best_f[k] = point(k * points + j), float(values[k, j])
+        center = np.array(best_x)
+    return list(zip(best_x, best_f))
 
 
 def scan_discrete(f: Callable[[int], float], domain: Sequence[int]) -> tuple[int, float]:

@@ -39,8 +39,7 @@ __all__ = [
     "q_thresh",
     "q_above_below",
     "q_above_below_table",
-    "q_below_rows",
-    "q_above_rows",
+    "q_above_below_rows",
     "exp_rows",
 ]
 
@@ -296,6 +295,9 @@ def _hl_sign_terms(reflected: np.ndarray, z: np.ndarray, model: DetectorModel,
 HL_SCAN_POINTS = 12
 HL_MAX_STEPS = 64
 HL_Z_RTOL = 1e-12
+# Elements per kernel call of the slope scan: each temporary then holds
+# 256 x 12 PNR rows, 1.6 MB at M = 64
+HL_SCAN_BLOCK = 256
 
 
 def hl_sign_minimum(reflected: np.ndarray, z_hi: float,
@@ -304,11 +306,12 @@ def hl_sign_minimum(reflected: np.ndarray, z_hi: float,
     ``hl_sign_error`` is smallest, and its value there.
 
     e0 is 1/2 at z = 0 and falls from there, and it is unimodal in z. A
-    ``HL_SCAN_POINTS``-point scan of (e0, de0/dz) over the box, every
-    element in one kernel call, brackets the first z where the slope
-    turns nonnegative; Illinois steps (regula falsi with the retained
-    end's slope halved) on the slope close each bracket, one kernel call
-    per step for the unfinished elements, until it is narrower than
+    ``HL_SCAN_POINTS``-point scan of (e0, de0/dz) over the box, one
+    kernel call per ``HL_SCAN_BLOCK`` elements, brackets the first z
+    where the slope turns nonnegative; Illinois steps (regula falsi with
+    the retained end's slope halved) on the slope close each bracket,
+    one kernel call per step for the unfinished elements, until it is
+    narrower than
     ``HL_Z_RTOL`` z_hi. Each element's z* is the evaluated point with the
     smallest e0, so it is never worse than the scan. A zero amplitude
     carries no information: e0 is 1/2 at every z, and z* = 0. Each
@@ -318,8 +321,12 @@ def hl_sign_minimum(reflected: np.ndarray, z_hi: float,
     z_hi = _check_rate(z_hi, "z_hi")
     size, n = reflected.size, HL_SCAN_POINTS
     grid = z_hi * np.arange(n) / (n - 1)
-    e0, slope = (v.reshape(size, n) for v in
-                 _hl_sign_terms(np.repeat(reflected, n), np.tile(grid, size), model, slope=True))
+    e0, slope = np.empty((size, n)), np.empty((size, n))
+    for k0 in range(0, size, HL_SCAN_BLOCK):
+        block = reflected[k0:k0 + HL_SCAN_BLOCK]
+        rows = slice(k0, k0 + block.size)
+        e0[rows], slope[rows] = (v.reshape(block.size, n) for v in _hl_sign_terms(
+            np.repeat(block, n), np.tile(grid, block.size), model, slope=True))
     found = np.where(reflected == 0.0, 0, e0.argmin(axis=1))
     best_z = grid[found]
     best_e = e0[np.arange(size), found]
@@ -490,20 +497,51 @@ def q_thresh(x: float, n_th: int, resolution: int | None = None) -> tuple[float,
     return q0, q1
 
 
-def q_below_rows(x: np.ndarray, n_th: int) -> np.ndarray:
-    """q0 of ``q_thresh`` for every rate in x (same recurrence, np.exp)."""
-    if n_th == 1:
-        return np.exp(-x)
-    term = np.exp(-x)
-    q0 = term
-    for s in range(1, n_th):
-        term = term * (x / s)
-        q0 = q0 + term
-    return np.minimum(1.0, q0)
+def q_above_below_rows(
+    n_th,
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(x, y) -> (q1 at x, q0 at y) of ``q_thresh``, element by element, in np.exp arithmetic.
 
+    The array twin of ``q_above_below``. x and y have one shape, with at
+    least one axis. n_th is one threshold for every element, or one per
+    row (the first axis) in non-decreasing order, and is taken as given.
+    One cumulative pass serves every threshold: term s of the Poisson
+    sum, term_(s-1) * (rate / s), runs over the suffix of rows whose
+    threshold is above s, so each row's partial sum is the one its own
+    threshold gives. The suffixes are found once, here. A row at
+    n_th = 1 is the on/off pair (-expm1(-x), exp(-y)), unclamped; above
+    it q0 is clamped to 1 and q1 = 1 - q0, the formulas of ``q_thresh``
+    with np.exp, which may differ from math.exp in the last bit.
+    """
+    if np.ndim(n_th):
+        n_th = np.asarray(n_th)
+        if (n_th[1:] < n_th[:-1]).any():
+            raise ValueError("thresholds must be in non-decreasing order")
+        if n_th[0] == n_th[-1]:
+            n_th = int(n_th[0])
+    if np.ndim(n_th) == 0:
+        if n_th == 1:
+            return lambda x, y: (-np.expm1(-x), np.exp(-y))
+        ones, starts = 0, [0] * (n_th - 1)
+    else:
+        # rows [:ones] are at n_th = 1; the suffix above s = 1, 2, ...,
+        # max(n_th) - 1 starts at row ones + starts[s - 1]
+        ones = int(np.searchsorted(n_th, 1, side="right"))
+        starts = (np.searchsorted(n_th, np.arange(1, n_th[-1]), side="right") - ones).tolist()
 
-def q_above_rows(x: np.ndarray, n_th: int) -> np.ndarray:
-    """q1 of ``q_thresh`` for every rate in x (same formulas, np.expm1)."""
-    if n_th == 1:
-        return -np.expm1(-x)
-    return 1.0 - q_below_rows(x, n_th)
+    def rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        above, below = np.empty_like(x), np.empty_like(y)
+        above[:ones] = -np.expm1(-x[:ones])
+        below[:ones] = np.exp(-y[:ones])
+        rates = np.stack((x[ones:], y[ones:]))
+        term = np.exp(-rates)
+        total = term.copy()
+        for s, k in enumerate(starts, 1):
+            term[:, k:] *= rates[:, k:] / s
+            total[:, k:] += term[:, k:]
+        np.minimum(total, 1.0, out=total)
+        np.subtract(1.0, total[0], out=above[ones:])
+        below[ones:] = total[1]
+        return above, below
+
+    return rows

@@ -37,7 +37,14 @@ from bpskrx.feedforward import (
     _hybrid_error_batch,
     _step_objective,
 )
-from bpskrx.optimize import COARSE_BLOCK, ScalarSearchSpec, coarse_abscissae, maximize_scalar
+from bpskrx.optimize import (
+    COARSE_BLOCK,
+    ScalarSearchSpec,
+    coarse_abscissae,
+    maximize_grid_batch,
+    maximize_scalar,
+    scan_discrete,
+)
 from bpskrx.photostatistics import DetectorModel, hl_sign_error, q_thresh
 
 IDEAL2 = DetectorModel(2)
@@ -360,7 +367,7 @@ class TestBatchedSearch:
         tau, z = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 5.0 + 4.0 * alpha, 41),
                              indexing="ij")
         tau, z = tau.ravel(), z.ravel()
-        batch = _hybrid_error_batch(alpha, c, n_th)(tau, z)
+        batch = _hybrid_error_batch(alpha, c)(tau, z, np.full(tau.size, n_th))
         scalar = [-_hybrid_at(alpha, c, t, osc, (n_th,)).p_err
                   for t, osc in zip(tau.tolist(), z.tolist())]
         np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-15)
@@ -388,10 +395,11 @@ class TestBatchedSearch:
         thresholds = (1,) if model.nu == 0.0 and model.xi == 1.0 else (1, 2)
         dense = math.inf
         for n_th in thresholds:
-            objective = _hybrid_error_batch(alpha, c, n_th)
+            objective = _hybrid_error_batch(alpha, c)
             for rows in np.array_split(taus, 20):
                 tau, z = np.meshgrid(rows, zs, indexing="ij")
-                dense = min(dense, -float(objective(tau.ravel(), z.ravel()).max()))
+                dense = min(dense, -float(objective(tau.ravel(), z.ravel(),
+                                                      np.full(tau.size, n_th)).max()))
         return hffre_error(alpha, c).p_err, dense
 
     @pytest.mark.parametrize("model", [IDEAL2, DetectorModel(2, eta=0.7), DARK2,
@@ -452,6 +460,82 @@ class TestBatchedSearch:
         assert hffre_error(alpha, c).p_err <= hffre_error_at(alpha, c, tau, z).p_err
 
 
+def per_threshold_hffre(alpha, c):
+    """The HFFRE searched one click threshold at a time: a tau search of its
+    own per threshold (``maximize_grid_batch``, with the batch objective at
+    that threshold alone), the threshold chosen by ``scan_discrete``."""
+    z_star = feedforward._oscillator_at_minimum(alpha, c.model)
+    best = {}
+
+    def scan_threshold(n_th):
+        batch = _hybrid_error_batch(alpha, c)
+        oscillator = {}
+
+        def objective(tau):
+            z = z_star(tau)
+            values = batch(np.concatenate((tau, tau)), np.concatenate((z, np.zeros_like(z))),
+                           np.full(2 * tau.size, n_th))
+            at_min, at_half = values[:tau.size], values[tau.size:]
+            half = at_half > at_min
+            oscillator.update(zip(tau.tolist(), np.where(half, 0.0, z).tolist()))
+            return np.where(half, at_half, at_min)
+
+        (tau,), negated = maximize_grid_batch(objective, feedforward.TAU_SPEC)
+        best[n_th] = tau, oscillator[tau]
+        return negated
+
+    n_th, _ = scan_discrete(scan_threshold, feedforward._threshold_candidates(c.model))
+    return _hybrid_at(alpha, c, *best[n_th], (n_th,))
+
+
+def lockstep_grid():
+    """(alpha2, M, model name, N): every M, model and N once, with alpha2 drawn
+    from its own log stratum of [0.01, 10] and the strata shuffled, seeded."""
+    combos = [(m, name, n) for m in (2, 4, 8) for name in ("nu", "xi", "eta_nu")
+              for n in (1, 2, 5)]
+    rng = np.random.default_rng(5)
+    edges = np.linspace(math.log(0.01), math.log(10.0), len(combos) + 1)
+    alpha2 = np.exp(edges[:-1] + rng.uniform(size=len(combos)) * np.diff(edges))
+    return [(float(alpha2[i]), *combo) for i, combo in zip(rng.permutation(len(combos)), combos)]
+
+
+LOCKSTEP_MODELS = {"nu": {"nu": 1e-3}, "xi": {"xi": 0.998}, "eta_nu": {"eta": 0.7, "nu": 1e-3}}
+
+
+class TestThresholdLockstep:
+    """Every click threshold's tau search in one lockstep round."""
+
+    @pytest.mark.parametrize("alpha2, m, name, n", lockstep_grid(),
+                             ids=lambda v: f"{v:.4g}" if isinstance(v, float) else str(v))
+    def test_equals_one_search_per_threshold(self, alpha2, m, name, n):
+        alpha = math.sqrt(alpha2)
+        c = cfg(n, DetectorModel(m, **LOCKSTEP_MODELS[name]), Receiver.HFFRE)
+        assert hffre_error(alpha, c) == per_threshold_hffre(alpha, c)
+
+    def test_one_lockstep_per_copy_and_round(self, monkeypatch):
+        # eight thresholds, two copies: one beta search per copy and round
+        # for all thresholds, and at most one z* search per round
+        calls = {"maximize_scalar_batch": 0, "hl_sign_minimum": 0}
+        for name in calls:
+            def counting(*args, _original=getattr(feedforward, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(feedforward, name, counting)
+        hffre_error(1.0, cfg(2, DetectorModel(8, nu=1e-3), Receiver.HFFRE))
+        rounds = feedforward.TAU_ROUNDS + 1
+        assert calls["maximize_scalar_batch"] == 2 * rounds
+        assert 1 <= calls["hl_sign_minimum"] <= rounds
+
+    def test_thresholds_must_not_decrease(self):
+        objective = _hybrid_error_batch(1.0, cfg(1, DARK2, Receiver.HFFRE))
+        tau, z = np.array([0.5, 0.9]), np.array([1.0, 1.0])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            objective(tau, z, np.array([2, 1]))
+        with pytest.raises(ValueError, match="n_th must be <= resolution 2, got 3"):
+            objective(tau, z, np.array([1, 3]))
+
+
 class TestSettlement:
     def test_near_ties_take_e0_from_the_round(self, monkeypatch):
         # At nu = 1e-3 and alpha2 ~ 3.31 the rounds leave near-ties at both
@@ -495,7 +579,11 @@ class TestSettlement:
                                np.linspace(lo, hi, feedforward.TAU_SPEC.points[0])))
         z_star = feedforward._oscillator_at_minimum(self.ALPHA, c.model)(taus)
         tau, z = np.concatenate((taus, taus)), np.concatenate((z_star, np.zeros_like(z_star)))
-        objective = _hybrid_error_batch(self.ALPHA, c, n_th)
+        batch = _hybrid_error_batch(self.ALPHA, c)
+
+        def objective(tau, z):
+            return batch(tau, z, np.full(tau.size, n_th))
+
         values = objective(tau, z)
         top = values.max()
         window = (feedforward.BATCH_RTOL_PER_COPY * abs(top)
@@ -586,6 +674,21 @@ class TestStepRows:
             cross = 2.0 * amplitude / math.sqrt(n) * beta
             assert (base - cross < 0.0).any() and (base - cross == 0.0).any()
             assert (missed_flip == 0.0).any()
+
+    @pytest.mark.parametrize("model", [DARK2, DetectorModel(8, nu=1e-3),
+                                       DetectorModel(4, eta=0.7, xi=0.998)])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_thresholds_per_element_equal_each_alone(self, model, n):
+        # one step over elements of every threshold, in non-decreasing
+        # order, equals each threshold's step on its elements alone, sign
+        # bits included: the on/off step at n_th = 1, the flips above it
+        amplitude, beta, e = self.elements(n, model)
+        n_th = np.sort(np.random.default_rng(n).integers(1, model.resolution + 1, beta.size))
+        together = _step_objective(amplitude, n, model, n_th)(e)(beta)
+        for t in range(1, model.resolution + 1):
+            rows = n_th == t
+            alone = _step_objective(amplitude[rows], n, model, t)(e[rows])(beta[rows])
+            assert rows.any() and same_bits(together[rows], alone)
 
     @pytest.mark.parametrize("model, n_th", [(IDEAL2, 1), (DARK2, 1), (DARK2, 2),
                                              (DetectorModel(2, xi=0.998), 1),
@@ -725,7 +828,7 @@ class TestCoarseTable:
         tau, z = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 5.0 + 4.0 * alpha, 41),
                              indexing="ij")
         tau, z = np.concatenate(([1.0], tau.ravel())), np.concatenate(([0.0], z.ravel()))
-        _hybrid_error_batch(alpha, c, n_th)(tau, z)
+        _hybrid_error_batch(alpha, c)(tau, z, np.full(tau.size, n_th))
         assert copies == [1682, 1682]
 
     @pytest.mark.parametrize("alpha2, n, model, expected", PINNED_DFFRE)

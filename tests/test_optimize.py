@@ -12,6 +12,7 @@ from bpskrx.optimize import (
     ScalarSearchSpec,
     coarse_abscissae,
     maximize_grid_batch,
+    maximize_grid_searches,
     maximize_scalar,
     maximize_scalar_batch,
     scan_discrete,
@@ -457,6 +458,92 @@ class TestMaximizeGrid:
                                                                    shrink_factor, match):
         with pytest.raises(ValueError, match=match):
             GridSearchSpec(bounds, points, rounds, shrink_factor)
+
+
+def lockstep(objectives, spec):
+    """``maximize_grid_searches`` with search k maximizing objectives[k]."""
+    def f(*coords):
+        return np.stack([g(*(c[k] for c in coords)) for k, g in enumerate(objectives)])
+
+    return maximize_grid_searches(f, spec, len(objectives))
+
+
+def separate(objectives, spec):
+    return [maximize_grid_batch(g, spec) for g in objectives]
+
+
+def peak(x0, y0):
+    return lambda x, y: -((x - x0) * (x - x0)) - (y - y0) * (y - y0)
+
+
+class TestMaximizeGridSearches:
+    """K searches in lockstep equal K separate ``maximize_grid_batch`` calls."""
+
+    SPEC = GridSearchSpec(bounds=((0.0, 1.0), (0.0, 4.0)), points=(9, 7), refinement_rounds=3,
+                          mandatory=((1.0, 0.0),))
+
+    def test_incumbents_drift_apart(self):
+        # optima at opposite corners and in between: after round 0 every
+        # search re-grids its own box
+        objectives = [peak(0.07, 3.9), peak(0.93, 0.2), peak(0.5, 2.0), peak(0.31, 1.3)]
+        got = lockstep(objectives, self.SPEC)
+        assert got == separate(objectives, self.SPEC)
+        assert len({x for x, _ in got}) == 4
+
+    def test_each_row_is_the_round_of_its_search(self):
+        seen, alone = [], []
+
+        def recording(log, g):
+            def f(x, y):
+                log.append((x.copy(), y.copy()))
+                return g(x, y)
+            return f
+
+        objectives = [peak(0.2, 0.4), peak(0.8, 3.1)]
+        rows = [[], []]
+        lockstep([recording(r, g) for r, g in zip(rows, objectives)], self.SPEC)
+        for log, g in zip(rows, objectives):
+            maximize_grid_batch(recording(alone, g), self.SPEC)
+            assert len(log) == self.SPEC.refinement_rounds + 1
+            for (x, y), (x_alone, y_alone) in zip(log, alone[-len(log):]):
+                assert np.array_equal(x, x_alone) and np.array_equal(y, y_alone)
+
+    def test_mandatory_points_win_ties(self):
+        # flat objectives tie everywhere or on a plateau holding the
+        # mandatory point; one rises strictly away from it
+        spec = GridSearchSpec(bounds=((0.0, 1.0),), points=(5,), refinement_rounds=2,
+                              mandatory=((0.5,), (0.25,)))
+        objectives = [lambda x: 0.0 * x, lambda x: np.floor(4.0 * x) / 4.0,
+                      lambda x: np.minimum(x, 0.5), lambda x: x]
+        got = lockstep(objectives, spec)
+        assert got == separate(objectives, spec)
+        assert [x for x, _ in got] == [(0.5,), (1.0,), (0.5,), (1.0,)]
+
+    def test_non_finite_value_names_its_own_search(self):
+        # search 1 meets inf only inside the box round 1 centres on its own
+        # incumbent; search 0 stays finite
+        spec = GridSearchSpec(bounds=((0.0, 1.0),), points=(5,), refinement_rounds=2)
+        poisoned = lambda x: np.where((x > 0.8) & (x < 1.0), np.inf, -np.abs(x - 0.9))
+        with pytest.raises(ValueError) as alone:
+            maximize_grid_batch(poisoned, spec)
+        with pytest.raises(ValueError) as together:
+            lockstep([lambda x: -np.abs(x - 0.1), poisoned], spec)
+        assert str(together.value) == str(alone.value)
+        # round 0's best is x = 1, so round 1 grids [0.9375, 1]
+        assert str(together.value).endswith("at x = (0.9375,)")
+
+    def test_one_search_is_maximize_grid_batch(self):
+        objective = peak(0.37, 1.21)
+        assert lockstep([objective], self.SPEC) == separate([objective], self.SPEC)
+
+    @pytest.mark.parametrize("searches", [0, 1.0, True])
+    def test_search_count_checked(self, searches):
+        with pytest.raises(ValueError, match="searches must be an integer >= 1"):
+            maximize_grid_searches(lambda x: x, GridSearchSpec(((0.0, 1.0),), (3,)), searches)
+
+    def test_values_must_have_one_row_per_search(self):
+        with pytest.raises(ValueError, match=re.escape("shape (2, 3), got (3,)")):
+            maximize_grid_searches(lambda x: x[0], GridSearchSpec(((0.0, 1.0),), (3,)), 2)
 
 
 class TestScanDiscrete:

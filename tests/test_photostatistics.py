@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bpskrx.feedforward import correct_probability_trace, step_correct_prob
 from bpskrx.photostatistics import (
+    HL_SCAN_BLOCK,
     BranchMeans,
     DetectorModel,
     branch_means,
@@ -21,9 +22,8 @@ from bpskrx.photostatistics import (
     hl_sign_minimum,
     pnr_pmf,
     q_above_below,
+    q_above_below_rows,
     q_above_below_table,
-    q_above_rows,
-    q_below_rows,
     q_off,
     q_on,
     q_thresh,
@@ -309,10 +309,12 @@ class TestHlSignMinimum:
         assert z_star[1] > 0.0 and e0_star[1] < 0.5
 
     def test_each_element_searched_alone(self):
+        # across the scan's blocks of HL_SCAN_BLOCK elements too
         model = DetectorModel(2, nu=1e-3)
-        reflected = np.linspace(0.0, 3.0, 41)
+        size = 2 * HL_SCAN_BLOCK + 41
+        reflected = np.linspace(0.0, 3.0, size)
         together = hl_sign_minimum(reflected, 9.0, model)
-        alone = [hl_sign_minimum(reflected[k:k + 1], 9.0, model) for k in range(41)]
+        alone = [hl_sign_minimum(reflected[k:k + 1], 9.0, model) for k in range(size)]
         assert same_bits(together[0], [z[0] for z, _ in alone])
         assert same_bits(together[1], [e[0] for _, e in alone])
 
@@ -446,7 +448,7 @@ class TestClickProbabilities:
     @pytest.mark.parametrize("n_th", [1, 2, 3, 8])
     def test_rows_match_scalar(self, n_th):
         x = np.array([0.0, 1e-9, 0.03, 0.4, 1.0, 3.0, 25.0])
-        below, above = q_below_rows(x, n_th), q_above_rows(x, n_th)
+        above, below = q_above_below_rows(n_th)(x, x)
         for i, xi in enumerate(x.tolist()):
             q0, q1 = q_thresh(xi, n_th)
             # np.exp may differ from math.exp in the last bit
@@ -486,7 +488,7 @@ def same_bits(a, b):
 
 
 def loop_q_below_rows(x, n_th):
-    """q_below_rows as it was written with a term update after the last term."""
+    """The row kernel's q0 as it was written with a term update after the last term."""
     if n_th == 1:
         return np.exp(-x)
     term = np.exp(-x)
@@ -515,9 +517,37 @@ class TestRowKernels:
     def test_q_below_rows_equals_loop(self, n_th):
         x = np.concatenate(([0.0, 1e-9, 745.0, 5e-324, 1e3],
                             np.random.default_rng(n_th).uniform(0.0, 40.0, 200)))
-        assert same_bits(q_below_rows(x, n_th), loop_q_below_rows(x, n_th))
+        # the q0 half of the row kernel
+        assert same_bits(q_above_below_rows(n_th)(x, x)[1], loop_q_below_rows(x, n_th))
         table = x[:200].reshape(8, 25)  # the kernel also reads tables
-        assert same_bits(q_below_rows(table, n_th), loop_q_below_rows(table, n_th))
+        assert same_bits(q_above_below_rows(n_th)(table, table)[1],
+                         loop_q_below_rows(table, n_th))
+
+    @pytest.mark.parametrize("top", [1, 2, 8, 64])
+    @pytest.mark.parametrize("columns", [None, 7])
+    def test_thresholds_per_row_equal_each_alone(self, top, columns):
+        # one pass over rows of thresholds 1..top in non-decreasing order
+        # equals each threshold's rows on their own: (-expm1(-x), exp(-y))
+        # at n_th = 1, and (1 - q0(x), q0(y)) of the loop above it
+        rng = np.random.default_rng(top)
+        shape = (240,) if columns is None else (240, columns)
+        x, y = (np.concatenate(([0.0, 5e-324, 745.0, 1e3], rng.uniform(0.0, 40.0, 236)))
+                for _ in range(2))
+        x, y = (np.resize(rng.permutation(v), shape) for v in (x, y))
+        n_th = np.sort(rng.integers(1, top + 1, 240))
+        n_th[0], n_th[-1] = 1, top
+        above, below = q_above_below_rows(n_th)(x, y)
+        for t in np.unique(n_th).tolist():
+            rows = n_th == t
+            q1 = -np.expm1(-x[rows]) if t == 1 else 1.0 - loop_q_below_rows(x[rows], t)
+            assert same_bits(above[rows], q1)
+            assert same_bits(below[rows], loop_q_below_rows(y[rows], t))
+            assert all(same_bits(got, alone) for got, alone in
+                       zip((above[rows], below[rows]), q_above_below_rows(t)(x[rows], y[rows])))
+
+    def test_thresholds_per_row_must_not_decrease(self):
+        with pytest.raises(ValueError, match="thresholds must be in non-decreasing order"):
+            q_above_below_rows(np.array([1, 3, 2]))
 
 
 class TestThresholdKernel:
