@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .optimize import maximize_grid_batch
+from .optimize import maximize_grid_searches
 from .photostatistics import DetectorModel, _check_rate, exp_rows, hl_sign_error
 
 __all__ = [
@@ -93,22 +93,28 @@ def hynore_error(alpha: float, resolution: int):
                     * [ sum_(Delta<0) S_Delta(r0) + sum_(Delta>=0) S_Delta(r1) ]
 
     with reflected amplitudes r_k = -sqrt(1-tau) * alpha_k is minimized
-    over tau in [0, 1] and z in [0, 5 + 4 alpha]. tau = 1 is always part
-    of the search, where the bracket sums to one and the Kennedy receiver
-    is recovered. Half the bracket is the HL pre-measurement error e0 of
-    the HFFRE (``hl_sign_error``), so each grid round is evaluated as one
-    batch of e0 e^(-4 tau alpha^2).
+    over tau in [0, 1] (``TAU_SPEC``, the tau search of the HFFRE) with z
+    at z*(tau), the local oscillator in [0, 5 + 4 alpha] at which the HL
+    error is smallest. Half the bracket is the HL pre-measurement error
+    e0 of the HFFRE (``hl_sign_error``), and the factor e^(-4 tau alpha^2)
+    does not depend on z, so z*(tau) minimizes P over z exactly. tau = 1
+    is always part of the search, where the bracket sums to one and the
+    Kennedy receiver is recovered. Each round is evaluated as one batch
+    of e0 e^(-4 tau alpha^2).
     """
-    from .feedforward import _result, _tau_z_spec
+    from .feedforward import TAU_SPEC, _oscillator_at_minimum, _result
 
     alpha = _check_rate(alpha, "alpha")
     model = DetectorModel(resolution=resolution)
     if alpha == 0.0:
         return _result(0.0, [0.5])
+    z_star = _oscillator_at_minimum(alpha, model)
 
-    def objective(tau: np.ndarray, z: np.ndarray) -> np.ndarray:
-        e0 = _pre_measurement_error(alpha, tau, z, model)
-        return -(e0 * exp_rows(-4.0 * tau * alpha * alpha))
+    def objective(tau: np.ndarray) -> np.ndarray:
+        tau = tau.ravel()
+        e0 = _pre_measurement_error(alpha, tau, z_star(tau), model)
+        return -(e0 * exp_rows(-4.0 * tau * alpha * alpha))[None]
 
-    (tau_opt, z_opt), negated = maximize_grid_batch(objective, _tau_z_spec(alpha))
+    tau_opt, negated = maximize_grid_searches(objective, TAU_SPEC, 1)[0]
+    z_opt = float(z_star(np.array([tau_opt]))[0])
     return _result(alpha, [-negated], tau=tau_opt, z=z_opt)

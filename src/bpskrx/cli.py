@@ -213,9 +213,14 @@ def evaluate_point(config: SweepConfig, alpha2: float, row_index: int) -> dict:
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> list[dict]:
-    """Evaluate the whole grid, in ascending alpha2 order."""
+    """Evaluate the whole grid, in ascending alpha2 order.
+
+    At most one worker per grid point is started (the pool forks all of
+    them at its first task), and a single worker runs in this process.
+    """
     grid = config.grid()
     tasks = ([config] * len(grid), grid, range(len(grid)))
+    workers = min(workers, len(grid))
     if workers > 1:
         # imported here: the pool's multiprocessing modules cost every
         # process that imports cli, most of which never start a pool

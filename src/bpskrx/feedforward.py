@@ -88,9 +88,6 @@ __all__ = [
 BETA_COARSE_POINTS = 64
 BETA_TOL = 1e-7
 BETA_MARGIN = 5.0
-TAU_Z_POINTS = 41
-TAU_Z_ROUNDS = 4
-TAU_Z_SHRINK = 8.0
 # Per copy, the window within which _hybrid_error_batch settles its values
 # with the scalar recursion: twice the batch/scalar difference allowed,
 # relative, plus absolute for the 1 - q0 tail at n_th >= 2. Measured
@@ -520,31 +517,18 @@ def _hybrid_error_batch(
     return objective
 
 
-def _tau_z_spec(alpha: float) -> GridSearchSpec:
-    """The (tau, z) search box of HYNORE: tau in [0, 1], z in [0, 5 + 4 alpha],
-    with the no-tap point tau = 1 always searched."""
-    return GridSearchSpec(
-        bounds=((0.0, 1.0), (0.0, _oscillator_hi(alpha))),
-        points=(TAU_Z_POINTS, TAU_Z_POINTS),
-        refinement_rounds=TAU_Z_ROUNDS,
-        shrink_factor=TAU_Z_SHRINK,
-        mandatory=((1.0, 0.0),),
-    )
-
-
 def _oscillator_hi(alpha: float) -> float:
     """Upper end of the HL local-oscillator box, 5 + 4 alpha."""
     return BETA_MARGIN + 4.0 * alpha
 
 
-# The tau axis of the HFFRE search: the tau axis of _tau_z_spec, with one
-# refinement round more. A round of the axis alone is 82 lockstep elements,
-# and four rounds leave a tau spacing of 6.1e-6, which at flat optima costs
-# up to about 4e-11 of p_err, relative.
-TAU_ROUNDS = TAU_Z_ROUNDS + 1
-TAU_SPEC = GridSearchSpec(bounds=((0.0, 1.0),), points=(TAU_Z_POINTS,),
-                          refinement_rounds=TAU_ROUNDS, shrink_factor=TAU_Z_SHRINK,
-                          mandatory=((1.0,),))
+# The tau search of both hybrid receivers: 41 points, with the no-tap
+# point tau = 1 always searched, then rounds on an interval shrunk 8-fold
+# each. A round of the HFFRE is 82 lockstep elements per threshold, and
+# four rounds leave a tau spacing of 6.1e-6, which at flat optima costs
+# up to about 4e-11 of p_err, relative; so there is a fifth.
+TAU_SPEC = GridSearchSpec(0.0, 1.0, points=41, refinement_rounds=5, shrink_factor=8.0,
+                          mandatory=(1.0,))
 
 
 def _oscillator_at_minimum(alpha: float,
@@ -623,7 +607,7 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     optima = maximize_grid_searches(objective, TAU_SPEC, len(candidates))
     # the first maximum: ties keep the smaller threshold
     k = int(np.argmax([negated for _, negated in optima]))
-    (tau,), _ = optima[k]
+    tau, _ = optima[k]
     return _hybrid_at(alpha, cfg, tau, oscillators[k][tau], (candidates[k],))
 
 

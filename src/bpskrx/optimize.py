@@ -8,19 +8,18 @@ toward the smallest argument (the first point evaluated) so regression
 tests stay stable.
 
 The box search ``maximize_grid_searches`` runs independent searches over
-one box in lockstep. Each keeps its own incumbent and box centre, and
-each round hands the grids of all searches, one row per search, to an
-array objective in one call; row for row these are the points each
-search alone would evaluate. ``maximize_grid_batch`` is its one-search
-view. ``maximize_scalar_batch`` runs one bounded 1-D search per array
-element in lockstep: the coarse grid a block of elements at a time, each
-element's whole coarse row at once, the block size bounded so that its
-temporaries stay small, then golden-section steps with finished elements
-frozen. Element for element it makes the same comparisons as
-``maximize_scalar``. A non-finite
-value raises as soon as its block or step is evaluated: in the coarse
-scan the first in the order of elements and, within an element, of grid
-indices; in a golden-section step the first element's.
+one interval in lockstep. Each keeps its own incumbent and box centre,
+and each round hands the grids of all searches, one row per search, to
+an array objective in one call; row for row these are the points each
+search alone would evaluate. ``maximize_scalar_batch`` runs one bounded
+1-D search per array element in lockstep: the coarse grid a block of
+elements at a time, each element's whole coarse row at once, the block
+size bounded so that its temporaries stay small, then golden-section
+steps with finished elements frozen. Element for element it makes the
+same comparisons as ``maximize_scalar``. A non-finite value raises as
+soon as its block or step is evaluated: in the coarse scan the first
+in the order of elements and, within an element, of grid indices; in a
+golden-section step the first element's.
 ``maximize_scalar`` stays the search for single objectives, where an
 array of one element would only add overhead.
 
@@ -50,7 +49,6 @@ __all__ = [
     "GridSearchSpec",
     "maximize_scalar",
     "maximize_scalar_batch",
-    "maximize_grid_batch",
     "maximize_grid_searches",
     "scan_discrete",
     "coarse_abscissae",
@@ -99,36 +97,31 @@ class ScalarSearchSpec:
 
 @dataclass(frozen=True)
 class GridSearchSpec:
-    """Bounded n-D search: full grid, then rounds of shrunken re-gridding.
+    """Bounded 1-D search: full grid, then rounds of shrunken re-gridding.
 
-    Each refinement round re-grids a box of per-axis width
+    Each refinement round re-grids an interval of width
     (hi - lo) / shrink_factor**round centered on the incumbent, clipped
-    to the original bounds. Points listed in ``mandatory`` are always
-    evaluated (first, so they also win ties).
+    to [lo, hi]. Points listed in ``mandatory`` are always evaluated
+    (first, so they also win ties).
     """
 
-    bounds: tuple[tuple[float, float], ...]
-    points: tuple[int, ...]
+    lo: float
+    hi: float
+    points: int
     refinement_rounds: int = 0
     shrink_factor: float = 8.0
-    mandatory: tuple[tuple[float, ...], ...] = ()
+    mandatory: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.bounds) != len(self.points):
-            raise ValueError("bounds and points must have the same length")
-        for (lo, hi), n in zip(self.bounds, self.points):
-            if not _check_finite("axis bound", lo) < _check_finite("axis bound", hi):
-                raise ValueError(f"axis bounds must be ordered, got ({lo}, {hi})")
-            _check_count("axis points", n, 3)
+        if not (_check_finite("lo", self.lo) < _check_finite("hi", self.hi)):
+            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        _check_count("points", self.points, 3)
         _check_count("refinement_rounds", self.refinement_rounds, 0)
         if not 1.0 < self.shrink_factor < math.inf:
             raise ValueError(f"shrink_factor must be finite and > 1, got {self.shrink_factor!r}")
-        for point in self.mandatory:
-            if len(point) != len(self.bounds):
-                raise ValueError("mandatory points must match the box dimension")
-            for x, (lo, hi) in zip(point, self.bounds):
-                if not lo <= x <= hi:
-                    raise ValueError(f"mandatory point {point} lies outside the bounds")
+        for x in self.mandatory:
+            if not self.lo <= x <= self.hi:
+                raise ValueError(f"mandatory point {x!r} lies outside the bounds")
 
 
 def _non_finite(value, x, label: str) -> ValueError:
@@ -249,8 +242,8 @@ def coarse_abscissae(lo, hi, coarse_points: int) -> Callable[[int | np.ndarray],
     for every element of broadcast(lo, hi); an index array broadcasts
     against them, so ``coarse_abscissae(lo, hi, n)(np.arange(n)[:, None])``
     is the whole grid, one row per index. ``ScalarSearchSpec.coarse_grid``,
-    ``maximize_scalar_batch`` and each axis of a ``maximize_grid_batch``
-    round are this grid.
+    ``maximize_scalar_batch`` and each round of ``maximize_grid_searches``
+    are this grid.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)  # step broadcasts them
     last = coarse_points - 1
@@ -377,79 +370,49 @@ def maximize_scalar_batch(
     return np.where(better, gold_x, best_x), np.where(better, gold_f, best_f)
 
 
-def maximize_grid_batch(
-    f: Callable[..., np.ndarray], spec: GridSearchSpec
-) -> tuple[tuple[float, ...], float]:
-    """Maximize f over a box; returns (x_star, f_star).
-
-    f takes one coordinate array per axis and returns the objective at
-    every point. It is the one-search view of ``maximize_grid_searches``:
-    each round is one call, round 0 holds the mandatory points followed
-    by the grid in ``itertools.product`` order, so the mandatory points
-    win ties, and refinement rounds only ever improve the incumbent and
-    never step outside the original bounds.
-    """
-    def one(*coords: np.ndarray) -> np.ndarray:
-        return np.reshape(f(*(c[0] for c in coords)), (1, -1))
-
-    return maximize_grid_searches(one, spec, 1)[0]
-
-
 def maximize_grid_searches(
-    f: Callable[..., np.ndarray], spec: GridSearchSpec, searches: int
-) -> list[tuple[tuple[float, ...], float]]:
+    f: Callable[[np.ndarray], np.ndarray], spec: GridSearchSpec, searches: int
+) -> list[tuple[float, float]]:
     """``searches`` independent box searches over one spec, in lockstep;
     returns (x_star, f_star) of each.
 
-    Each round is one call of f for all searches: f takes one coordinate
-    array per axis, of shape (searches, points), row k the points of
-    search k, and returns the objective there in that shape. Every
-    search keeps its own incumbent and box centre, so row k is the round
-    a search on its own would evaluate. Round 0 holds the mandatory
-    points followed by the grid in ``itertools.product`` order, the same
-    for every search; each later round re-grids a box of per-axis width
-    (hi - lo) / shrink_factor**round centred on the search's incumbent,
-    clipped to the bounds. Within a row argmax keeps the first of equal
-    values, so the mandatory points win ties, and rounds merge on a
-    strict >. A non-finite value raises, naming the first such point in
-    the order of searches and, within a search, of points.
+    Each round is one call of f for all searches: f takes an array of
+    shape (searches, points), row k the points of search k, and returns
+    the objective there in that shape. Every search keeps its own
+    incumbent and box centre, so row k is the round a search on its own
+    would evaluate. Round 0 holds the mandatory points followed by the
+    grid, the same for every search; each later round re-grids an
+    interval of width (hi - lo) / shrink_factor**round centred on the
+    search's incumbent, clipped to the bounds. Within a row argmax keeps
+    the first of equal values, so the mandatory points win ties, and
+    rounds merge on a strict >. A non-finite value raises, naming the
+    first such point in the order of searches and, within a search, of
+    points.
     """
     searches = _check_count("searches", searches)
-    lows = np.array([lo for lo, _ in spec.bounds])
-    highs = np.array([hi for _, hi in spec.bounds])
-    # one row per search, one column per axis
-    center = np.tile(0.5 * (lows + highs), (searches, 1))
-    best_x: list[tuple[float, ...]] = [()] * searches
+    best_x = [math.nan] * searches
     best_f = [-math.inf] * searches
-    # the grid indices of each axis, point by point in itertools.product order
-    grid_indices = np.indices(spec.points).reshape(len(spec.points), -1)
+    indices = np.arange(spec.points)
     for round_idx in range(spec.refinement_rounds + 1):
         if round_idx == 0:
-            lo, hi = np.tile(lows, (searches, 1)), np.tile(highs, (searches, 1))
+            lo, hi = np.full(searches, spec.lo), np.full(searches, spec.hi)
         else:
-            half = 0.5 * (highs - lows) / spec.shrink_factor**round_idx
-            lo, hi = np.maximum(lows, center - half), np.minimum(highs, center + half)
-        coords = [coarse_abscissae(lo[:, d, None], hi[:, d, None], n)(i)
-                  for d, (n, i) in enumerate(zip(spec.points, grid_indices))]
+            half = 0.5 * (spec.hi - spec.lo) / spec.shrink_factor**round_idx
+            lo, hi = np.maximum(spec.lo, center - half), np.minimum(spec.hi, center + half)
+        x = coarse_abscissae(lo[:, None], hi[:, None], spec.points)(indices)
         if round_idx == 0 and spec.mandatory:
-            head = np.array(spec.mandatory, dtype=float).T
-            coords = [np.concatenate((np.tile(m, (searches, 1)), c), axis=1)
-                      for m, c in zip(head, coords)]
-        points = coords[0].shape[1]
-
-        def point(i: int) -> tuple[float, ...]:
-            k, j = divmod(i, points)
-            return tuple(float(c[k, j]) for c in coords)
-
-        values = np.asarray(f(*coords), dtype=float)
+            head = np.array(spec.mandatory, dtype=float)
+            x = np.concatenate((np.tile(head, (searches, 1)), x), axis=1)
+        points = x.shape[1]
+        values = np.asarray(f(x), dtype=float)
         if values.shape != (searches, points):
             raise ValueError(f"expected objective values of shape {(searches, points)}, "
                              f"got {values.shape}")
-        _checked_batch(values, point, "x")
+        _checked_batch(values, lambda i: float(x.flat[i]), "x")
         # argmax keeps the first of equal values; rounds merge on a strict >
         for k, j in enumerate(values.argmax(axis=1).tolist()):
             if values[k, j] > best_f[k]:
-                best_x[k], best_f[k] = point(k * points + j), float(values[k, j])
+                best_x[k], best_f[k] = float(x[k, j]), float(values[k, j])
         center = np.array(best_x)
     return list(zip(best_x, best_f))
 

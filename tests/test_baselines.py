@@ -125,6 +125,15 @@ class TestHynore:
             alpha = math.sqrt(alpha2)
             assert hynore_error(alpha, 2).p_err < kennedy_error(alpha)
 
+    @pytest.mark.parametrize("resolution, alpha2", [(1, 16.0), (2, 12.0)])
+    def test_taps_the_signal_at_high_energy(self, resolution, alpha2):
+        # A (tau, z) grid stopped at tau = 1 here, at the Kennedy value
+        # exactly; tapping at z*(tau) gives 0.892 and 0.841 of it.
+        alpha = math.sqrt(alpha2)
+        result = hynore_error(alpha, resolution)
+        assert result.params.tau < 1.0
+        assert result.p_err <= 0.9 * kennedy_error(alpha)
+
     def test_reports_parameters(self):
         result = hynore_error(1.0, 2)
         assert 0.0 <= result.params.tau <= 1.0

@@ -24,6 +24,7 @@ from bpskrx.cli import (
     evaluate_point,
     figure_curves,
     main,
+    run_sweep,
 )
 
 # The subprocess imports the same bpskrx as these tests, installed or not.
@@ -110,6 +111,34 @@ class TestSweep:
         main(args + ["--out", str(seq), "--workers", "1"])
         main(args + ["--out", str(par), "--workers", "2"])
         assert seq.read_bytes() == par.read_bytes()
+
+    @pytest.mark.parametrize("points, workers, started", [(3, 8, [3]), (5, 2, [2]), (1, 4, [])])
+    def test_pool_capped_at_grid_size(self, monkeypatch, points, workers, started):
+        # The pool forks every worker at its first task, so at most one per
+        # grid point is asked for, and one point runs in this process. The
+        # fake pool records what it is asked for and evaluates in-process.
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        config = SweepConfig(receiver="KENNEDY", alpha2_min=0.25, alpha2_max=4.0, points=points)
+        rows = run_sweep(config, workers=workers)
+        assert asked == started
+        assert [row["alpha2"] for row in rows] == config.grid()
 
     def test_import_loads_no_process_pool(self):
         # Neither the sweep's process pool nor a thread pool is imported up front.
@@ -734,16 +763,16 @@ GOLDEN_ROWS = [
      "1.9999997181898639, 0.999960812720741, 1.0, None, 1, '2.449489757163279', None, "
      "None)"),
     ("HYNORE", {}, 0.05,
-     "(0.05, 0.3446970250751855, 0.287121368544176, 0.3273604230092885, "
-     "1.2005272433150547, -0.05295875997021504, 0.0, 1.3649570777986868, None, None, "
+     "(0.05, 0.34469702507462313, 0.287121368544176, 0.3273604230092885, "
+     "1.200527243313096, -0.05295875996849708, 0.0, 1.3649542192390518, None, None, "
      "None, None)"),
     ("HYNORE", {}, 1.0,
-     "(1.0, 0.007700928984886669, 0.004600070369588713, 0.022750131948179198, "
-     "1.6740893869358784, 0.6614995903132328, 0.939869384765625, 1.3667541503906253, "
+     "(1.0, 0.007700928983532438, 0.004600070369588713, 0.022750131948179198, "
+     "1.674089386641485, 0.6614995903727592, 0.9398686218261718, 1.3667815296011891, "
      "None, None, None, None)"),
     ("HYNORE", {}, 6.0,
-     "(6.0, 1.587279767272453e-11, 9.43783636078685e-12, 4.816785043215479e-07, "
-     "1.6818259043645025, 0.9999670469046671, 0.9899780273437498, 1.366806110291451, "
+     "(6.0, 1.5872797670574716e-11, 9.43783636078685e-12, 4.816785043215479e-07, "
+     "1.6818259041367158, 0.9999670469046715, 0.9899780273437498, 1.3667816121966805, "
      "None, None, None, None)"),
     ("DFFRE", {}, 0.05,
      "(0.05, 0.30441676105695, 0.287121368544176, 0.3273604230092885, 1.0602372181508772, "
@@ -885,13 +914,13 @@ CURVE_BASE = {"alpha2_min": 0.10568031570970383, "alpha2_max": 3.313455838415151
               "mc_trials": None, "seed": None}
 CURVE_ROWS = [
     ("HYNORE", {}, 0, 0.10568031570970383,
-     "(0.10568031570970383, 0.2755088374556652, 0.20642771474502636, "
-     "0.25779115044019685, 1.3346504261599073, -0.06872884109952615, 0.431005859375, "
-     "1.3667785486376207, None, None, None, None)"),
+     "(0.10568031570970383, 0.27550883745510574, 0.20642771474502636, "
+     "0.25779115044019685, 1.334650426157197, -0.06872884109735611, 0.431005859375, "
+     "1.3667815480494079, None, None, None, None)"),
     ("HYNORE", {}, 1, 3.313455838415151,
-     "(3.313455838415151, 7.373245585273553e-07, 4.3840737611556455e-07, "
-     "0.00013601223906541243, 1.6818251669492803, 0.9945789837473908, 0.98185302734375, "
-     "1.3667887849827633, None, None, None, None)"),
+     "(3.313455838415151, 7.373245584734217e-07, 4.3840737611556455e-07, "
+     "0.00013601223906541243, 1.6818251668262587, 0.9945789837477874, 0.9818522644042968, "
+     "1.366781591606182, None, None, None, None)"),
     ("HFFRE", {}, 0, 0.10568031570970383,
      "(0.10568031570970383, 0.23334816067816683, 0.20642771474502636, 0.25779115044019685, "
      "1.1304110059368329, 0.09481702424730976, 0.8997756958007812, 1.3578604047554659, 1, "

@@ -41,7 +41,7 @@ from bpskrx.optimize import (
     COARSE_BLOCK,
     ScalarSearchSpec,
     coarse_abscissae,
-    maximize_grid_batch,
+    maximize_grid_searches,
     maximize_scalar,
     scan_discrete,
 )
@@ -351,8 +351,8 @@ PINNED_HFFRE = [
                                                        "4.318084976038311e-07")),
 ]
 PINNED_HYNORE = [
-    (0.05, ("0.0", "1.3649570777986868", "0.3446970250751855")),
-    (3.0, ("0.97995849609375", "1.3667490188108042", "2.583373876146578e-06")),
+    (0.05, ("0.0", "1.3649542192390518", "0.34469702507462313")),
+    (3.0, ("0.9799562072753906", "1.3667815260872613", "2.583373874106418e-06")),
 ]
 
 
@@ -462,8 +462,8 @@ class TestBatchedSearch:
 
 def per_threshold_hffre(alpha, c):
     """The HFFRE searched one click threshold at a time: a tau search of its
-    own per threshold (``maximize_grid_batch``, with the batch objective at
-    that threshold alone), the threshold chosen by ``scan_discrete``."""
+    own per threshold (``maximize_grid_searches`` with one search, and the
+    batch objective at that threshold alone), the threshold chosen by ``scan_discrete``."""
     z_star = feedforward._oscillator_at_minimum(alpha, c.model)
     best = {}
 
@@ -471,16 +471,17 @@ def per_threshold_hffre(alpha, c):
         batch = _hybrid_error_batch(alpha, c)
         oscillator = {}
 
-        def objective(tau):
+        def objective(rows):
+            tau = rows[0]
             z = z_star(tau)
             values = batch(np.concatenate((tau, tau)), np.concatenate((z, np.zeros_like(z))),
                            np.full(2 * tau.size, n_th))
             at_min, at_half = values[:tau.size], values[tau.size:]
             half = at_half > at_min
             oscillator.update(zip(tau.tolist(), np.where(half, 0.0, z).tolist()))
-            return np.where(half, at_half, at_min)
+            return np.where(half, at_half, at_min)[None]
 
-        (tau,), negated = maximize_grid_batch(objective, feedforward.TAU_SPEC)
+        tau, negated = maximize_grid_searches(objective, feedforward.TAU_SPEC, 1)[0]
         best[n_th] = tau, oscillator[tau]
         return negated
 
@@ -523,7 +524,7 @@ class TestThresholdLockstep:
 
             monkeypatch.setattr(feedforward, name, counting)
         hffre_error(1.0, cfg(2, DetectorModel(8, nu=1e-3), Receiver.HFFRE))
-        rounds = feedforward.TAU_ROUNDS + 1
+        rounds = feedforward.TAU_SPEC.refinement_rounds + 1
         assert calls["maximize_scalar_batch"] == 2 * rounds
         assert 1 <= calls["hl_sign_minimum"] <= rounds
 
@@ -574,9 +575,8 @@ class TestSettlement:
         # objective, and the points within the settlement window of the
         # round's best value.
         c = cfg(1, DARK2, Receiver.HFFRE)
-        (lo, hi), = feedforward.TAU_SPEC.bounds
-        taus = np.concatenate((feedforward.TAU_SPEC.mandatory[0],
-                               np.linspace(lo, hi, feedforward.TAU_SPEC.points[0])))
+        spec = feedforward.TAU_SPEC
+        taus = np.concatenate((spec.mandatory, np.linspace(spec.lo, spec.hi, spec.points)))
         z_star = feedforward._oscillator_at_minimum(self.ALPHA, c.model)(taus)
         tau, z = np.concatenate((taus, taus)), np.concatenate((z_star, np.zeros_like(z_star)))
         batch = _hybrid_error_batch(self.ALPHA, c)

@@ -11,7 +11,6 @@ from bpskrx.optimize import (
     GridSearchSpec,
     ScalarSearchSpec,
     coarse_abscissae,
-    maximize_grid_batch,
     maximize_grid_searches,
     maximize_scalar,
     maximize_scalar_batch,
@@ -356,49 +355,36 @@ class TestCoarseBlocks:
                                       lambda _: np.zeros(shape))
 
 
-class TestMaximizeGrid:
-    def test_two_dimensional_quadratic(self):
-        spec = GridSearchSpec(
-            bounds=((0.0, 1.0), (0.0, 4.0)),
-            points=(11, 11),
-            refinement_rounds=2,
-            shrink_factor=8.0,
-        )
-        (x, y), f = maximize_grid_batch(lambda x, y: -((x - 0.3) ** 2) - (y - 2.0) ** 2, spec)
-        assert x == pytest.approx(0.3, abs=1e-3)
-        assert y == pytest.approx(2.0, abs=1e-3)
-        assert f == pytest.approx(0.0, abs=1e-5)
+def search(f, spec):
+    """One ``maximize_grid_searches`` search of an objective over a 1-D array."""
+    return maximize_grid_searches(lambda x: f(x[0])[None], spec, 1)[0]
 
+
+class TestMaximizeGrid:
     def test_mandatory_point_wins(self):
-        # The exact optimum (0.5, 0.5) is off the 4-point lattice; listing it
-        # as mandatory makes it the incumbent.
-        spec = GridSearchSpec(
-            bounds=((0.0, 1.0), (0.0, 1.0)),
-            points=(4, 4),
-            refinement_rounds=0,
-            mandatory=((0.5, 0.5),),
-        )
-        (x, y), f = maximize_grid_batch(lambda x, y: -((x - 0.5) ** 2) - (y - 0.5) ** 2, spec)
-        assert (x, y) == (0.5, 0.5)
-        assert f == 0.0
+        # The exact optimum 0.5 is off the 4-point lattice; listing it as
+        # mandatory makes it the incumbent.
+        spec = GridSearchSpec(0.0, 1.0, points=4, refinement_rounds=0, mandatory=(0.5,))
+        x, f = search(lambda x: -((x - 0.5) ** 2), spec)
+        assert (x, f) == (0.5, 0.0)
 
     def test_refinement_only_improves(self):
-        fn = lambda x, y: -((x - 0.37) ** 2) - (y - 1.21) ** 2
-        base = dict(bounds=((0.0, 1.0), (0.0, 2.0)), points=(9, 9))
-        _, coarse_only = maximize_grid_batch(fn, GridSearchSpec(**base, refinement_rounds=0))
-        _, refined = maximize_grid_batch(fn, GridSearchSpec(**base, refinement_rounds=3))
+        fn = lambda x: -((x - 0.37) ** 2)
+        _, coarse_only = search(fn, GridSearchSpec(0.0, 1.0, 9, refinement_rounds=0))
+        _, refined = search(fn, GridSearchSpec(0.0, 1.0, 9, refinement_rounds=3))
         assert refined >= coarse_only
+        assert refined == pytest.approx(0.0, abs=1e-7)
 
     def test_boundary_optimum_stays_in_bounds(self):
-        spec = GridSearchSpec(bounds=((0.0, 1.0),), points=(5,), refinement_rounds=3)
-        (x,), _ = maximize_grid_batch(lambda x: x, spec)
+        spec = GridSearchSpec(0.0, 1.0, points=5, refinement_rounds=3)
+        x, _ = search(lambda x: x, spec)
         assert 0.0 <= x <= 1.0
         assert x == pytest.approx(1.0, abs=1e-9)
 
     def test_determinism(self):
-        spec = GridSearchSpec(bounds=((0.0, 2.0), (0.0, 2.0)), points=(7, 7), refinement_rounds=2)
-        fn = lambda x, y: np.sin(x * 2.1) * np.cos(y * 1.3)
-        assert maximize_grid_batch(fn, spec) == maximize_grid_batch(fn, spec)
+        spec = GridSearchSpec(0.0, 2.0, points=7, refinement_rounds=2)
+        fn = lambda x: np.sin(x * 2.1) * np.cos(x * 1.3)
+        assert search(fn, spec) == search(fn, spec)
 
     def test_hynore_objective_against_dense_grid_oracle(self):
         # The full receiver optimization must get within 1e-6 of a dense
@@ -422,128 +408,125 @@ class TestMaximizeGrid:
     def test_batch_objective_sees_each_round_at_once(self):
         rounds = []
 
-        def batch(x, y):
-            rounds.append(x.size)
-            return -((x - 0.3) * (x - 0.3)) - (y - 2.0) * (y - 2.0)
+        def batch(x):
+            rounds.append(x.shape)
+            return -((x - 0.3) * (x - 0.3))
 
-        spec = GridSearchSpec(bounds=((0.0, 1.0), (0.0, 4.0)), points=(11, 7),
-                              refinement_rounds=2, mandatory=((0.3, 2.0), (0.0, 0.0)))
-        (x, y), f = maximize_grid_batch(batch, spec)
-        assert rounds == [2 + 77, 77, 77]
-        assert (x, y, f) == (0.3, 2.0, 0.0)  # the mandatory point wins the tie
+        spec = GridSearchSpec(0.0, 1.0, points=11, refinement_rounds=2, mandatory=(0.3, 0.0))
+        x, f = maximize_grid_searches(batch, spec, 1)[0]
+        assert rounds == [(1, 2 + 11), (1, 11), (1, 11)]
+        assert (x, f) == (0.3, 0.0)  # the mandatory point wins the tie
 
     def test_non_finite_batch_reported(self):
-        spec = GridSearchSpec(bounds=((0.0, 1.0),), points=(5,))
+        spec = GridSearchSpec(0.0, 1.0, points=5)
         with pytest.raises(ValueError, match="non-finite"):
-            maximize_grid_batch(lambda x: np.where(x > 0.6, np.inf, x), spec)
+            search(lambda x: np.where(x > 0.6, np.inf, x), spec)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            GridSearchSpec(bounds=((0.0, 1.0),), points=(3, 3))
-        with pytest.raises(ValueError):
-            GridSearchSpec(bounds=((1.0, 0.0),), points=(3,))
-        with pytest.raises(ValueError):
-            GridSearchSpec(bounds=((0.0, 1.0),), points=(3,), mandatory=((2.0,),))
+        with pytest.raises(ValueError, match=re.escape("need lo < hi, got [1.0, 0.0]")):
+            GridSearchSpec(1.0, 0.0, points=3)
+        with pytest.raises(ValueError, match="mandatory point 2.0 lies outside the bounds"):
+            GridSearchSpec(0.0, 1.0, points=3, mandatory=(2.0,))
 
     @pytest.mark.parametrize("bounds, points, rounds, shrink_factor, match", [
-        (((0.0, 1.0),), (3.5,), 0, 8.0, "axis points must be an integer"),
-        (((0.0, 1.0),), (41.0,), 0, 8.0, "axis points must be an integer"),
-        (((0.0, 1.0),), (3,), 1.5, 8.0, "refinement_rounds must be an integer"),
-        (((0.0, math.inf),), (3,), 0, 8.0, "axis bound must be finite"),
-        (((0.0, 1.0), (-math.inf, 0.0)), (3, 3), 0, 8.0, "axis bound must be finite"),
+        ((0.0, 1.0), 3.5, 0, 8.0, "points must be an integer"),
+        ((0.0, 1.0), 41.0, 0, 8.0, "points must be an integer"),
+        ((0.0, 1.0), 2, 0, 8.0, "points must be an integer >= 3"),
+        ((0.0, 1.0), 3, 1.5, 8.0, "refinement_rounds must be an integer"),
+        ((0.0, math.inf), 3, 0, 8.0, "hi must be finite"),
+        ((-math.inf, 0.0), 3, 0, 8.0, "lo must be finite"),
         # every refinement round would evaluate one point `points` times
-        (((0.0, 1.0),), (5,), 2, math.inf, "shrink_factor must be finite and > 1, got inf"),
+        ((0.0, 1.0), 5, 2, math.inf, "shrink_factor must be finite and > 1, got inf"),
     ])
     def test_spec_rejects_non_integer_counts_and_non_finite_bounds(self, bounds, points, rounds,
                                                                    shrink_factor, match):
         with pytest.raises(ValueError, match=match):
-            GridSearchSpec(bounds, points, rounds, shrink_factor)
+            GridSearchSpec(*bounds, points, rounds, shrink_factor)
 
 
 def lockstep(objectives, spec):
     """``maximize_grid_searches`` with search k maximizing objectives[k]."""
-    def f(*coords):
-        return np.stack([g(*(c[k] for c in coords)) for k, g in enumerate(objectives)])
+    def f(x):
+        return np.stack([g(x[k]) for k, g in enumerate(objectives)])
 
     return maximize_grid_searches(f, spec, len(objectives))
 
 
 def separate(objectives, spec):
-    return [maximize_grid_batch(g, spec) for g in objectives]
+    """One ``maximize_grid_searches`` call per objective."""
+    return [search(g, spec) for g in objectives]
 
 
-def peak(x0, y0):
-    return lambda x, y: -((x - x0) * (x - x0)) - (y - y0) * (y - y0)
+def peak(x0):
+    return lambda x: -((x - x0) * (x - x0))
 
 
 class TestMaximizeGridSearches:
-    """K searches in lockstep equal K separate ``maximize_grid_batch`` calls."""
+    """K searches in lockstep equal K separate searches."""
 
-    SPEC = GridSearchSpec(bounds=((0.0, 1.0), (0.0, 4.0)), points=(9, 7), refinement_rounds=3,
-                          mandatory=((1.0, 0.0),))
+    SPEC = GridSearchSpec(0.0, 1.0, points=9, refinement_rounds=3, mandatory=(1.0,))
 
     def test_incumbents_drift_apart(self):
-        # optima at opposite corners and in between: after round 0 every
-        # search re-grids its own box
-        objectives = [peak(0.07, 3.9), peak(0.93, 0.2), peak(0.5, 2.0), peak(0.31, 1.3)]
+        # optima at both ends and in between: after round 0 every search
+        # re-grids its own box
+        objectives = [peak(0.07), peak(0.93), peak(0.5), peak(0.31)]
         got = lockstep(objectives, self.SPEC)
         assert got == separate(objectives, self.SPEC)
         assert len({x for x, _ in got}) == 4
 
     def test_each_row_is_the_round_of_its_search(self):
-        seen, alone = [], []
+        alone = []
 
         def recording(log, g):
-            def f(x, y):
-                log.append((x.copy(), y.copy()))
-                return g(x, y)
+            def f(x):
+                log.append(x.copy())
+                return g(x)
             return f
 
-        objectives = [peak(0.2, 0.4), peak(0.8, 3.1)]
+        objectives = [peak(0.2), peak(0.8)]
         rows = [[], []]
         lockstep([recording(r, g) for r, g in zip(rows, objectives)], self.SPEC)
         for log, g in zip(rows, objectives):
-            maximize_grid_batch(recording(alone, g), self.SPEC)
+            separate([recording(alone, g)], self.SPEC)
             assert len(log) == self.SPEC.refinement_rounds + 1
-            for (x, y), (x_alone, y_alone) in zip(log, alone[-len(log):]):
-                assert np.array_equal(x, x_alone) and np.array_equal(y, y_alone)
+            for x, x_alone in zip(log, alone[-len(log):]):
+                assert np.array_equal(x, x_alone)
 
     def test_mandatory_points_win_ties(self):
         # flat objectives tie everywhere or on a plateau holding the
         # mandatory point; one rises strictly away from it
-        spec = GridSearchSpec(bounds=((0.0, 1.0),), points=(5,), refinement_rounds=2,
-                              mandatory=((0.5,), (0.25,)))
+        spec = GridSearchSpec(0.0, 1.0, points=5, refinement_rounds=2, mandatory=(0.5, 0.25))
         objectives = [lambda x: 0.0 * x, lambda x: np.floor(4.0 * x) / 4.0,
                       lambda x: np.minimum(x, 0.5), lambda x: x]
         got = lockstep(objectives, spec)
         assert got == separate(objectives, spec)
-        assert [x for x, _ in got] == [(0.5,), (1.0,), (0.5,), (1.0,)]
+        assert [x for x, _ in got] == [0.5, 1.0, 0.5, 1.0]
 
     def test_non_finite_value_names_its_own_search(self):
         # search 1 meets inf only inside the box round 1 centres on its own
         # incumbent; search 0 stays finite
-        spec = GridSearchSpec(bounds=((0.0, 1.0),), points=(5,), refinement_rounds=2)
+        spec = GridSearchSpec(0.0, 1.0, points=5, refinement_rounds=2)
         poisoned = lambda x: np.where((x > 0.8) & (x < 1.0), np.inf, -np.abs(x - 0.9))
         with pytest.raises(ValueError) as alone:
-            maximize_grid_batch(poisoned, spec)
+            separate([poisoned], spec)
         with pytest.raises(ValueError) as together:
             lockstep([lambda x: -np.abs(x - 0.1), poisoned], spec)
         assert str(together.value) == str(alone.value)
         # round 0's best is x = 1, so round 1 grids [0.9375, 1]
-        assert str(together.value).endswith("at x = (0.9375,)")
+        assert str(together.value).endswith("at x = 0.9375")
 
-    def test_one_search_is_maximize_grid_batch(self):
-        objective = peak(0.37, 1.21)
-        assert lockstep([objective], self.SPEC) == separate([objective], self.SPEC)
+    def test_results_are_floats(self):
+        (x, f), = lockstep([peak(0.37)], self.SPEC)
+        assert type(x) is float and type(f) is float
 
     @pytest.mark.parametrize("searches", [0, 1.0, True])
     def test_search_count_checked(self, searches):
         with pytest.raises(ValueError, match="searches must be an integer >= 1"):
-            maximize_grid_searches(lambda x: x, GridSearchSpec(((0.0, 1.0),), (3,)), searches)
+            maximize_grid_searches(lambda x: x, GridSearchSpec(0.0, 1.0, 3), searches)
 
     def test_values_must_have_one_row_per_search(self):
         with pytest.raises(ValueError, match=re.escape("shape (2, 3), got (3,)")):
-            maximize_grid_searches(lambda x: x[0], GridSearchSpec(((0.0, 1.0),), (3,)), 2)
+            maximize_grid_searches(lambda x: x[0], GridSearchSpec(0.0, 1.0, 3), 2)
 
 
 class TestScanDiscrete:
