@@ -100,21 +100,22 @@ def hynore_error(alpha: float, resolution: int):
     does not depend on z, so z*(tau) minimizes P over z exactly. tau = 1
     is always part of the search, where the bracket sums to one and the
     Kennedy receiver is recovered. Each round is evaluated as one batch
-    of e0 e^(-4 tau alpha^2).
+    of e0 e^(-4 tau alpha^2), with e0 the minimum the z search found at
+    each tau (``_hl_minimum``), not evaluated again.
     """
-    from .feedforward import TAU_SPEC, _oscillator_at_minimum, _result
+    from .feedforward import TAU_SPEC, _hl_minimum, _result
 
     alpha = _check_rate(alpha, "alpha")
     model = DetectorModel(resolution=resolution)
     if alpha == 0.0:
         return _result(0.0, [0.5])
-    z_star = _oscillator_at_minimum(alpha, model)
+    minimum = _hl_minimum(alpha, model)
 
     def objective(tau: np.ndarray) -> np.ndarray:
         tau = tau.ravel()
-        e0 = _pre_measurement_error(alpha, tau, z_star(tau), model)
+        _, e0 = minimum(tau)
         return -(e0 * exp_rows(-4.0 * tau * alpha * alpha))[None]
 
     tau_opt, negated = maximize_grid_searches(objective, TAU_SPEC, 1)[0]
-    z_opt = float(z_star(np.array([tau_opt]))[0])
+    z_opt = float(minimum(np.array([tau_opt]))[0][0])
     return _result(alpha, [-negated], tau=tau_opt, z=z_opt)

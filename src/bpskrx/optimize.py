@@ -301,7 +301,13 @@ def maximize_scalar_batch(
             return table[elements]
 
     def checked(x):
-        return _checked_batch(f(x), lambda i: float(x.flat[i]), "x")
+        values = np.asarray(f(x), dtype=float)
+        # one count of the finite values, which unlike a sum cannot
+        # overflow; the first non-finite value is looked for only when
+        # the count falls short
+        if np.count_nonzero(np.isfinite(values)) == values.size:
+            return values
+        return _checked_batch(values, lambda i: float(x.flat[i]), "x")
 
     best_f = np.empty(size)
     best_i = np.empty(size, dtype=np.intp)
@@ -320,26 +326,29 @@ def maximize_scalar_batch(
         j = values.argmax(axis=1)
         best_i[block] = j
         best_f[block] = values.take(starts[:n] + j)
-    best_x = grid(best_i)
-
-    a = grid(np.maximum(best_i - 1, 0))
-    b = grid(np.minimum(best_i + 1, last))
+    # the coarse best and its bracket, in one pass of the grid
+    best_x, a, b = grid(np.stack((best_i, np.maximum(best_i - 1, 0),
+                                  np.minimum(best_i + 1, last))))
     h = b - a
     if np.any(h <= tol):
         raise ValueError("tol must be smaller than one coarse-grid step")
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc = checked(c)
-    yd = checked(d)
-    first = yc >= yd
-    gold_x = np.where(first, c, d)
-    gold_f = np.where(first, yc, yd)
     # math.log, as in the scalar search, so every element runs its step
     # count; brackets repeat across elements, so only distinct ones are logged
     widths, which = np.unique(h, return_inverse=True)
     steps = np.array([math.ceil(math.log(tol / w) / _LOG_INV_PHI) for w in widths.tolist()])[which]
-    all_steps = int(steps.min())
-    for it in range(int(steps.max())):
+    all_steps, most_steps = int(steps.min()), int(steps.max())
+    # every point an element evaluates, in order: the coarse best, c, d,
+    # one per golden-section step and the midpoint of the last bracket.
+    # The result is the first of the largest values, which is the point
+    # the strict > comparisons of maximize_scalar keep.
+    xs = np.empty((most_steps + 4, size))
+    ys = np.empty((most_steps + 4, size))
+    xs[0], ys[0] = best_x, best_f
+    c = xs[1] = a + _INV_PHI2 * h
+    d = xs[2] = a + _INV_PHI * h
+    yc = ys[1] = checked(c)
+    yd = ys[2] = checked(d)
+    for it in range(most_steps):
         # every element takes the first all_steps steps; after them,
         # the elements whose steps are done keep their state
         active = None if it < all_steps else steps > it
@@ -348,26 +357,21 @@ def maximize_scalar_batch(
         # the two branches of _golden_max: keep [a, d] and evaluate
         # a + h / phi^2, or keep [c, b] and evaluate c + h / phi
         a_next = np.where(left, a, c)
-        x = a_next + np.where(left, _INV_PHI2, _INV_PHI) * h
+        x = np.add(a_next, np.where(left, _INV_PHI2, _INV_PHI) * h, out=xs[it + 3])
         y = checked(x)
+        ys[it + 3] = y if active is None else np.where(active, y, -math.inf)
         moved = (a_next, np.where(left, d, b), np.where(left, x, d),
                  np.where(left, c, x), np.where(left, y, yd), np.where(left, yc, y))
-        better = y > gold_f
         if active is not None:
             moved = tuple(np.where(active, new, old)
                           for new, old in zip(moved, (a, b, c, d, yc, yd)))
-            better &= active
         a, b, c, d, yc, yd = moved
-        gold_x = np.where(better, x, gold_x)
-        gold_f = np.where(better, y, gold_f)
-    mid = 0.5 * (a + b)
-    vm = checked(mid)
-    better = vm > gold_f
-    gold_x = np.where(better, mid, gold_x)
-    gold_f = np.where(better, vm, gold_f)
-
-    better = gold_f > best_f
-    return np.where(better, gold_x, best_x), np.where(better, gold_f, best_f)
+    mid = xs[-1] = 0.5 * (a + b)
+    ys[-1] = checked(mid)
+    # argmax keeps the first of equal values
+    first = ys.argmax(axis=0)
+    elements = np.arange(size)
+    return xs[first, elements], ys[first, elements]
 
 
 def maximize_grid_searches(

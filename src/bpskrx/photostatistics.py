@@ -40,6 +40,7 @@ __all__ = [
     "q_above_below",
     "q_above_below_table",
     "q_above_below_rows",
+    "q_above_below_reads",
     "exp_rows",
 ]
 
@@ -206,12 +207,11 @@ def exp_rows(x: np.ndarray) -> np.ndarray:
 def _pnr_rows(mu: np.ndarray, resolution: int) -> np.ndarray:
     """``pnr_pmf`` of every rate in mu, one PMF per row, by a term recurrence (no factorials)."""
     probs = np.empty((mu.size, resolution + 1), dtype=float)
-    term = exp_rows(-mu)
-    partial = 0.0
-    for n in range(resolution):
+    probs[:, 0] = partial = term = exp_rows(-mu)
+    for n in range(1, resolution):
+        term = term * (mu / n)
         probs[:, n] = term
         partial = partial + term
-        term = term * (mu / (n + 1))
     probs[:, resolution] = np.minimum(1.0, np.maximum(0.0, 1.0 - partial))
     return probs
 
@@ -274,9 +274,10 @@ def _hl_sign_terms(reflected: np.ndarray, z: np.ndarray, model: DetectorModel,
     """
     base = reflected * reflected + z * z
     cross = 2.0 * model.xi * z * reflected
-    m = model.resolution
-    p_plus = _pnr_rows(model.eta * (0.5 * (base + cross)) + model.nu, m)
-    p_minus = _pnr_rows(model.eta * (0.5 * (base - cross)) + model.nu, m)
+    m, size = model.resolution, base.size
+    # p+ and p- from one call: each row of _pnr_rows depends on its rate alone
+    p = _pnr_rows(model.eta * (0.5 * np.concatenate((base + cross, base - cross))) + model.nu, m)
+    p_plus, p_minus = p[:size], p[size:]
     at_or_below_plus = np.cumsum(p_plus, axis=1)
     above_minus = np.cumsum(p_minus[:, :0:-1], axis=1)[:, ::-1]  # T-[n] for n < M
     e0 = 0.5 * ((p_minus * at_or_below_plus).sum(axis=1)        # "+alpha": Delta >= 0
@@ -336,27 +337,40 @@ def hl_sign_minimum(reflected: np.ndarray, z_hi: float,
     bracketed = rising.any(axis=1) & (k > 0) & (reflected > 0.0)
     rows = np.flatnonzero(bracketed)
     k = k[rows]
+    amplitude = reflected[rows]
     a, b = grid[k - 1], grid[k]
     slope_a, slope_b = slope[rows, k - 1], slope[rows, k]
-    kept = np.zeros(rows.size, dtype=np.int8)  # the end the last step kept: -1 a, +1 b
+    # the end the last step kept, a or b; neither before the first step
+    kept_a = kept_b = np.zeros(rows.size, dtype=bool)
     for _ in range(HL_MAX_STEPS):
-        open_ = (b - a > HL_Z_RTOL * z_hi) & (slope_b > 0.0)
-        if not open_.any():
+        gap = b - a
+        open_ = (gap > HL_Z_RTOL * z_hi) & (slope_b > 0.0)
+        still_open = np.count_nonzero(open_)
+        if not still_open:
             break
-        rows, a, b, slope_a, slope_b, kept = (
-            v[open_] for v in (rows, a, b, slope_a, slope_b, kept))
-        x = np.clip(b - slope_b * (b - a) / (slope_b - slope_a), a, b)
-        value, slope_x = _hl_sign_terms(reflected[rows], x, model, slope=True)
+        # the open rows carry their own arrays, compressed when one closes
+        if still_open < rows.size:
+            rows, amplitude, a, b, gap, slope_a, slope_b, kept_a, kept_b = (
+                v[open_] for v in (rows, amplitude, a, b, gap, slope_a, slope_b, kept_a, kept_b))
+        # the secant root, clipped to [a, b]
+        x = np.minimum(np.maximum(b - slope_b * gap / (slope_b - slope_a), a), b)
+        value, slope_x = _hl_sign_terms(amplitude, x, model, slope=True)
         better = value < best_e[rows]
-        best_z[rows[better]] = x[better]
-        best_e[rows[better]] = value[better]
+        if better.any():
+            improved = rows[better]
+            best_z[improved] = x[better]
+            best_e[improved] = value[better]
         left = slope_x < 0.0  # the root lies right of x: x replaces a, b is kept
-        # an end kept twice in a row has its slope halved (Illinois)
-        slope_b = np.where(left & (kept == 1), 0.5 * slope_b, slope_b)
-        slope_a = np.where(~left & (kept == -1), 0.5 * slope_a, slope_a)
-        a, slope_a = np.where(left, x, a), np.where(left, slope_x, slope_a)
-        b, slope_b = np.where(left, b, x), np.where(left, slope_b, slope_x)
-        kept = np.where(left, 1, -1).astype(np.int8)
+        right = ~left
+        # in place: the ends and slopes are this loop's own arrays. An end
+        # kept twice in a row has its slope halved (Illinois)
+        np.putmask(slope_b, left & kept_b, 0.5 * slope_b)
+        np.putmask(slope_a, right & kept_a, 0.5 * slope_a)
+        np.putmask(a, left, x)
+        np.putmask(slope_a, left, slope_x)
+        np.putmask(b, right, x)
+        np.putmask(slope_b, right, slope_x)
+        kept_a, kept_b = right, left
     return best_z, best_e
 
 
@@ -525,23 +539,77 @@ def q_above_below_rows(
         ones, starts = 0, [0] * (n_th - 1)
     else:
         # rows [:ones] are at n_th = 1; the suffix above s = 1, 2, ...,
-        # max(n_th) - 1 starts at row ones + starts[s - 1]
+        # max(n_th) - 1 starts at row starts[s - 1]
         ones = int(np.searchsorted(n_th, 1, side="right"))
-        starts = (np.searchsorted(n_th, np.arange(1, n_th[-1]), side="right") - ones).tolist()
+        starts = np.searchsorted(n_th, np.arange(1, n_th[-1]), side="right").tolist()
 
     def rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        above, below = np.empty_like(x), np.empty_like(y)
-        above[:ones] = -np.expm1(-x[:ones])
-        below[:ones] = np.exp(-y[:ones])
-        rates = np.stack((x[ones:], y[ones:]))
+        # x and y as one block, so each operation below is one call for both
+        rates = np.empty((2, *x.shape))
+        rates[0], rates[1] = x, y
         term = np.exp(-rates)
-        total = term.copy()
+        flips = term.copy()
         for s, k in enumerate(starts, 1):
             term[:, k:] *= rates[:, k:] / s
-            total[:, k:] += term[:, k:]
-        np.minimum(total, 1.0, out=total)
-        np.subtract(1.0, total[0], out=above[ones:])
-        below[ones:] = total[1]
-        return above, below
+            flips[:, k:] += term[:, k:]
+        np.minimum(flips, 1.0, out=flips)
+        np.subtract(1.0, flips[0], out=flips[0])
+        if ones:
+            # the on/off rows, which the pass left at their first term
+            flips[0, :ones] = -np.expm1(-x[:ones])
+            flips[1, :ones] = term[1, :ones]
+        return flips[0], flips[1]
 
     return rows
+
+
+def q_above_below_reads(x: np.ndarray, y: np.ndarray, n_th: np.ndarray,
+                        source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q1, q0) of ``q_above_below_rows`` at thresholds n_th, row r read from row source[r] of x, y.
+
+    x and y have one shape, with at least one axis; n_th holds one
+    threshold per result row, in non-decreasing order, and many result
+    rows may read one source row. Result row r equals
+    ``q_above_below_rows(n_th[r])(x[source[r]], y[source[r]])`` bit for
+    bit, but each source row runs the term recurrence once, up to the
+    largest threshold that reads it: the source rows, ordered by that
+    reach, take term s over the suffix whose reach is above s, and the
+    rows of threshold s + 1 read their partial sums as soon as term s is
+    in. So rows of many thresholds that share a rate cost one pass, not
+    one each.
+    """
+    n_th, source = np.asarray(n_th), np.asarray(source)
+    if (n_th[1:] < n_th[:-1]).any():
+        raise ValueError("thresholds must be in non-decreasing order")
+    above = np.empty((n_th.size, *x.shape[1:]))
+    below = np.empty((n_th.size, *y.shape[1:]))
+    ones = int(np.searchsorted(n_th, 1, side="right"))
+    if ones:
+        above[:ones] = -np.expm1(-x[source[:ones]])
+        below[:ones] = np.exp(-y[source[:ones]])
+    if ones == n_th.size:
+        return above, below
+    # the source rows read above n_th = 1, in order of reach; row i of
+    # the pass is source row used[i]
+    reach = np.zeros(x.shape[0], dtype=n_th.dtype)
+    np.maximum.at(reach, source[ones:], n_th[ones:])
+    used = np.flatnonzero(reach)
+    used = used[np.argsort(reach[used], kind="stable")]
+    position = np.empty(x.shape[0], dtype=np.intp)
+    position[used] = np.arange(used.size)
+    starts = np.searchsorted(reach[used], np.arange(1, n_th[-1]), side="right").tolist()
+    # the result rows of threshold t are [ends[t - 1], ends[t])
+    ends = np.searchsorted(n_th, np.arange(n_th[-1] + 1), side="right").tolist()
+    rates = np.empty((2, used.size, *x.shape[1:]))
+    rates[0], rates[1] = x[used], y[used]
+    term = np.exp(-rates)
+    total = term.copy()
+    for s, k in enumerate(starts, 1):
+        term[:, k:] *= rates[:, k:] / s
+        total[:, k:] += term[:, k:]
+        lo, hi = ends[s], ends[s + 1]
+        if lo < hi:  # threshold s + 1 has all its terms
+            read = np.minimum(total[:, position[source[lo:hi]]], 1.0)
+            np.subtract(1.0, read[0], out=above[lo:hi])
+            below[lo:hi] = read[1]
+    return above, below

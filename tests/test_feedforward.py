@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -26,13 +27,16 @@ from bpskrx.feedforward import (
 )
 import bpskrx.feedforward as feedforward
 import bpskrx.photostatistics as photostatistics
+from bpskrx.baselines import _pre_measurement_error
 from bpskrx.feedforward import (
     BETA_COARSE_POINTS,
     BETA_MARGIN,
     BETA_TOL,
+    _coarse_flip_table,
     _coarse_step,
     _flip_tables,
     _flips,
+    _hl_minimum,
     _hybrid_at,
     _hybrid_error_batch,
     _step_objective,
@@ -354,6 +358,13 @@ PINNED_HYNORE = [
     (0.05, ("0.0", "1.3649542192390518", "0.34469702507462313")),
     (3.0, ("0.9799562072753906", "1.3667815260872613", "2.583373874106418e-06")),
 ]
+# (tau, z, n_th, betas, p_err) at alpha2 = 1, N = 1, nu = 1e-3 above M = 4, as
+# repr literals; at M = 64 z* is the end of the oscillator box, 5 + 4 alpha.
+PINNED_HFFRE_HIGH_M = [
+    (8, ("0.9302261352539062", "2.8993441513184433", 1, ("0.9834296539349598",),
+         "0.007730624658608264")),
+    (64, ("0.9251457214355469", "9.0", 1, ("0.9803165412015328",), "0.007669061281055396")),
+]
 
 
 class TestBatchedSearch:
@@ -378,6 +389,29 @@ class TestBatchedSearch:
         p = result.params
         got = (repr(p.tau), repr(p.z), p.n_th, tuple(repr(b) for b in p.betas), repr(result.p_err))
         assert got == expected
+
+    @pytest.mark.parametrize("m, expected", PINNED_HFFRE_HIGH_M)
+    def test_hffre_pinned_above_m4(self, m, expected):
+        result = hffre_error(1.0, cfg(1, DetectorModel(m, nu=1e-3), Receiver.HFFRE))
+        p = result.params
+        got = (repr(p.tau), repr(p.z), p.n_th, tuple(repr(b) for b in p.betas), repr(result.p_err))
+        assert got == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 64])
+    @pytest.mark.parametrize("model_of", [lambda m: DetectorModel(m),
+                                          lambda m: DetectorModel(m, nu=1e-3),
+                                          lambda m: DetectorModel(m, eta=0.7, xi=0.998)],
+                             ids=["ideal", "nu", "eta-xi"])
+    def test_hl_minimum_error_is_the_pre_measurement_error(self, m, model_of):
+        # the e0* HYNORE reads from the z search is the HL error at
+        # (tau, z*(tau)), bit for bit, tau = 1 included
+        model = model_of(m)
+        tau = np.concatenate(([1.0, 0.0], np.linspace(0.0, 1.0, 41)[1:-1], [0.9999999]))
+        for alpha2 in (0.05, 1.0, 5.0, 30.0):
+            alpha = math.sqrt(alpha2)
+            z_star, e0_star = _hl_minimum(alpha, model)(tau)
+            assert same_bits(e0_star, _pre_measurement_error(alpha, tau, z_star, model))
+            assert same_bits(z_star, feedforward._oscillator_at_minimum(alpha, model)(tau))
 
     @pytest.mark.parametrize("alpha2, expected", PINNED_HYNORE)
     def test_hynore_pinned_to_scalar_search(self, alpha2, expected):
@@ -830,6 +864,44 @@ class TestCoarseTable:
         tau, z = np.concatenate(([1.0], tau.ravel())), np.concatenate(([0.0], z.ravel()))
         _hybrid_error_batch(alpha, c)(tau, z, np.full(tau.size, n_th))
         assert copies == [1682, 1682]
+
+    @pytest.mark.parametrize("model", [DetectorModel(2, nu=1e-3), DetectorModel(8, nu=1e-3),
+                                       DetectorModel(64, nu=1e-3),
+                                       DetectorModel(64, eta=0.7, xi=0.998)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_pass_table_equals_flips(self, model, n):
+        # a round's rows: every threshold, each on its own set of taus,
+        # which overlap, and one amplitude no threshold reads; each row
+        # equals _flips on that amplitude's coarse grid, as one row per
+        # (tau, n_th) computed it, sign bits included
+        rng = np.random.default_rng(model.resolution + n)
+        amplitude = np.concatenate(([0.0, 1.0], np.sqrt(rng.uniform(0.0, 1.0, 40)) * 2.0))
+        n_th, source = [], []
+        for t in range(1, model.resolution + 1):
+            rows = np.unique(rng.integers(0, amplitude.size - 1, 12))
+            n_th += [t] * rows.size
+            source += rows.tolist()
+        n_th, source = np.array(n_th), np.array(source)
+        false_table, missed_table = _coarse_flip_table(amplitude, n, model, n_th, source)
+        rows = amplitude[source][:, None]
+        grid = coarse_abscissae(0.0, rows / math.sqrt(n) + BETA_MARGIN, BETA_COARSE_POINTS)
+        expected = _flips(rows, n, model, n_th, grid(np.arange(BETA_COARSE_POINTS)))
+        assert same_bits(false_table, expected[0]) and same_bits(missed_table, expected[1])
+
+    def test_traced_peak_of_an_m64_point(self):
+        # One pass per distinct tau instead of one per (tau, n_th) row: at
+        # M = 64 the pass sums 2,624 row-terms in round 0 instead of
+        # 85,239, and the traced peak of the whole point, 21.2 MiB with a
+        # pass per row (numpy 2.4, Python 3.11), falls below it
+        c = cfg(1, DetectorModel(64, nu=1e-3), Receiver.HFFRE)
+        hffre_error(1.0, c)
+        tracemalloc.start()
+        try:
+            hffre_error(1.0, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 21.2 * 2**20
 
     @pytest.mark.parametrize("alpha2, n, model, expected", PINNED_DFFRE)
     def test_dffre_pinned(self, alpha2, n, model, expected):

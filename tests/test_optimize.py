@@ -279,6 +279,35 @@ class TestMaximizeScalarBatch:
         with pytest.raises(ValueError, match="non-finite"):
             maximize_scalar_batch(lambda x: np.where(x > 0.5, np.nan, 0.0), 0.0, np.ones(3), 5, 1e-7)
 
+    def test_non_finite_step_names_first_element(self):
+        # finite on the coarse grid, NaN at the golden-section abscissae of
+        # elements 1 and 2: the step reports element 1's abscissa
+        hi = np.array([1.0, 2.0, 3.0])
+        rows = np.zeros((3, 5))
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return np.where(np.arange(3) >= 1, np.nan, 0.0)
+
+        with pytest.raises(ValueError, match=r"non-finite value .*nan.* at x = ") as info:
+            maximize_scalar_batch(f, 0.0, hi, 5, 1e-7, lambda elements: rows[elements])
+        assert str(info.value).endswith(f"at x = {float(seen[-1][1])!r}")
+
+    def test_finite_values_whose_sum_overflows(self):
+        # values near the largest float, whose sum overflows: checking a
+        # step's values at once must neither raise nor warn
+        hi = np.array([1.0, 1.5, 2.0])
+
+        def batch(x):
+            return 1.5e308 * (1.0 - (x - 0.3) * (x - 0.3) / 4.0)
+
+        xs, fs = maximize_scalar_batch(batch, 0.0, hi, 16, 1e-7)
+        for k, h in enumerate(hi.tolist()):
+            x, f = maximize_scalar(lambda x: 1.5e308 * (1.0 - (x - 0.3) * (x - 0.3) / 4.0),
+                                   ScalarSearchSpec(0.0, h, coarse_points=16, tol=1e-7))
+            assert (xs[k], fs[k]) == (x, f)
+
     def test_no_elements(self):
         def f(x):
             raise AssertionError("no element to evaluate")

@@ -11,17 +11,22 @@ from hypothesis import strategies as st
 
 from bpskrx.feedforward import correct_probability_trace, step_correct_prob
 from bpskrx.photostatistics import (
+    HL_MAX_STEPS,
     HL_SCAN_BLOCK,
+    HL_SCAN_POINTS,
+    HL_Z_RTOL,
     BranchMeans,
     DetectorModel,
     branch_means,
     exp_rows,
     hl_difference_pmf,
     _hl_sign_terms,
+    _pnr_rows,
     hl_sign_error,
     hl_sign_minimum,
     pnr_pmf,
     q_above_below,
+    q_above_below_reads,
     q_above_below_rows,
     q_above_below_table,
     q_off,
@@ -319,6 +324,109 @@ class TestHlSignMinimum:
         assert same_bits(together[1], [e[0] for _, e in alone])
 
 
+
+def two_call_sign_terms(reflected, z, model):
+    """``_hl_sign_terms`` with value and slope, p+ and p- from one ``_pnr_rows`` call each."""
+    base = reflected * reflected + z * z
+    cross = 2.0 * model.xi * z * reflected
+    m = model.resolution
+    p_plus = _pnr_rows(model.eta * (0.5 * (base + cross)) + model.nu, m)
+    p_minus = _pnr_rows(model.eta * (0.5 * (base - cross)) + model.nu, m)
+    at_or_below_plus = np.cumsum(p_plus, axis=1)
+    above_minus = np.cumsum(p_minus[:, :0:-1], axis=1)[:, ::-1]
+    e0 = 0.5 * ((p_minus * at_or_below_plus).sum(axis=1)
+                + (p_plus[:, :m] * above_minus).sum(axis=1))
+    same = (p_plus[:, :m] * p_minus[:, :m]).sum(axis=1)
+    up = (p_minus[:, :m] * p_plus[:, 1:]).sum(axis=1)
+    down = (p_plus[:, :m] * p_minus[:, 1:]).sum(axis=1)
+    reach = model.xi * reflected
+    return e0, 0.5 * model.eta * ((z - reach) * (up + same) - (z + reach) * (down + same))
+
+
+def compressing_sign_minimum(reflected, z_hi, model):
+    """``hl_sign_minimum`` as a loop that compresses every open row's arrays and gathers
+    its amplitude at every Illinois step, on ``two_call_sign_terms``."""
+    size, n = reflected.size, HL_SCAN_POINTS
+    grid = z_hi * np.arange(n) / (n - 1)
+    e0, slope = np.empty((size, n)), np.empty((size, n))
+    for k0 in range(0, size, HL_SCAN_BLOCK):
+        block = reflected[k0:k0 + HL_SCAN_BLOCK]
+        rows = slice(k0, k0 + block.size)
+        e0[rows], slope[rows] = (v.reshape(block.size, n) for v in two_call_sign_terms(
+            np.repeat(block, n), np.tile(grid, block.size), model))
+    found = np.where(reflected == 0.0, 0, e0.argmin(axis=1))
+    best_z = grid[found]
+    best_e = e0[np.arange(size), found]
+    rising = slope >= 0.0
+    k = rising.argmax(axis=1)
+    bracketed = rising.any(axis=1) & (k > 0) & (reflected > 0.0)
+    rows = np.flatnonzero(bracketed)
+    k = k[rows]
+    a, b = grid[k - 1], grid[k]
+    slope_a, slope_b = slope[rows, k - 1], slope[rows, k]
+    kept = np.zeros(rows.size, dtype=np.int8)  # the end the last step kept: -1 a, +1 b
+    for _ in range(HL_MAX_STEPS):
+        open_ = (b - a > HL_Z_RTOL * z_hi) & (slope_b > 0.0)
+        if not open_.any():
+            break
+        rows, a, b, slope_a, slope_b, kept = (
+            v[open_] for v in (rows, a, b, slope_a, slope_b, kept))
+        x = np.clip(b - slope_b * (b - a) / (slope_b - slope_a), a, b)
+        value, slope_x = two_call_sign_terms(reflected[rows], x, model)
+        better = value < best_e[rows]
+        best_z[rows[better]] = x[better]
+        best_e[rows[better]] = value[better]
+        left = slope_x < 0.0
+        slope_b = np.where(left & (kept == 1), 0.5 * slope_b, slope_b)
+        slope_a = np.where(~left & (kept == -1), 0.5 * slope_a, slope_a)
+        a, slope_a = np.where(left, x, a), np.where(left, slope_x, slope_a)
+        b, slope_b = np.where(left, b, x), np.where(left, slope_b, slope_x)
+        kept = np.where(left, 1, -1).astype(np.int8)
+    return best_z, best_e
+
+
+KERNEL_MODELS = [
+    lambda m: DetectorModel(m),
+    lambda m: DetectorModel(m, eta=0.7),
+    lambda m: DetectorModel(m, nu=1e-3),
+    lambda m: DetectorModel(m, xi=0.998),
+]
+
+
+class TestSignKernelsAgainstReferenceLoops:
+    """The HL sign kernels equal their plain references bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 64])
+    @pytest.mark.parametrize("make", KERNEL_MODELS, ids=["ideal", "eta", "nu", "xi"])
+    def test_sign_terms_from_one_pnr_call(self, m, make):
+        model = make(m)
+        rng = np.random.default_rng(m)
+        # rows with zeta = 0, with z = 0 and with both
+        reflected = np.concatenate(([0.0, 0.0, 1.3, 0.0], rng.uniform(0.0, 4.0, 200)))
+        z = np.concatenate(([0.0, 2.0, 0.0, 9.0], rng.uniform(0.0, 20.0, 200)))
+        e0, slope = _hl_sign_terms(reflected, z, model, slope=True)
+        ref_e0, ref_slope = two_call_sign_terms(reflected, z, model)
+        assert same_bits(e0, ref_e0) and same_bits(slope, ref_slope)
+        assert _hl_sign_terms(reflected, z, model)[1] is None
+        assert same_bits(_hl_sign_terms(reflected, z, model)[0], ref_e0)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 64])
+    @pytest.mark.parametrize("make", KERNEL_MODELS, ids=["ideal", "eta", "nu", "xi"])
+    def test_sign_minimum_equals_compressing_loop(self, m, make):
+        # rows close at different Illinois steps, so the open set shrinks
+        # more than once; a zero amplitude and a second scan block included
+        model = make(m)
+        rng = np.random.default_rng(10 + m)
+        reflected = np.concatenate(([0.0, 1e-3, 3.0], rng.uniform(0.0, 3.0, HL_SCAN_BLOCK + 20)))
+        for z_hi in (9.0, 5.0 + 4.0 * 3.0):
+            z_star, e0_star = hl_sign_minimum(reflected, z_hi, model)
+            ref_z, ref_e0 = compressing_sign_minimum(reflected, z_hi, model)
+            assert same_bits(z_star, ref_z) and same_bits(e0_star, ref_e0)
+
+    def test_sign_minimum_of_no_elements(self):
+        z_star, e0_star = hl_sign_minimum(np.empty(0), 9.0, IDEAL2)
+        assert z_star.shape == e0_star.shape == (0,)
+
 def term_loop_pnr_pmf(mu, m):
     """The truncated Poisson PMF as a scalar term loop, the reference for ``pnr_pmf``."""
     probs = np.empty(m + 1, dtype=float)
@@ -548,6 +656,31 @@ class TestRowKernels:
     def test_thresholds_per_row_must_not_decrease(self):
         with pytest.raises(ValueError, match="thresholds must be in non-decreasing order"):
             q_above_below_rows(np.array([1, 3, 2]))
+
+    @pytest.mark.parametrize("top", [1, 2, 8, 64])
+    @pytest.mark.parametrize("columns", [None, 7])
+    def test_reads_equal_each_row_alone(self, top, columns):
+        # many result rows read one source row, at thresholds 1..top in
+        # non-decreasing order; source rows read by no threshold, or by
+        # n_th = 1 alone, run no pass. Each row equals q_above_below_rows
+        # of its threshold on its source row alone, sign bits included.
+        rng = np.random.default_rng(50 + top)
+        shape = (30,) if columns is None else (30, columns)
+        x, y = (np.resize(np.concatenate(([0.0, 5e-324, 745.0, 1e3], rng.uniform(0.0, 40.0, 206))),
+                          shape) for _ in range(2))
+        n_th = np.sort(rng.integers(1, top + 1, 90))
+        n_th[0], n_th[-1] = 1, top
+        source = rng.integers(0, 25, 90)
+        above, below = q_above_below_reads(x, y, n_th, source)
+        assert above.shape == below.shape == (90, *shape[1:])
+        for r, (t, k) in enumerate(zip(n_th.tolist(), source.tolist())):
+            alone = q_above_below_rows(t)(x[k:k + 1], y[k:k + 1])
+            assert same_bits(above[r:r + 1], alone[0]) and same_bits(below[r:r + 1], alone[1])
+
+    def test_reads_thresholds_must_not_decrease(self):
+        x = np.ones(3)
+        with pytest.raises(ValueError, match="thresholds must be in non-decreasing order"):
+            q_above_below_reads(x, x, np.array([1, 3, 2]), np.array([0, 1, 2]))
 
 
 class TestThresholdKernel:
