@@ -60,7 +60,6 @@ from .photostatistics import (
     _check_rate,
     hl_sign_minimum,
     q_above_below,
-    q_above_below_reads,
     q_above_below_rows,
     q_above_below_table,
     q_thresh,
@@ -257,21 +256,8 @@ def _step_objective(amplitude, n_copies: int, model: DetectorModel,
 
         return at
 
-    def on_off_unit(e_prev: float) -> Callable[[float], float]:
-        p_prev = 1.0 - e_prev
-
-        def at(beta: float) -> float:
-            base = a2n + beta * beta
-            cross = cross_coef * beta
-            # on_off at eta = 1 and nu = 0, where 1 * rate + 0 is the rate
-            # itself: base is a sum of squares and cross >= 0, so no rate
-            # is -0.0, the one float that + 0 would change
-            return -(e_prev * exp(-(base + cross)) - p_prev * expm1(-(base - cross)))
-
-        return at
-
     if thresholds == [1]:
-        return on_off_unit if eta == 1.0 and nu == 0.0 else on_off
+        return on_off
     flips = kernel(n_th)
 
     def threshold(e_prev: float) -> Callable[[float], float]:
@@ -444,39 +430,16 @@ def _hybrid_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float,
     return _result(alpha, *_threshold_scan(math.sqrt(tau) * alpha, cfg, e0, candidates), tau, z)
 
 
-def _flip_rates(amplitude: np.ndarray, n_copies: int, model: DetectorModel,
-                beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rate_minus, rate_plus) of the array step objective, element by element; beta
-    broadcasts against amplitude."""
-    a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
-    base = a2n + beta * beta
-    cross = cross_coef * beta
-    return model.eta * (base - cross) + model.nu, model.eta * (base + cross) + model.nu
-
-
 def _flips(amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th,
            beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(F, M) of the array step objective, element by element, at threshold n_th: one
     threshold, or one per row in non-decreasing order (``q_above_below_rows``); beta
     broadcasts against amplitude. The values equal the objective's flips bit for bit."""
-    return q_above_below_rows(n_th)(*_flip_rates(amplitude, n_copies, model, beta))
-
-
-def _coarse_flip_table(amplitude: np.ndarray, n_copies: int, model: DetectorModel,
-                       n_th: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, M) on the coarse beta grid: row r at threshold n_th[r] (non-decreasing) and
-    amplitude[source[r]], one column per grid index.
-
-    Row r equals ``_flips`` of that amplitude and threshold on its grid
-    bit for bit; the rates of each amplitude are formed once, and its
-    cumulative Poisson pass runs once, up to the largest threshold that
-    reads it (``q_above_below_reads``).
-    """
-    amplitude = amplitude[:, None]
-    grid = coarse_abscissae(0.0, _beta_hi(amplitude, n_copies), BETA_COARSE_POINTS)
-    return q_above_below_reads(
-        *_flip_rates(amplitude, n_copies, model, grid(np.arange(BETA_COARSE_POINTS))),
-        n_th, source)
+    a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
+    base = a2n + beta * beta
+    cross = cross_coef * beta
+    return q_above_below_rows(n_th)(model.eta * (base - cross) + model.nu,
+                                    model.eta * (base + cross) + model.nu)
 
 
 def _hybrid_error_batch(
@@ -490,10 +453,9 @@ def _hybrid_error_batch(
     ``_step_objective``, whose flips come from one cumulative Poisson
     pass per golden-section step. An element's coarse
     beta grid depends on tau only, so the flip probabilities on it are
-    tabulated once per distinct (tau, n_th) of the round, one row each,
-    from one cumulative pass per distinct tau (``_coarse_flip_table``);
-    a block of elements reads its coarse rows with one gather and forms
-    its coarse values with ``_coarse_step``. The
+    tabulated once per distinct (tau, n_th) of the round (``_flips``),
+    one row each; a block of elements reads its coarse rows with one
+    gather and forms its coarse values with ``_coarse_step``. The
     lockstep values agree with the scalar recursion up to the last-bit
     differences between np.exp and math.exp, which the 1 - q0 tail of a
     threshold n_th >= 2 can raise to about 1e-16 absolute, so within each
@@ -505,6 +467,7 @@ def _hybrid_error_batch(
     only through e0, so the scalar runs are memoised on (tau, e0, n_th).
     """
     model, n = cfg.model, cfg.n_copies
+    indices = np.arange(BETA_COARSE_POINTS)
     relative = BATCH_RTOL_PER_COPY * n
     settled: dict[tuple[float, float, int], float] = {}
 
@@ -516,18 +479,19 @@ def _hybrid_error_batch(
         amplitude = np.sqrt(tau) * alpha
         step = _step_objective(amplitude, n, model, n_th)
         beta_hi = _beta_hi(amplitude, n)
-        # one table row per distinct (tau, n_th), from one pass per distinct
-        # tau of the round; element k reads row rows[k]
-        taus, tau_index = np.unique(tau, return_inverse=True)
+        # one table row per distinct tau of each slice; element k reads row rows[k]
         rows = np.empty(tau.size, dtype=np.intp)
-        sources, row_thresholds = [], []
+        taus, row_thresholds = [], []
         for lo, hi, t in slices:
-            distinct, inverse = np.unique(tau_index[lo:hi], return_inverse=True)
+            distinct, inverse = np.unique(tau[lo:hi], return_inverse=True)
             rows[lo:hi] = inverse + len(row_thresholds)
-            sources.append(distinct)
+            taus.append(distinct)
             row_thresholds += [t] * distinct.size
-        false_table, missed_table = _coarse_flip_table(
-            np.sqrt(taus) * alpha, n, model, np.array(row_thresholds), np.concatenate(sources))
+        amplitudes = np.sqrt(np.concatenate(taus))[:, None] * alpha
+        grid = coarse_abscissae(0.0, _beta_hi(amplitudes, n), BETA_COARSE_POINTS)
+        # one row per distinct (tau, n_th), one column per coarse grid index
+        false_table, missed_table = _flips(amplitudes, n, model, np.array(row_thresholds),
+                                           grid(indices))
         errors = e0
         for _ in range(n):
             def coarse(block: slice) -> np.ndarray:  # element k reads row rows[k]

@@ -40,7 +40,6 @@ __all__ = [
     "q_above_below",
     "q_above_below_table",
     "q_above_below_rows",
-    "q_above_below_reads",
     "exp_rows",
 ]
 
@@ -562,54 +561,3 @@ def q_above_below_rows(
 
     return rows
 
-
-def q_above_below_reads(x: np.ndarray, y: np.ndarray, n_th: np.ndarray,
-                        source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(q1, q0) of ``q_above_below_rows`` at thresholds n_th, row r read from row source[r] of x, y.
-
-    x and y have one shape, with at least one axis; n_th holds one
-    threshold per result row, in non-decreasing order, and many result
-    rows may read one source row. Result row r equals
-    ``q_above_below_rows(n_th[r])(x[source[r]], y[source[r]])`` bit for
-    bit, but each source row runs the term recurrence once, up to the
-    largest threshold that reads it: the source rows, ordered by that
-    reach, take term s over the suffix whose reach is above s, and the
-    rows of threshold s + 1 read their partial sums as soon as term s is
-    in. So rows of many thresholds that share a rate cost one pass, not
-    one each.
-    """
-    n_th, source = np.asarray(n_th), np.asarray(source)
-    if (n_th[1:] < n_th[:-1]).any():
-        raise ValueError("thresholds must be in non-decreasing order")
-    above = np.empty((n_th.size, *x.shape[1:]))
-    below = np.empty((n_th.size, *y.shape[1:]))
-    ones = int(np.searchsorted(n_th, 1, side="right"))
-    if ones:
-        above[:ones] = -np.expm1(-x[source[:ones]])
-        below[:ones] = np.exp(-y[source[:ones]])
-    if ones == n_th.size:
-        return above, below
-    # the source rows read above n_th = 1, in order of reach; row i of
-    # the pass is source row used[i]
-    reach = np.zeros(x.shape[0], dtype=n_th.dtype)
-    np.maximum.at(reach, source[ones:], n_th[ones:])
-    used = np.flatnonzero(reach)
-    used = used[np.argsort(reach[used], kind="stable")]
-    position = np.empty(x.shape[0], dtype=np.intp)
-    position[used] = np.arange(used.size)
-    starts = np.searchsorted(reach[used], np.arange(1, n_th[-1]), side="right").tolist()
-    # the result rows of threshold t are [ends[t - 1], ends[t])
-    ends = np.searchsorted(n_th, np.arange(n_th[-1] + 1), side="right").tolist()
-    rates = np.empty((2, used.size, *x.shape[1:]))
-    rates[0], rates[1] = x[used], y[used]
-    term = np.exp(-rates)
-    total = term.copy()
-    for s, k in enumerate(starts, 1):
-        term[:, k:] *= rates[:, k:] / s
-        total[:, k:] += term[:, k:]
-        lo, hi = ends[s], ends[s + 1]
-        if lo < hi:  # threshold s + 1 has all its terms
-            read = np.minimum(total[:, position[source[lo:hi]]], 1.0)
-            np.subtract(1.0, read[0], out=above[lo:hi])
-            below[lo:hi] = read[1]
-    return above, below

@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -32,7 +31,6 @@ from bpskrx.feedforward import (
     BETA_COARSE_POINTS,
     BETA_MARGIN,
     BETA_TOL,
-    _coarse_flip_table,
     _coarse_step,
     _flip_tables,
     _flips,
@@ -864,44 +862,6 @@ class TestCoarseTable:
         tau, z = np.concatenate(([1.0], tau.ravel())), np.concatenate(([0.0], z.ravel()))
         _hybrid_error_batch(alpha, c)(tau, z, np.full(tau.size, n_th))
         assert copies == [1682, 1682]
-
-    @pytest.mark.parametrize("model", [DetectorModel(2, nu=1e-3), DetectorModel(8, nu=1e-3),
-                                       DetectorModel(64, nu=1e-3),
-                                       DetectorModel(64, eta=0.7, xi=0.998)])
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_one_pass_table_equals_flips(self, model, n):
-        # a round's rows: every threshold, each on its own set of taus,
-        # which overlap, and one amplitude no threshold reads; each row
-        # equals _flips on that amplitude's coarse grid, as one row per
-        # (tau, n_th) computed it, sign bits included
-        rng = np.random.default_rng(model.resolution + n)
-        amplitude = np.concatenate(([0.0, 1.0], np.sqrt(rng.uniform(0.0, 1.0, 40)) * 2.0))
-        n_th, source = [], []
-        for t in range(1, model.resolution + 1):
-            rows = np.unique(rng.integers(0, amplitude.size - 1, 12))
-            n_th += [t] * rows.size
-            source += rows.tolist()
-        n_th, source = np.array(n_th), np.array(source)
-        false_table, missed_table = _coarse_flip_table(amplitude, n, model, n_th, source)
-        rows = amplitude[source][:, None]
-        grid = coarse_abscissae(0.0, rows / math.sqrt(n) + BETA_MARGIN, BETA_COARSE_POINTS)
-        expected = _flips(rows, n, model, n_th, grid(np.arange(BETA_COARSE_POINTS)))
-        assert same_bits(false_table, expected[0]) and same_bits(missed_table, expected[1])
-
-    def test_traced_peak_of_an_m64_point(self):
-        # One pass per distinct tau instead of one per (tau, n_th) row: at
-        # M = 64 the pass sums 2,624 row-terms in round 0 instead of
-        # 85,239, and the traced peak of the whole point, 21.2 MiB with a
-        # pass per row (numpy 2.4, Python 3.11), falls below it
-        c = cfg(1, DetectorModel(64, nu=1e-3), Receiver.HFFRE)
-        hffre_error(1.0, c)
-        tracemalloc.start()
-        try:
-            hffre_error(1.0, c)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 21.2 * 2**20
 
     @pytest.mark.parametrize("alpha2, n, model, expected", PINNED_DFFRE)
     def test_dffre_pinned(self, alpha2, n, model, expected):

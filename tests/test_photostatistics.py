@@ -26,7 +26,6 @@ from bpskrx.photostatistics import (
     hl_sign_minimum,
     pnr_pmf,
     q_above_below,
-    q_above_below_reads,
     q_above_below_rows,
     q_above_below_table,
     q_off,
@@ -324,7 +323,6 @@ class TestHlSignMinimum:
         assert same_bits(together[1], [e[0] for _, e in alone])
 
 
-
 def two_call_sign_terms(reflected, z, model):
     """``_hl_sign_terms`` with value and slope, p+ and p- from one ``_pnr_rows`` call each."""
     base = reflected * reflected + z * z
@@ -426,6 +424,7 @@ class TestSignKernelsAgainstReferenceLoops:
     def test_sign_minimum_of_no_elements(self):
         z_star, e0_star = hl_sign_minimum(np.empty(0), 9.0, IDEAL2)
         assert z_star.shape == e0_star.shape == (0,)
+
 
 def term_loop_pnr_pmf(mu, m):
     """The truncated Poisson PMF as a scalar term loop, the reference for ``pnr_pmf``."""
@@ -656,31 +655,6 @@ class TestRowKernels:
     def test_thresholds_per_row_must_not_decrease(self):
         with pytest.raises(ValueError, match="thresholds must be in non-decreasing order"):
             q_above_below_rows(np.array([1, 3, 2]))
-
-    @pytest.mark.parametrize("top", [1, 2, 8, 64])
-    @pytest.mark.parametrize("columns", [None, 7])
-    def test_reads_equal_each_row_alone(self, top, columns):
-        # many result rows read one source row, at thresholds 1..top in
-        # non-decreasing order; source rows read by no threshold, or by
-        # n_th = 1 alone, run no pass. Each row equals q_above_below_rows
-        # of its threshold on its source row alone, sign bits included.
-        rng = np.random.default_rng(50 + top)
-        shape = (30,) if columns is None else (30, columns)
-        x, y = (np.resize(np.concatenate(([0.0, 5e-324, 745.0, 1e3], rng.uniform(0.0, 40.0, 206))),
-                          shape) for _ in range(2))
-        n_th = np.sort(rng.integers(1, top + 1, 90))
-        n_th[0], n_th[-1] = 1, top
-        source = rng.integers(0, 25, 90)
-        above, below = q_above_below_reads(x, y, n_th, source)
-        assert above.shape == below.shape == (90, *shape[1:])
-        for r, (t, k) in enumerate(zip(n_th.tolist(), source.tolist())):
-            alone = q_above_below_rows(t)(x[k:k + 1], y[k:k + 1])
-            assert same_bits(above[r:r + 1], alone[0]) and same_bits(below[r:r + 1], alone[1])
-
-    def test_reads_thresholds_must_not_decrease(self):
-        x = np.ones(3)
-        with pytest.raises(ValueError, match="thresholds must be in non-decreasing order"):
-            q_above_below_reads(x, x, np.array([1, 3, 2]), np.array([0, 1, 2]))
 
 
 class TestThresholdKernel:
