@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .optimize import maximize_grid_searches
-from .photostatistics import DetectorModel, _check_rate, exp_rows, hl_sign_error
+from .photostatistics import DetectorModel, _check_rate, exp_rows
 
 __all__ = [
     "sql_error",
@@ -69,17 +69,6 @@ def optimized_displacement_error(alpha: float, model: DetectorModel):
     return dffre_error(alpha, cfg)
 
 
-def _tap_amplitude(alpha: float, tau: np.ndarray) -> np.ndarray:
-    """sqrt(1 - tau) alpha: what a tap of transmissivity tau reflects to the HL stage."""
-    return np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha
-
-
-def _pre_measurement_error(alpha: float, tau: np.ndarray, z: np.ndarray,
-                           model: DetectorModel) -> np.ndarray:
-    """HL sign error e0 at every (tau, z)."""
-    return hl_sign_error(_tap_amplitude(alpha, tau), z, model)
-
-
 def hynore_error(alpha: float, resolution: int):
     """Hybrid near-optimum receiver with ideal detectors.
 
@@ -113,7 +102,7 @@ def hynore_error(alpha: float, resolution: int):
 
     def objective(tau: np.ndarray) -> np.ndarray:
         tau = tau.ravel()
-        _, e0 = minimum(tau)
+        _, e0, _ = minimum(tau)
         return -(e0 * exp_rows(-4.0 * tau * alpha * alpha))[None]
 
     tau_opt, negated = maximize_grid_searches(objective, TAU_SPEC, 1)[0]

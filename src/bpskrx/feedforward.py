@@ -24,7 +24,9 @@ error and the copies carry sqrt(tau) alpha. The HL local-oscillator
 amplitude z acts only through e(0), which runs from its minimum over z
 (``photostatistics.hl_sign_minimum``) to 1/2 at z = 0; the step is
 concave in the error it starts from, so the search is over tau alone,
-with z at one of those two ends. The tau grid always contains tau = 1,
+with z at one of those two ends. A tau search takes e(0) at both ends
+from one memo (``_hl_minimum``), and the recursion it runs sees only
+(tau, e(0), n_th), not the HL stage. The tau grid always contains tau = 1,
 where the DFFRE is recovered up to the rounding of e(0) = 1/2 (the HL
 error of an untapped signal is 1/2 within 1e-15). The
 switch-conditional traces start at e(0) = 0 and 1.
@@ -44,7 +46,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .baselines import _pre_measurement_error, _tap_amplitude, helstrom_bound, sql_error
+from .baselines import helstrom_bound, sql_error
 from .optimize import (
     GridSearchSpec,
     ScalarSearchSpec,
@@ -58,6 +60,7 @@ from .photostatistics import (
     DetectorModel,
     _check_count,
     _check_rate,
+    hl_sign_error,
     hl_sign_minimum,
     q_above_below,
     q_above_below_rows,
@@ -413,20 +416,11 @@ def dffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     return _result(alpha, *_threshold_scan(alpha, cfg, 0.5, _threshold_candidates(cfg.model)))
 
 
-def _hybrid_initial_error(alpha: float, tau: float, z: float, model: DetectorModel) -> float:
-    """Probability that the HL pre-measurement starts the switch on the wrong side.
-
-    The one-element view of the rows a lockstep round evaluates
-    (``_pre_measurement_error``), so it equals their e0 bit for bit.
-    """
-    return float(_pre_measurement_error(alpha, np.array([tau]), np.array([z]), model)[0])
-
-
 def _hybrid_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float,
                candidates: Sequence[int]) -> EvalResult:
     """The HFFRE at a fixed (tau, z): the recursion from the HL pre-measurement
     error, at amplitude sqrt(tau) alpha and the best of ``candidates``."""
-    e0 = _hybrid_initial_error(alpha, tau, z, cfg.model)
+    e0 = float(hl_sign_error(_tap_amplitude(alpha, np.array([tau])), np.array([z]), cfg.model)[0])
     return _result(alpha, *_threshold_scan(math.sqrt(tau) * alpha, cfg, e0, candidates), tau, z)
 
 
@@ -445,8 +439,10 @@ def _flips(amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th,
 def _hybrid_error_batch(
     alpha: float, cfg: FeedForwardConfig
 ) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """Negated HFFRE error at every (tau, z, n_th) of a search round.
+    """Negated HFFRE error at every (tau, e0, n_th) of a search round.
 
+    e0 is the error each element's recursion starts from, and tau sets
+    the copies' amplitude sqrt(tau) alpha.
     n_th holds the click threshold of each element, grouped in contiguous
     slices of non-decreasing threshold. The per-copy beta searches of all
     elements, of every threshold, run in lockstep on the array step of
@@ -461,21 +457,19 @@ def _hybrid_error_batch(
     threshold n_th >= 2 can raise to about 1e-16 absolute, so within each
     threshold's slice every value within the window of that slice's best
     is replaced by the scalar recursion's (``_threshold_scan`` at that
-    n_th alone), from the element's own e0 (``hl_sign_error`` gives it
-    bit for bit as ``_hybrid_initial_error`` does). Each slice's first
-    maximum is then a point-by-point search's at its threshold. z acts
-    only through e0, so the scalar runs are memoised on (tau, e0, n_th).
+    n_th alone), from the element's own e0. Each slice's first maximum is
+    then a point-by-point search's at its threshold. The scalar runs are
+    memoised on (tau, e0, n_th).
     """
     model, n = cfg.model, cfg.n_copies
     indices = np.arange(BETA_COARSE_POINTS)
     relative = BATCH_RTOL_PER_COPY * n
     settled: dict[tuple[float, float, int], float] = {}
 
-    def objective(tau: np.ndarray, z: np.ndarray, n_th: np.ndarray) -> np.ndarray:
+    def objective(tau: np.ndarray, e0: np.ndarray, n_th: np.ndarray) -> np.ndarray:
         # the slices of equal threshold, in order
         bounds = [0, *(np.flatnonzero(n_th[1:] != n_th[:-1]) + 1).tolist(), tau.size]
         slices = [(lo, hi, int(n_th[lo])) for lo, hi in zip(bounds, bounds[1:])]
-        e0 = _pre_measurement_error(alpha, tau, z, model)
         amplitude = np.sqrt(tau) * alpha
         step = _step_objective(amplitude, n, model, n_th)
         beta_hi = _beta_hi(amplitude, n)
@@ -531,44 +525,41 @@ TAU_SPEC = GridSearchSpec(0.0, 1.0, points=41, refinement_rounds=5, shrink_facto
                           mandatory=(1.0,))
 
 
-def _hl_minimum(alpha: float,
-                model: DetectorModel) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """tau -> (z*(tau), e0*(tau)): the local oscillator in [0, 5 + 4 alpha] at which the
-    HL error e0 is smallest, and e0 there (``hl_sign_minimum``), memoised by tau.
+def _tap_amplitude(alpha: float, tau: np.ndarray) -> np.ndarray:
+    """sqrt(1 - tau) alpha: what a tap of transmissivity tau reflects to the HL stage."""
+    return np.sqrt(np.maximum(0.0, 1.0 - tau)) * alpha
 
-    Each call searches the taus it has not seen yet, all in one lockstep
-    search; a tau's (z*, e0*) depends on that tau alone. e0* is the HL
-    error at (tau, z*) that ``_pre_measurement_error`` gives, bit for
-    bit: both are the same kernel on the same amplitude and z. At tau = 1
-    nothing is reflected, and z* = 0.
+
+def _hl_minimum(alpha: float, model: DetectorModel) -> Callable[[np.ndarray], np.ndarray]:
+    """tau -> (z*, e0 at z*, e0 at z = 0), each of the shape of tau, memoised by tau: the
+    local oscillator in [0, 5 + 4 alpha] where the HL error e0 is smallest (``hl_sign_minimum``)
+    and e0 at both ends, the one source of e0 for the tau searches of both hybrid receivers.
+
+    Each call evaluates only the taus it has not seen yet; a tau's values depend on that tau
+    alone, and both e0 equal ``hl_sign_error`` at their (tau, z) bit for bit, the same kernel
+    on the same amplitude and z. At tau = 1 nothing is reflected, and z* = 0.
     """
     z_hi = _oscillator_hi(alpha)
-    memo: dict[float, tuple[float, float]] = {}
+    memo: dict[float, tuple[float, float, float]] = {}
 
-    def minimum(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        taus = tau.tolist()
+    def minimum(tau: np.ndarray) -> np.ndarray:
+        taus = tau.ravel().tolist()
         new = list(dict.fromkeys(t for t in taus if t not in memo))
         if new:
-            z, e0 = hl_sign_minimum(_tap_amplitude(alpha, np.array(new)), z_hi, model)
-            memo.update(zip(new, zip(z.tolist(), e0.tolist())))
-        z, e0 = np.array([memo[t] for t in taus]).reshape(len(taus), 2).T
-        return z, e0
+            reflected = _tap_amplitude(alpha, np.array(new))
+            z, e0 = hl_sign_minimum(reflected, z_hi, model)
+            at_zero = hl_sign_error(reflected, np.zeros_like(reflected), model)
+            memo.update(zip(new, zip(z.tolist(), e0.tolist(), at_zero.tolist())))
+        return np.moveaxis(np.array([memo[t] for t in taus]).reshape(*tau.shape, 3), -1, 0)
 
     return minimum
-
-
-def _oscillator_at_minimum(alpha: float,
-                           model: DetectorModel) -> Callable[[np.ndarray], np.ndarray]:
-    """tau -> z*(tau) of ``_hl_minimum``."""
-    minimum = _hl_minimum(alpha, model)
-    return lambda tau: minimum(tau)[0]
 
 
 def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     """Hybrid feed-forward receiver error probability, optimized over (tau, z, n_th).
 
     z acts only through the HL error e0, which runs from its minimum over
-    z, at z*(tau) (``_oscillator_at_minimum``), to 1/2 at z = 0. Each
+    z, at z*(tau), to 1/2 at z = 0 (both from ``_hl_minimum``). Each
     copy's step is concave in the error it starts from, so wherever e_N
     is concave in e0 its minimum over z lies at one of these two ends.
     The search is over tau alone (``TAU_SPEC``), with each tau evaluated
@@ -578,14 +569,15 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
 
     Every click threshold runs its own tau search, and the searches
     advance in lockstep (``maximize_grid_searches``, one search per
-    threshold): each round computes z* once for the taus no earlier round
-    saw, in one ``hl_sign_minimum`` call, and evaluates every threshold's
-    points in one lockstep batch (``_hybrid_error_batch``), which settles
-    each threshold's near-ties with the scalar recursion. The threshold
-    is the first maximum over the per-threshold optima, so ties keep the
-    smaller n_th. The reported error, betas and trace come from the
-    scalar recursion at the chosen point, so the result is the one a
-    point-by-point scalar search of these settings gives.
+    threshold): each round takes z* and both e0 from ``_hl_minimum``, which
+    searches only the taus no earlier round saw, and evaluates every
+    threshold's points from those e0 in one lockstep batch
+    (``_hybrid_error_batch``), which settles each threshold's near-ties
+    with the scalar recursion. The threshold is the first maximum over
+    the per-threshold optima, so ties keep the smaller n_th. The reported
+    error, betas and trace come from the scalar recursion at the chosen
+    point, so the result is the one a point-by-point scalar search of
+    these settings gives.
     """
     alpha = _check_rate(alpha, "alpha")
     if cfg.receiver is not Receiver.HFFRE:
@@ -594,7 +586,7 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
         return _result(0.0, [0.5] * (cfg.n_copies + 1), (0.0,) * cfg.n_copies)
 
     candidates = _threshold_candidates(cfg.model)
-    z_star = _oscillator_at_minimum(alpha, cfg.model)
+    minimum = _hl_minimum(alpha, cfg.model)
     batch = _hybrid_error_batch(alpha, cfg)
     # per threshold, tau -> the z of its latest value
     oscillators: list[dict[float, float]] = [{} for _ in candidates]
@@ -602,10 +594,10 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     def objective(tau: np.ndarray) -> np.ndarray:
         # tau holds one row of points per threshold; each row is evaluated
         # at z* and at z = 0, the two halves of one slice of the batch
-        z = z_star(tau.ravel()).reshape(tau.shape)
+        z, e0_min, e0_zero = minimum(tau)
         points = tau.shape[1]
         values = batch(np.concatenate((tau, tau), axis=1).ravel(),
-                       np.concatenate((z, np.zeros_like(z)), axis=1).ravel(),
+                       np.concatenate((e0_min, e0_zero), axis=1).ravel(),
                        np.repeat(candidates, 2 * points)).reshape(len(candidates), 2 * points)
         at_min, at_half = values[:, :points], values[:, points:]
         half = at_half > at_min

@@ -151,7 +151,7 @@ def _checked_batch(values, points: Callable[[int], object], label: str) -> np.nd
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))  # the first in C order, also in a block of rows
-        raise _non_finite(values.flat[i], points(i), label)
+        raise _non_finite(float(values.flat[i]), points(i), label)
     return values
 
 

@@ -26,7 +26,6 @@ from bpskrx.feedforward import (
 )
 import bpskrx.feedforward as feedforward
 import bpskrx.photostatistics as photostatistics
-from bpskrx.baselines import _pre_measurement_error
 from bpskrx.feedforward import (
     BETA_COARSE_POINTS,
     BETA_MARGIN,
@@ -55,6 +54,11 @@ DARK2 = DetectorModel(2, nu=1e-3)
 
 def cfg(n, model=IDEAL2, receiver=Receiver.DFFRE):
     return FeedForwardConfig(n, model, receiver)
+
+
+def hl_error(alpha, tau, z, model):
+    """The HL pre-measurement error e0 at every (tau, z)."""
+    return hl_sign_error(feedforward._tap_amplitude(alpha, tau), z, model)
 
 
 def same_bits(a, b):
@@ -317,7 +321,7 @@ class TestHffre:
         alpha = math.sqrt(alpha2)
         result = hffre_error(alpha, cfg(n, model, Receiver.HFFRE))
         tau = np.array([result.params.tau])
-        assert result.params.z in (feedforward._oscillator_at_minimum(alpha, model)(tau)[0], 0.0)
+        assert result.params.z in (_hl_minimum(alpha, model)(tau)[0][0], 0.0)
 
     def test_dominance_with_two_copies(self):
         alpha = math.sqrt(0.5)
@@ -351,6 +355,10 @@ PINNED_HFFRE = [
                                    "5.005472546238615e-07")),
     (4.437690356997562, 1, DetectorModel(4, nu=1e-3), ("1.0", "0.0", 2, ("2.1080248049001353",),
                                                        "4.318084976038311e-07")),
+    # The one row where the untapped oscillator (z = 0, e0 = 1/2 up to
+    # rounding) wins below tau = 1: it pins the z = 0 end of the search.
+    (16.0, 1, DetectorModel(2, xi=0.9), ("0.10223770141601565", "0.0", 2, ("1.278984085192213",),
+                                         "0.028785517893450602")),
 ]
 PINNED_HYNORE = [
     (0.05, ("0.0", "1.3649542192390518", "0.34469702507462313")),
@@ -376,7 +384,8 @@ class TestBatchedSearch:
         tau, z = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 5.0 + 4.0 * alpha, 41),
                              indexing="ij")
         tau, z = tau.ravel(), z.ravel()
-        batch = _hybrid_error_batch(alpha, c)(tau, z, np.full(tau.size, n_th))
+        batch = _hybrid_error_batch(alpha, c)(tau, hl_error(alpha, tau, z, model),
+                                              np.full(tau.size, n_th))
         scalar = [-_hybrid_at(alpha, c, t, osc, (n_th,)).p_err
                   for t, osc in zip(tau.tolist(), z.tolist())]
         np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-15)
@@ -401,15 +410,19 @@ class TestBatchedSearch:
                                           lambda m: DetectorModel(m, eta=0.7, xi=0.998)],
                              ids=["ideal", "nu", "eta-xi"])
     def test_hl_minimum_error_is_the_pre_measurement_error(self, m, model_of):
-        # the e0* HYNORE reads from the z search is the HL error at
-        # (tau, z*(tau)), bit for bit, tau = 1 included
+        # both e0 the tau searches read from the memo, at z*(tau) and at
+        # z = 0, are the HL error there, bit for bit, tau = 1 included; a
+        # 2-D tau gets the same values in its own shape
         model = model_of(m)
         tau = np.concatenate(([1.0, 0.0], np.linspace(0.0, 1.0, 41)[1:-1], [0.9999999]))
         for alpha2 in (0.05, 1.0, 5.0, 30.0):
             alpha = math.sqrt(alpha2)
-            z_star, e0_star = _hl_minimum(alpha, model)(tau)
-            assert same_bits(e0_star, _pre_measurement_error(alpha, tau, z_star, model))
-            assert same_bits(z_star, feedforward._oscillator_at_minimum(alpha, model)(tau))
+            values = _hl_minimum(alpha, model)(tau)
+            z_star, e0_star, e0_zero = values
+            assert same_bits(e0_star, hl_error(alpha, tau, z_star, model))
+            assert same_bits(e0_zero, hl_error(alpha, tau, np.zeros_like(tau), model))
+            grid = tau.reshape(2, -1)
+            assert same_bits(_hl_minimum(alpha, model)(grid), values.reshape(3, *grid.shape))
 
     @pytest.mark.parametrize("alpha2, expected", PINNED_HYNORE)
     def test_hynore_pinned_to_scalar_search(self, alpha2, expected):
@@ -430,7 +443,8 @@ class TestBatchedSearch:
             objective = _hybrid_error_batch(alpha, c)
             for rows in np.array_split(taus, 20):
                 tau, z = np.meshgrid(rows, zs, indexing="ij")
-                dense = min(dense, -float(objective(tau.ravel(), z.ravel(),
+                tau, z = tau.ravel(), z.ravel()
+                dense = min(dense, -float(objective(tau, hl_error(alpha, tau, z, model),
                                                       np.full(tau.size, n_th)).max()))
         return hffre_error(alpha, c).p_err, dense
 
@@ -472,7 +486,7 @@ class TestBatchedSearch:
         result = hffre_error(alpha, c)
         tau = result.params.tau
         assert result.params.z == 0.0 and tau < 0.5
-        z_star = feedforward._oscillator_at_minimum(alpha, model)(np.array([tau]))[0]
+        z_star = _hl_minimum(alpha, model)(np.array([tau]))[0][0]
         assert result.p_err < hffre_error_at(alpha, c, tau, z_star).p_err
         assert result.p_err < dffre_error(alpha, cfg(1, model)).p_err
 
@@ -496,7 +510,7 @@ def per_threshold_hffre(alpha, c):
     """The HFFRE searched one click threshold at a time: a tau search of its
     own per threshold (``maximize_grid_searches`` with one search, and the
     batch objective at that threshold alone), the threshold chosen by ``scan_discrete``."""
-    z_star = feedforward._oscillator_at_minimum(alpha, c.model)
+    minimum = _hl_minimum(alpha, c.model)
     best = {}
 
     def scan_threshold(n_th):
@@ -505,8 +519,8 @@ def per_threshold_hffre(alpha, c):
 
         def objective(rows):
             tau = rows[0]
-            z = z_star(tau)
-            values = batch(np.concatenate((tau, tau)), np.concatenate((z, np.zeros_like(z))),
+            z, e0_min, e0_zero = minimum(tau)
+            values = batch(np.concatenate((tau, tau)), np.concatenate((e0_min, e0_zero)),
                            np.full(2 * tau.size, n_th))
             at_min, at_half = values[:tau.size], values[tau.size:]
             half = at_half > at_min
@@ -562,42 +576,68 @@ class TestThresholdLockstep:
 
     def test_thresholds_must_not_decrease(self):
         objective = _hybrid_error_batch(1.0, cfg(1, DARK2, Receiver.HFFRE))
-        tau, z = np.array([0.5, 0.9]), np.array([1.0, 1.0])
+        tau, e0 = np.array([0.5, 0.9]), np.array([0.2, 0.3])
         with pytest.raises(ValueError, match="non-decreasing"):
-            objective(tau, z, np.array([2, 1]))
+            objective(tau, e0, np.array([2, 1]))
         with pytest.raises(ValueError, match="n_th must be <= resolution 2, got 3"):
-            objective(tau, z, np.array([1, 3]))
+            objective(tau, e0, np.array([1, 3]))
 
 
 class TestSettlement:
     def test_near_ties_take_e0_from_the_round(self, monkeypatch):
         # At nu = 1e-3 and alpha2 ~ 3.31 the rounds leave near-ties at both
         # thresholds. Every scalar run starts from an e0 a lockstep round
-        # computed, and the final replay, whose e0 is the one-element view
-        # of the same rows, reproduces one of them; no e0 comes from the
-        # O(M^2) diagonal sums.
-        rounds, replays, starts = set(), [], []
-        pre_measurement, scan = feedforward._pre_measurement_error, feedforward._threshold_scan
+        # was handed, and the final replay, whose e0 is the one-element
+        # view of the memo's rows, reproduces one of them; no e0 comes from
+        # the O(M^2) diagonal sums.
+        rounds, starts, replays = set(), [], []
+        batch, scan, at = (feedforward._hybrid_error_batch, feedforward._threshold_scan,
+                           feedforward._hybrid_at)
 
-        def recording(*args):
-            e0 = pre_measurement(*args)
-            (rounds.update if e0.size > 1 else replays.extend)(e0.tolist())
-            return e0
+        def recording_batch(alpha, c):
+            objective = batch(alpha, c)
+
+            def recording(tau, e0, n_th):
+                rounds.update(e0.tolist())
+                return objective(tau, e0, n_th)
+
+            return recording
 
         def counting(amplitude, c, e_initial, candidates):
             starts.append(e_initial)
             return scan(amplitude, c, e_initial, candidates)
 
+        def replaying(*args):
+            replays.append(args)
+            return at(*args)
+
         def diagonal(*args):
             raise AssertionError("the HL error summed the diagonals")
 
-        monkeypatch.setattr(feedforward, "_pre_measurement_error", recording)
+        monkeypatch.setattr(feedforward, "_hybrid_error_batch", recording_batch)
         monkeypatch.setattr(feedforward, "_threshold_scan", counting)
+        monkeypatch.setattr(feedforward, "_hybrid_at", replaying)
         monkeypatch.setattr(photostatistics, "_diagonal_mass", diagonal)
         result = hffre_error(self.ALPHA, cfg(1, DARK2, Receiver.HFFRE))
         assert result.params.n_th == 2
         assert len(replays) == 1 and len(starts) > 1
         assert set(starts) <= rounds
+        assert 1.0 - starts[-1] == result.per_step_correct[0]
+
+    def test_batch_makes_no_hl_kernel_call(self, monkeypatch):
+        # the lockstep recursion and its settlement start from the e0 they
+        # are handed; the HL stage is not theirs
+        c = cfg(2, DARK2, Receiver.HFFRE)
+        tau = np.repeat(np.linspace(0.0, 1.0, 11), 2)
+        e0 = hl_error(self.ALPHA, tau, np.tile([0.0, 1.36], 11), c.model)
+        expected = _hybrid_error_batch(self.ALPHA, c)(tau, e0, np.repeat([1, 2], 11))
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("the batch called the HL kernel")
+
+        monkeypatch.setattr(photostatistics, "_hl_sign_terms", kernel)
+        got = _hybrid_error_batch(self.ALPHA, c)(tau, e0, np.repeat([1, 2], 11))
+        assert same_bits(got, expected)
 
     ALPHA = math.sqrt(3.313455838415151)
 
@@ -609,22 +649,24 @@ class TestSettlement:
         c = cfg(1, DARK2, Receiver.HFFRE)
         spec = feedforward.TAU_SPEC
         taus = np.concatenate((spec.mandatory, np.linspace(spec.lo, spec.hi, spec.points)))
-        z_star = feedforward._oscillator_at_minimum(self.ALPHA, c.model)(taus)
+        z_star, e0_min, e0_zero = _hl_minimum(self.ALPHA, c.model)(taus)
         tau, z = np.concatenate((taus, taus)), np.concatenate((z_star, np.zeros_like(z_star)))
+        e0 = np.concatenate((e0_min, e0_zero))
         batch = _hybrid_error_batch(self.ALPHA, c)
 
-        def objective(tau, z):
-            return batch(tau, z, np.full(tau.size, n_th))
+        def objective(tau, e0):
+            return batch(tau, e0, np.full(tau.size, n_th))
 
-        values = objective(tau, z)
+        values = objective(tau, e0)
         top = values.max()
         window = (feedforward.BATCH_RTOL_PER_COPY * abs(top)
                   + (feedforward.BATCH_ATOL_PER_COPY if n_th > 1 else 0.0))
-        return c, tau, z, objective, values, np.flatnonzero(values >= top - window).tolist()
+        near = np.flatnonzero(values >= top - window).tolist()
+        return c, tau, z, e0, objective, values, near
 
     @pytest.mark.parametrize("n_th", [2, 1])
     def test_values_in_the_window_are_the_scalar_recursion(self, n_th):
-        c, tau, z, _, values, near = self.round_zero(n_th)
+        c, tau, z, _, _, values, near = self.round_zero(n_th)
         assert near
         for i in near:
             t, osc = float(tau[i]), float(z[i])
@@ -657,12 +699,11 @@ class TestSettlement:
             return scan(amplitude, c, e_initial, candidates)
 
         monkeypatch.setattr(feedforward, "_threshold_scan", counting)
-        c, tau, z, objective, values, near = self.round_zero(n_th)
-        e0 = hl_sign_error(np.sqrt(np.maximum(0.0, 1.0 - tau)) * self.ALPHA, z, c.model)
+        _, tau, _, e0, objective, values, near = self.round_zero(n_th)
         keys = {(float(tau[i]), float(e0[i])) for i in near}
         assert len(runs) == len(keys)
         assert set(runs) == {(math.sqrt(t) * self.ALPHA, e) for t, e in keys}
-        assert np.array_equal(objective(tau, z), values)
+        assert np.array_equal(objective(tau, e0), values)
         assert len(runs) == len(keys)  # the memo outlives the round
 
 
@@ -860,7 +901,8 @@ class TestCoarseTable:
         tau, z = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 5.0 + 4.0 * alpha, 41),
                              indexing="ij")
         tau, z = np.concatenate(([1.0], tau.ravel())), np.concatenate(([0.0], z.ravel()))
-        _hybrid_error_batch(alpha, c)(tau, z, np.full(tau.size, n_th))
+        e0 = hl_error(alpha, tau, z, model)
+        _hybrid_error_batch(alpha, c)(tau, e0, np.full(tau.size, n_th))
         assert copies == [1682, 1682]
 
     @pytest.mark.parametrize("alpha2, n, model, expected", PINNED_DFFRE)
