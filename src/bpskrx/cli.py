@@ -47,16 +47,15 @@ class ReceiverEntry(NamedTuple):
     def n_copies(self, requested: int) -> int:
         return self.copies or requested
 
-    def check(self, name: str, model: DetectorModel, requested: int) -> int:
-        """N as evaluated, once the receiver's rules hold: detectors ideal outside
-        the recursion, and the requested N >= 1 whatever the receiver."""
+    def check(self, name: str, model: DetectorModel, requested: int) -> None:
+        """The receiver's rules: detectors ideal outside the recursion, and the
+        requested N >= 1 whatever the receiver."""
         if self.kind is None and not model.is_ideal:
             raise ValueError(
                 f"receiver {name} is evaluated with ideal detectors; --eta/--nu/--xi "
                 f"apply to {', '.join(MC_RECEIVERS[:-1])} and {MC_RECEIVERS[-1]}"
             )
         FeedForwardConfig(requested, model)  # its N >= 1 check
-        return self.n_copies(requested)
 
     def config(self, model: DetectorModel, n_copies: int) -> FeedForwardConfig:
         return FeedForwardConfig(self.n_copies(n_copies), model, self.kind)
@@ -180,35 +179,57 @@ def evaluate_receiver(name: str, alpha: float, model: DetectorModel, n_copies: i
     return baselines.hynore_error(alpha, model.resolution)  # HYNORE: the check admits only ideal models
 
 
-def evaluate_point(config: SweepConfig, alpha2: float, row_index: int) -> dict:
-    """Evaluate one grid point; returns a column -> value mapping (None = absent)."""
-    alpha = math.sqrt(alpha2)
-    row: dict = {name: None for name in CSV_COLUMNS}
-    row["alpha2"] = alpha2
-    row["p_helstrom"] = baselines.helstrom_bound(alpha)
-    row["p_sql"] = baselines.sql_error(alpha)
+def point_record(receiver: str, alpha2: float, model: DetectorModel, n_copies: int,
+                 monte_carlo: tuple[int, RngSpec] | None = None) -> dict:
+    """A point evaluated once, as the ``optimize --json`` report every report is a view of.
 
-    entry = RECEIVER_TABLE[config.receiver]
+    ``n_copies`` is N as requested, reported as evaluated. A closed form
+    has no optimized parameters, so its record stops at ``p_err``, ``ratio``
+    and ``gain``. ``monte_carlo = (trials, rng_spec)`` appends the Monte
+    Carlo keys of ``montecarlo --json``.
+    """
+    alpha = math.sqrt(alpha2)
+    entry = RECEIVER_TABLE[receiver]
+    record = {"receiver": receiver, "alpha2": alpha2, "n_copies": entry.n_copies(n_copies),
+              "pnr": model.resolution, "eta": model.eta, "nu": model.nu, "xi": model.xi}
     if entry.closed_form is not None:
         p_err = entry.closed_form(alpha)
-    else:
-        result = evaluate_receiver(config.receiver, alpha, config.model, config.n_copies)
-        p_err = result.p_err
-        row["tau_opt"] = result.params.tau
-        if entry.kind is not Receiver.DFFRE:  # the DFFRE has no HL local oscillator
-            row["z_opt"] = result.params.z
-        if result.params.betas:
-            row["n_th_opt"] = result.params.n_th
-            row["betas"] = ";".join(repr(b) for b in result.params.betas)
-    row["p_err"] = p_err
-    row["ratio"] = feedforward.ratio(p_err, alpha)
-    row["gain"] = feedforward.gain(p_err, alpha)
+        return {**record, "p_err": p_err, "ratio": feedforward.ratio(p_err, alpha),
+                "gain": feedforward.gain(p_err, alpha)}
+    result = evaluate_receiver(receiver, alpha, model, n_copies)
+    params = result.params
+    record.update(p_err=result.p_err, tau_opt=params.tau, z_opt=params.z, n_th_opt=params.n_th,
+                  betas=list(params.betas), per_step_correct=list(result.per_step_correct),
+                  ratio=result.ratio, gain=result.gain)
+    if monte_carlo is not None:
+        trials, spec = monte_carlo
+        p_hat, std_err = estimate_error(alpha, params, entry.config(model, n_copies), trials, spec)
+        # The deviation is measured in the analytic standard error, which
+        # unlike the sample one stays nonzero when no error is observed; with
+        # fewer than MC_MIN_EXPECTED_ERRORS expected errors it resolves nothing.
+        p = result.p_err
+        resolvable = trials * p >= MC_MIN_EXPECTED_ERRORS
+        sigmas = abs(p_hat - p) / math.sqrt(p * (1.0 - p) / trials) if resolvable else None
+        record.update(mc_trials=trials, seed=spec.seed, mc_p_hat=p_hat, mc_std_err=std_err,
+                      mc_resolvable=resolvable, mc_sigmas=sigmas)
+    return record
 
-    if config.mc_trials is not None:
-        cfg = entry.config(config.model, config.n_copies)
-        spec = RngSpec(config.seed, stream_id=row_index)
-        row["mc_p_hat"], row["mc_std_err"] = estimate_error(
-            alpha, result.params, cfg, config.mc_trials, spec)
+
+def evaluate_point(config: SweepConfig, alpha2: float, row_index: int) -> dict:
+    """Evaluate one grid point; returns its CSV row, a view of its record (None = absent)."""
+    entry = RECEIVER_TABLE[config.receiver]
+    monte_carlo = (None if config.mc_trials is None
+                   else (config.mc_trials, RngSpec(config.seed, stream_id=row_index)))
+    record = point_record(config.receiver, alpha2, config.model, config.n_copies, monte_carlo)
+    row = {name: record.get(name) for name in CSV_COLUMNS}
+    alpha = math.sqrt(alpha2)
+    row["p_helstrom"] = baselines.helstrom_bound(alpha)
+    row["p_sql"] = baselines.sql_error(alpha)
+    if entry.kind is Receiver.DFFRE:  # the DFFRE has no HL local oscillator
+        row["z_opt"] = None
+    row["betas"] = ";".join(repr(b) for b in record.get("betas", ())) or None
+    if row["betas"] is None:  # HYNORE and the closed forms: no copy, so no threshold
+        row["n_th_opt"] = None
     return row
 
 
@@ -464,76 +485,50 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _single_point(args: argparse.Namespace) -> tuple[float, DetectorModel, EvalResult, dict]:
-    """Evaluate ``--receiver`` at ``--alpha2``; also returns the point's report."""
+def _single_point(args: argparse.Namespace, monte_carlo: tuple[int, RngSpec] | None = None) -> dict:
+    """The record of ``--receiver`` at ``--alpha2``, evaluated once its flags are checked."""
     get = lambda name: _setting_value(args, {}, name)
     model = DetectorModel(get("pnr"), get("eta"), get("nu"), get("xi"))
-    alpha = math.sqrt(_check_rate(args.alpha2, "--alpha2"))
-    n_copies = RECEIVER_TABLE[args.receiver].check(args.receiver, model, get("n_copies"))
-    result = evaluate_receiver(args.receiver, alpha, model, n_copies)
-    return alpha, model, result, {
-        "receiver": args.receiver,
-        "alpha2": args.alpha2,
-        "n_copies": n_copies,
-        "pnr": model.resolution,
-        "eta": model.eta,
-        "nu": model.nu,
-        "xi": model.xi,
-        "p_err": result.p_err,
-        "tau_opt": result.params.tau,
-        "z_opt": result.params.z,
-        "n_th_opt": result.params.n_th,
-        "betas": list(result.params.betas),
-        "per_step_correct": list(result.per_step_correct),
-        "ratio": result.ratio,
-        "gain": result.gain,
-    }
+    _check_rate(args.alpha2, "--alpha2")
+    RECEIVER_TABLE[args.receiver].check(args.receiver, model, get("n_copies"))
+    return point_record(args.receiver, args.alpha2, model, get("n_copies"), monte_carlo)
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    _, model, result, payload = _single_point(args)
+    record = _single_point(args)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(record, indent=2))
         return 0
-    print(f"receiver      {args.receiver}")
-    print(f"alpha2        {args.alpha2!r}")
-    print(f"model         M={model.resolution} eta={model.eta!r} nu={model.nu!r} xi={model.xi!r}")
-    print(f"p_err         {result.p_err!r}")
-    print(f"tau*          {result.params.tau!r}")
-    print(f"z*            {result.params.z!r}")
-    print(f"n_th*         {result.params.n_th}")
-    print(f"betas         {' '.join(repr(b) for b in result.params.betas) or '-'}")
-    print(f"trace         {' '.join(repr(p) for p in result.per_step_correct)}")
-    print(f"ratio         {result.ratio!r}")
-    print(f"gain          {result.gain!r}")
+    print(f"receiver      {record['receiver']}")
+    print(f"alpha2        {record['alpha2']!r}")
+    print(f"model         M={record['pnr']} eta={record['eta']!r} nu={record['nu']!r} "
+          f"xi={record['xi']!r}")
+    print(f"p_err         {record['p_err']!r}")
+    print(f"tau*          {record['tau_opt']!r}")
+    print(f"z*            {record['z_opt']!r}")
+    print(f"n_th*         {record['n_th_opt']}")
+    print(f"betas         {' '.join(repr(b) for b in record['betas']) or '-'}")
+    print(f"trace         {' '.join(repr(p) for p in record['per_step_correct'])}")
+    print(f"ratio         {record['ratio']!r}")
+    print(f"gain          {record['gain']!r}")
     return 0
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     _check_monte_carlo(args.mc_trials, args.seed)
-    alpha, model, result, payload = _single_point(args)
-    cfg = RECEIVER_TABLE[args.receiver].config(model, payload["n_copies"])
-    p_hat, std_err = estimate_error(alpha, result.params, cfg, args.mc_trials, RngSpec(args.seed))
-    # The deviation is measured in the analytic standard error, which
-    # unlike the sample one stays nonzero when no error is observed; with
-    # fewer than MC_MIN_EXPECTED_ERRORS expected errors it resolves nothing.
-    p = result.p_err
-    expected_errors = args.mc_trials * p
-    resolvable = expected_errors >= MC_MIN_EXPECTED_ERRORS
-    sigmas = abs(p_hat - p) / math.sqrt(p * (1.0 - p) / args.mc_trials) if resolvable else None
-    payload.update({"mc_trials": args.mc_trials, "seed": args.seed, "mc_p_hat": p_hat,
-                    "mc_std_err": std_err, "mc_resolvable": resolvable, "mc_sigmas": sigmas})
+    record = _single_point(args, (args.mc_trials, RngSpec(args.seed)))
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(record, indent=2))
+        return 0
+    runs = f"{record['mc_trials']} trials, seed {record['seed']}"
+    print(f"analytic p_err {record['p_err']!r}")
+    print(f"mc p_hat       {record['mc_p_hat']!r}")
+    print(f"mc std_err     {record['mc_std_err']!r}")
+    if record["mc_resolvable"]:
+        print(f"deviation      {record['mc_sigmas']:.2f} sigma ({runs})")
     else:
-        print(f"analytic p_err {p!r}")
-        print(f"mc p_hat       {p_hat!r}")
-        print(f"mc std_err     {std_err!r}")
-        if resolvable:
-            print(f"deviation      {sigmas:.2f} sigma ({args.mc_trials} trials, seed {args.seed})")
-        else:
-            print(f"deviation      not resolvable (expected errors {expected_errors:.3g} "
-                  f"< {MC_MIN_EXPECTED_ERRORS}; {args.mc_trials} trials, seed {args.seed})")
+        print(f"deviation      not resolvable (expected errors "
+              f"{record['mc_trials'] * record['p_err']:.3g} < {MC_MIN_EXPECTED_ERRORS}; {runs})")
     return 0
 
 

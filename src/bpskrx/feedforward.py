@@ -158,6 +158,13 @@ class StepRates(NamedTuple):
     lambda_minus: float
 
 
+def _check_beta(beta: float) -> float:
+    """beta as a float, if it is >= 0 and finite: the rule of every displacement of the step."""
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
+    return float(beta)
+
+
 def step_rates(beta: float, amplitude: float, n_copies: int, xi: float = 1.0) -> StepRates:
     """Rates of one displaced copy: amplitude^2/N + beta^2 +- 2 xi beta amplitude / sqrt(N).
 
@@ -166,8 +173,7 @@ def step_rates(beta: float, amplitude: float, n_copies: int, xi: float = 1.0) ->
     carries amplitude / sqrt(N). With xi = 1 the rates reduce to
     |beta +- amplitude / sqrt(N)|^2.
     """
-    if not 0.0 <= beta < math.inf:
-        raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
+    _check_beta(beta)
     amplitude = _check_rate(amplitude, "amplitude")
     n_copies = _check_count("n_copies", n_copies)
     DetectorModel(1, xi=xi)  # its check of xi
@@ -297,9 +303,7 @@ def _error_trace(e_initial: float, betas: Sequence[float], amplitude: float, n_c
     step = _step_objective(amplitude, n_copies, model, n_th)
     errors = [e_initial]
     for beta in betas:
-        if not 0.0 <= beta < math.inf:
-            raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
-        errors.append(-step(errors[-1])(float(beta)))
+        errors.append(-step(errors[-1])(_check_beta(beta)))
     return errors
 
 

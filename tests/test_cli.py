@@ -688,6 +688,71 @@ class TestMonteCarlo:
         assert "not resolvable" not in result.stdout
 
 
+class TestRecordViews:
+    """The sweep row and the ``optimize``/``montecarlo`` reports are views of one record.
+
+    The views are compared with each other, never with numeric literals.
+    """
+
+    RECORD_KEYS = ("receiver", "alpha2", "n_copies", "pnr", "eta", "nu", "xi", "p_err",
+                   "tau_opt", "z_opt", "n_th_opt", "betas", "per_step_correct", "ratio", "gain")
+    MC_KEYS = ("mc_trials", "seed", "mc_p_hat", "mc_std_err", "mc_resolvable", "mc_sigmas")
+    # optimize text label -> the record key whose repr it prints
+    TEXT_LABELS = {"p_err": "p_err", "tau*": "tau_opt", "z*": "z_opt", "n_th*": "n_th_opt",
+                   "ratio": "ratio", "gain": "gain"}
+
+    @staticmethod
+    def sweep_row(tmp_path, flags):
+        out = tmp_path / "point.csv"
+        assert main(["sweep", "--points", "1", *flags, "--out", str(out)]) == 0
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 1
+        return dict(zip(header, rows[0]))
+
+    @pytest.mark.parametrize("receiver, flags", [
+        ("DFFRE", []),
+        ("HFFRE", ["--nu", "1e-3", "--n-copies", "2"]),
+        ("DISP_OPT", []),
+        ("HYNORE", []),
+    ])
+    def test_views_agree(self, tmp_path, capsys, receiver, flags):
+        point = ["--receiver", receiver, *flags]
+        assert main(["optimize", "--alpha2", "0.7", *point, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert tuple(record) == self.RECORD_KEYS
+
+        assert main(["optimize", "--alpha2", "0.7", *point]) == 0
+        text = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+        for label, key in self.TEXT_LABELS.items():
+            assert text[label] == repr(record[key]), label
+        assert text["betas"] == (" ".join(repr(b) for b in record["betas"]) or "-")
+        assert text["trace"] == " ".join(repr(p) for p in record["per_step_correct"])
+
+        row = self.sweep_row(tmp_path, ["--alpha2-min", "0.7", *point])
+        capsys.readouterr()
+        for key in ("alpha2", "p_err", "tau_opt", "ratio", "gain"):
+            assert row[key] == repr(record[key]), key
+        assert row["betas"] == ";".join(repr(b) for b in record["betas"])
+
+    def test_one_monte_carlo_path(self, tmp_path, capsys):
+        # montecarlo draws stream 0, the stream of the sweep's first (and only) row
+        point = ["--receiver", "HFFRE", "--nu", "1e-3", "--n-copies", "2",
+                 "--mc-trials", "20000", "--seed", "9"]
+        assert main(["montecarlo", "--alpha2", "0.7", *point, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert tuple(record) == self.RECORD_KEYS + self.MC_KEYS
+
+        assert main(["montecarlo", "--alpha2", "0.7", *point]) == 0
+        text = {line[:15].rstrip(): line[15:] for line in capsys.readouterr().out.splitlines()}
+        assert text["analytic p_err"] == repr(record["p_err"])
+        assert text["mc p_hat"] == repr(record["mc_p_hat"])
+        assert text["mc std_err"] == repr(record["mc_std_err"])
+
+        row = self.sweep_row(tmp_path, ["--alpha2-min", "0.7", *point])
+        for key in ("p_err", "mc_p_hat", "mc_std_err"):
+            assert row[key] == repr(record[key]), key
+
+
 class TestValidate:
     def test_fast_suite_reports_and_exit_code(self):
         # The fast suite must finish comfortably within its 60 s budget.
