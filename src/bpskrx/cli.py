@@ -24,6 +24,7 @@ import os
 import sys
 import tempfile
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Container, NamedTuple
 
 from . import __version__, baselines, feedforward
@@ -154,8 +155,9 @@ class SweepConfig:
         _check_monte_carlo(self.mc_trials, self.seed)
         RECEIVER_TABLE[self.receiver].check(self.receiver, self.model, self.n_copies)
 
-    @property
+    @cached_property
     def model(self) -> DetectorModel:
+        """The detector model, built and checked once per config."""
         return DetectorModel(self.pnr, self.eta, self.nu, self.xi)
 
     def grid(self) -> list[float]:

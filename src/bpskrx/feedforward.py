@@ -60,11 +60,11 @@ from .photostatistics import (
     DetectorModel,
     _check_count,
     _check_rate,
+    _pnr_rows,
     hl_sign_error,
     hl_sign_minimum,
     q_above_below,
     q_above_below_rows,
-    q_above_below_table,
     q_thresh,
 )
 
@@ -176,16 +176,24 @@ def step_rates(beta: float, amplitude: float, n_copies: int, xi: float = 1.0) ->
     _check_beta(beta)
     amplitude = _check_rate(amplitude, "amplitude")
     n_copies = _check_count("n_copies", n_copies)
-    DetectorModel(1, xi=xi)  # its check of xi
-    base = amplitude * amplitude / n_copies + beta * beta
-    cross = 2.0 * xi * amplitude / math.sqrt(n_copies) * beta
-    return StepRates(base + cross, base - cross)
+    # eta = 1 and nu = 0 leave the rates exact: none of them is -0.0
+    rate_minus, rate_plus = _copy_rates(amplitude, n_copies, DetectorModel(1, xi=xi), beta)
+    return StepRates(rate_plus, rate_minus)
 
 
 def _rate_coefficients(amplitude, n_copies: int, model: DetectorModel):
     """(a2n, cross_coef) of a copy: its rates at displacement beta are eta (base -+ cross) + nu,
     with base = a2n + beta^2 and cross = cross_coef * beta."""
     return amplitude * amplitude / n_copies, 2.0 * model.xi * amplitude / math.sqrt(n_copies)
+
+
+def _copy_rates(amplitude, n_copies: int, model: DetectorModel, beta):
+    """(rate_minus, rate_plus) of a copy displaced by beta, in the step objective's operations;
+    floats or arrays, with beta broadcasting against amplitude."""
+    a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
+    base = a2n + beta * beta
+    cross = cross_coef * beta
+    return model.eta * (base - cross) + model.nu, model.eta * (base + cross) + model.nu
 
 
 def _beta_hi(amplitude, n_copies: int):
@@ -203,14 +211,28 @@ def _flip_tables(amplitude: float, n_copies: int, model: DetectorModel, resoluti
     column per grid point. Neither depends on the switch's error
     probability, so one table serves every copy of a recursion, and its
     rows serve the recursions of every threshold. The rates are the step
-    objective's, so the values equal its flip probabilities bit for bit.
+    objective's, and Q0 at threshold t is the running sum of the first t
+    Poisson terms of ``_pnr_rows``, in the summation order of
+    ``q_above_below``, clamped to 1: the values equal the objective's
+    flips bit for bit. Row 0 is the on/off pair (-expm1(-rate_minus),
+    exp(-rate_plus)), unclamped, which takes a rate rounded below 0 at a
+    nulling displacement; with rows above it, the first bad rate in the
+    order rate_minus[0], rate_plus[0], rate_minus[1], ... raises
+    ``q_thresh``'s ValueError.
     """
-    a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
-    beta = np.array(spec.coarse_grid())
-    base = a2n + beta * beta
-    cross = cross_coef * beta
-    return q_above_below_table(model.eta * (base - cross) + model.nu,
-                               model.eta * (base + cross) + model.nu, resolution)
+    rate_minus, rate_plus = _copy_rates(amplitude, n_copies, model, np.array(spec.coarse_grid()))
+    if resolution > 1:
+        rates = np.stack((rate_minus, rate_plus), axis=1).ravel()
+        bad = ~((rates >= 0.0) & (rates < math.inf))
+        if bad.any():
+            _check_rate(float(rates[np.argmax(bad)]))
+    # one row per threshold: the partial sums of the terms, in order
+    terms = _pnr_rows(np.concatenate((rate_minus, rate_plus)), resolution)[:, :resolution]
+    below = np.cumsum(terms.T, axis=0)
+    np.minimum(below[1:], 1.0, out=below[1:])
+    false_flip = 1.0 - below[:, :rate_minus.size]
+    false_flip[0] = -np.fromiter(map(math.expm1, (-rate_minus).tolist()), float, rate_minus.size)
+    return false_flip, below[:, rate_minus.size:]
 
 
 def _step_objective(amplitude, n_copies: int, model: DetectorModel,
@@ -433,11 +455,7 @@ def _flips(amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th,
     """(F, M) of the array step objective, element by element, at threshold n_th: one
     threshold, or one per row in non-decreasing order (``q_above_below_rows``); beta
     broadcasts against amplitude. The values equal the objective's flips bit for bit."""
-    a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
-    base = a2n + beta * beta
-    cross = cross_coef * beta
-    return q_above_below_rows(n_th)(model.eta * (base - cross) + model.nu,
-                                    model.eta * (base + cross) + model.nu)
+    return q_above_below_rows(n_th)(*_copy_rates(amplitude, n_copies, model, beta))
 
 
 def _hybrid_error_batch(
@@ -539,9 +557,10 @@ def _hl_minimum(alpha: float, model: DetectorModel) -> Callable[[np.ndarray], np
     local oscillator in [0, 5 + 4 alpha] where the HL error e0 is smallest (``hl_sign_minimum``)
     and e0 at both ends, the one source of e0 for the tau searches of both hybrid receivers.
 
-    Each call evaluates only the taus it has not seen yet; a tau's values depend on that tau
-    alone, and both e0 equal ``hl_sign_error`` at their (tau, z) bit for bit, the same kernel
-    on the same amplitude and z. At tau = 1 nothing is reflected, and z* = 0.
+    Each call evaluates only the taus it has not seen yet, in one ``hl_sign_minimum`` call,
+    whose scan starts at z = 0; a tau's values depend on that tau alone, and both e0 equal
+    ``hl_sign_error`` at their (tau, z) bit for bit, the same kernel on the same amplitude
+    and z. At tau = 1 nothing is reflected, and z* = 0.
     """
     z_hi = _oscillator_hi(alpha)
     memo: dict[float, tuple[float, float, float]] = {}
@@ -550,9 +569,7 @@ def _hl_minimum(alpha: float, model: DetectorModel) -> Callable[[np.ndarray], np
         taus = tau.ravel().tolist()
         new = list(dict.fromkeys(t for t in taus if t not in memo))
         if new:
-            reflected = _tap_amplitude(alpha, np.array(new))
-            z, e0 = hl_sign_minimum(reflected, z_hi, model)
-            at_zero = hl_sign_error(reflected, np.zeros_like(reflected), model)
+            z, e0, at_zero = hl_sign_minimum(_tap_amplitude(alpha, np.array(new)), z_hi, model)
             memo.update(zip(new, zip(z.tolist(), e0.tolist(), at_zero.tolist())))
         return np.moveaxis(np.array([memo[t] for t in taus]).reshape(*tau.shape, 3), -1, 0)
 

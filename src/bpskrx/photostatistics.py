@@ -38,7 +38,6 @@ __all__ = [
     "q_on",
     "q_thresh",
     "q_above_below",
-    "q_above_below_table",
     "q_above_below_rows",
     "exp_rows",
 ]
@@ -301,9 +300,9 @@ HL_SCAN_BLOCK = 256
 
 
 def hl_sign_minimum(reflected: np.ndarray, z_hi: float,
-                    model: DetectorModel) -> tuple[np.ndarray, np.ndarray]:
-    """(z*, e0*) of every element: the local oscillator in [0, z_hi] at which
-    ``hl_sign_error`` is smallest, and its value there.
+                    model: DetectorModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z*, e0*, e0 at z = 0) of every element: the local oscillator in [0, z_hi] at
+    which ``hl_sign_error`` is smallest, its value there, and its value at z = 0.
 
     e0 is 1/2 at z = 0 and falls from there, and it is unimodal in z. A
     ``HL_SCAN_POINTS``-point scan of (e0, de0/dz) over the box, one
@@ -313,9 +312,10 @@ def hl_sign_minimum(reflected: np.ndarray, z_hi: float,
     one kernel call per step for the unfinished elements, until it is
     narrower than
     ``HL_Z_RTOL`` z_hi. Each element's z* is the evaluated point with the
-    smallest e0, so it is never worse than the scan. A zero amplitude
-    carries no information: e0 is 1/2 at every z, and z* = 0. Each
-    element's search depends on that element alone.
+    smallest e0, so it is never worse than the scan. The scan starts at
+    z = 0, so its first column is e0 at z = 0, ``hl_sign_error`` there bit
+    for bit. A zero amplitude carries no information: e0 is 1/2 at every
+    z, and z* = 0. Each element's search depends on that element alone.
     """
     reflected = np.asarray(reflected, dtype=float)
     z_hi = _check_rate(z_hi, "z_hi")
@@ -370,7 +370,7 @@ def hl_sign_minimum(reflected: np.ndarray, z_hi: float,
         np.putmask(b, right, x)
         np.putmask(slope_b, right, slope_x)
         kept_a, kept_b = right, left
-    return best_z, best_e
+    return best_z, best_e, e0[:, 0]
 
 
 def skellam_pmf(delta: int, mu_plus: float, mu_minus: float) -> float:
@@ -452,43 +452,6 @@ def q_above_below(n_th: int) -> Callable[[float, float], tuple[float, float]]:
     return pair
 
 
-def q_above_below_table(x: np.ndarray, y: np.ndarray,
-                        resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """``q_above_below`` at every threshold 1..resolution, element by element, in one pass.
-
-    Returns (q1, q0), each of shape (resolution, size): row n_th - 1 holds
-    q1 of ``q_thresh(x[k], n_th)`` and q0 of ``q_thresh(y[k], n_th)``, bit
-    for bit. Each term term_s = term_(s-1) * (rate / s) is computed once,
-    and the running sum after s + 1 terms is q0 at threshold s + 1, in
-    the summation order of ``q_above_below``. Row 0 is the on/off pair
-    (-expm1(-x), exp(-y)); it takes any float, so that a rate rounded
-    below 0 at a nulling displacement gives its small negative
-    on-probability, as the on/off formulas do. With rows above it, every
-    rate is checked first and the first bad one, in the order x[0], y[0],
-    x[1], ..., raises ``q_thresh``'s ValueError.
-    """
-    if resolution > 1:
-        rates = np.stack((x, y), axis=1).ravel()
-        bad = ~((rates >= 0.0) & (rates < math.inf))
-        if bad.any():
-            _check_rate(float(rates[np.argmax(bad)]))
-    above = np.empty((resolution, x.size))
-    below = np.empty((resolution, y.size))
-    above[0] = -np.fromiter(map(math.expm1, (-x).tolist()), dtype=float, count=x.size)
-    term_x = total_x = exp_rows(-x)
-    term_y = total_y = exp_rows(-y)
-    below[0] = term_y
-    for s in range(1, resolution):
-        divisor = float(s)
-        term_x = term_x * (x / divisor)
-        total_x = total_x + term_x
-        term_y = term_y * (y / divisor)
-        total_y = total_y + term_y
-        np.subtract(1.0, np.minimum(total_x, 1.0), out=above[s])
-        np.minimum(total_y, 1.0, out=below[s])
-    return above, below
-
-
 def q_thresh(x: float, n_th: int, resolution: int | None = None) -> tuple[float, float]:
     """Probabilities of counting below / at-or-above the threshold n_th.
 
@@ -496,8 +459,7 @@ def q_thresh(x: float, n_th: int, resolution: int | None = None) -> tuple[float,
     n_th = 1 reduces exactly to the on/off pair (q_off, q_on); above it
     q0 is the ``q_above_below`` kernel at (x, x) and q1 = 1 - q0, which
     cancels to 0 at small rates (the direct upper-tail sum is not used
-    here). ``q_above_below_table`` gives the pair at every threshold at
-    once, bit for bit.
+    here).
     When ``resolution`` is given, n_th must not exceed it.
     """
     x = _check_rate(x)

@@ -140,6 +140,26 @@ class TestSweep:
         assert asked == started
         assert [row["alpha2"] for row in rows] == config.grid()
 
+    @pytest.mark.parametrize("receiver, settings", [("SQL", {}), ("DFFRE", {"nu": 1e-3})])
+    def test_model_built_once_per_config(self, receiver, settings, monkeypatch):
+        # the config builds and checks its detector model at construction,
+        # and every row of the sweep reads that one model
+        from bpskrx.photostatistics import DetectorModel
+
+        built = []
+
+        class CountingModel(DetectorModel):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr("bpskrx.cli.DetectorModel", CountingModel)
+        config = SweepConfig(receiver=receiver, alpha2_min=0.5, alpha2_max=2.0, points=5, **settings)
+        assert len(built) == 1
+        rows = run_sweep(config)
+        assert len(rows) == 5 and len(built) == 1
+        assert config.model is built[0]
+
     def test_import_loads_no_process_pool(self):
         # Neither the sweep's process pool nor a thread pool is imported up front.
         path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))

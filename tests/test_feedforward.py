@@ -337,6 +337,17 @@ class TestHffre:
             assert helstrom_bound(alpha) <= hybrid.p_err <= disp.p_err + 1e-9 <= 0.5
             assert hybrid.p_err <= sql_error(alpha) and disp.p_err <= sql_error(alpha)
 
+    def test_hl_minimum_makes_no_sign_error_call(self, monkeypatch):
+        # e0 at z = 0 is the first column of the z search's scan, so neither
+        # hybrid receiver's tau search evaluates the HL error on its own
+        def forbidden(*args):
+            raise AssertionError("hl_sign_error called")
+
+        monkeypatch.setattr(feedforward, "hl_sign_error", forbidden)
+        tau = np.linspace(0.0, 1.0, 41)
+        assert _hl_minimum(1.0, DARK2)(tau).shape == (3, tau.size)
+        hynore_error(1.0, 2)
+
 
 # (tau, z, n_th, betas, p_err) of the tau search with z at the HL error's
 # minimum, as repr literals; each equals hffre_error_at at its (tau, z).
@@ -779,6 +790,16 @@ class TestStepRows:
             assert same_bits(value, expected), (a, b, e_prev)
 
 
+def grid_rates(amplitude, n, model, spec):
+    """(rate_minus, rate_plus) of a copy at every coarse grid point, in Python floats."""
+    a2n = amplitude * amplitude / n
+    cross_coef = 2.0 * model.xi * amplitude / math.sqrt(n)
+    pairs = [(model.eta * (a2n + beta * beta - cross_coef * beta) + model.nu,
+              model.eta * (a2n + beta * beta + cross_coef * beta) + model.nu)
+             for beta in spec.coarse_grid()]
+    return tuple(list(rates) for rates in zip(*pairs))
+
+
 def reference_step_error(e_prev, amplitude, n, model, n_th):
     """The negated step error, written out as before the flips were tabulated."""
     a2n = amplitude * amplitude / n
@@ -839,6 +860,77 @@ class TestCoarseTable:
                 reference = reference_step_error(e_prev, amplitude, n, model, n_th)
                 assert same_bits(coarse, [step(e_prev)(beta) for beta in grid])
                 assert same_bits(coarse, [reference(beta) for beta in grid])
+
+    # exp underflows past 745.13: amplitude 40 at N = 1 reaches rates of
+    # 7225. The small rates of every case take some partial sums above 1,
+    # where the clamp acts
+    TABLE_CASES = [(2.0, 4), (40.0, 1), (1e-3, 10), (0.3, 2)]
+
+    @pytest.mark.parametrize("model", [DetectorModel(64), DetectorModel(64, nu=1e-3),
+                                       DetectorModel(64, eta=0.7, xi=0.998)])
+    @pytest.mark.parametrize("amplitude, n", TABLE_CASES)
+    def test_rows_equal_q_thresh_at_every_threshold(self, model, amplitude, n):
+        spec = ScalarSearchSpec(0.0, amplitude / math.sqrt(n) + BETA_MARGIN,
+                                BETA_COARSE_POINTS, BETA_TOL)
+        rate_minus, rate_plus = grid_rates(amplitude, n, model, spec)
+        false_flip, missed_flip = _flip_tables(amplitude, n, model, 64, spec)
+        for n_th in range(1, 65):
+            assert same_bits(false_flip[n_th - 1], [q_thresh(r, n_th)[1] for r in rate_minus])
+            assert same_bits(missed_flip[n_th - 1], [q_thresh(r, n_th)[0] for r in rate_plus])
+        # a table of fewer thresholds is the first rows of a longer one
+        assert all(same_bits(short, full[:5]) for short, full in
+                   zip(_flip_tables(amplitude, n, model, 5, spec), (false_flip, missed_flip)))
+
+    def test_table_cases_reach_underflow_and_clamp(self):
+        rates = []
+        for amplitude, n in self.TABLE_CASES:
+            spec = ScalarSearchSpec(0.0, amplitude / math.sqrt(n) + BETA_MARGIN)
+            for side in grid_rates(amplitude, n, DetectorModel(64), spec):
+                rates += side
+        rates = np.array(rates)
+        assert rates.max() > 746.0 and math.exp(-746.0) == 0.0
+        # the unclamped partial sums of the Poisson terms
+        partial = np.cumsum(photostatistics._pnr_rows(rates, 64)[:, :64], axis=1)
+        assert (partial > 1.0).any()
+
+    def test_on_off_row_takes_any_rate(self):
+        # a rate rounded below 0 at a nulling displacement: the on/off
+        # formulas, unchecked, give its small negative on-probability
+        amplitude, null = 1.5367617525666288, 1.5367617524113883
+        spec = ScalarSearchSpec(0.0, null)
+        rate_minus, rate_plus = grid_rates(amplitude, 1, IDEAL2, spec)
+        false_flip, missed_flip = _flip_tables(amplitude, 1, IDEAL2, 1, spec)
+        assert same_bits(false_flip[0], [-math.expm1(-r) for r in rate_minus])
+        assert same_bits(missed_flip[0], [math.exp(-r) for r in rate_plus])
+        assert rate_minus[-1] < 0.0 and false_flip[0, -1] < 0.0
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, 1e200, 1.33e154])
+    def test_bad_amplitude_raises_q_thresh_error(self, amplitude):
+        # the first bad rate in the order rate_minus[0], rate_plus[0],
+        # rate_minus[1], ...; at 1.33e154 that is rate_plus[1] = inf
+        spec = ScalarSearchSpec(0.0, amplitude + 5.0 if math.isfinite(amplitude) else 5.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = [r for pair in zip(*grid_rates(amplitude, 1, IDEAL2, spec)) for r in pair]
+            first = next(r for r in rates if not 0.0 <= r < math.inf)
+            with pytest.raises(ValueError) as info:
+                _flip_tables(amplitude, 1, IDEAL2, 2, spec)
+        with pytest.raises(ValueError) as expected:
+            q_thresh(first, 2)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -5e-324])
+    def test_raises_q_thresh_error_of_first_bad_rate(self, bad, monkeypatch):
+        spec = ScalarSearchSpec(0.0, 1.0, 3, 0.1)
+        x, y = np.array([1.0, 2.0, bad]), np.array([1.0, bad, -2.0])
+        with pytest.raises(ValueError) as expected:
+            q_thresh(bad, 2)
+        # order rate_minus[0], rate_plus[0], rate_minus[1], ...: the
+        # second rate of the pair at index 1 is the first bad one
+        for rates in ((x, y), (y, x)):
+            monkeypatch.setattr(feedforward, "_copy_rates", lambda *args, rates=rates: rates)
+            with pytest.raises(ValueError) as info:
+                _flip_tables(1.0, 1, IDEAL2, 2, spec)
+            assert str(info.value) == str(expected.value)
 
     @pytest.mark.parametrize("model", [DetectorModel(64), DetectorModel(64, nu=1e-3),
                                        DetectorModel(64, eta=0.7, xi=0.998)])

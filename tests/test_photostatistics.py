@@ -27,7 +27,6 @@ from bpskrx.photostatistics import (
     pnr_pmf,
     q_above_below,
     q_above_below_rows,
-    q_above_below_table,
     q_off,
     q_on,
     q_thresh,
@@ -300,16 +299,19 @@ class TestHlSignMinimum:
     def test_at_or_below_a_dense_scan(self, model):
         reflected = np.array([0.02, 0.1, 0.3, 0.7, 1.0, 1.6, 2.2, 3.0])
         z_hi = 5.0 + 4.0 * 3.0
-        z_star, e0_star = hl_sign_minimum(reflected, z_hi, model)
+        z_star, e0_star, e0_zero = hl_sign_minimum(reflected, z_hi, model)
         dense = z_hi * np.arange(20_001) / 20_000
         for r, z, e in zip(reflected, z_star, e0_star):
             assert 0.0 <= z <= z_hi
             assert e == hl_sign_error(np.array([r]), np.array([z]), model)[0]
             assert e <= hl_sign_error(np.full(dense.size, r), dense, model).min()
+        # the scan's first column is the HL error at z = 0, bit for bit
+        assert same_bits(e0_zero, hl_sign_error(reflected, np.zeros_like(reflected), model))
 
     def test_no_tap_gives_zero_oscillator(self):
-        z_star, e0_star = hl_sign_minimum(np.array([0.0, 1.0]), 9.0, IDEAL2)
+        z_star, e0_star, e0_zero = hl_sign_minimum(np.array([0.0, 1.0]), 9.0, IDEAL2)
         assert z_star[0] == 0.0 and abs(e0_star[0] - 0.5) <= 1e-15
+        assert same_bits(e0_zero[:1], e0_star[:1]) and abs(e0_zero[1] - 0.5) <= 1e-15
         assert z_star[1] > 0.0 and e0_star[1] < 0.5
 
     def test_each_element_searched_alone(self):
@@ -319,8 +321,8 @@ class TestHlSignMinimum:
         reflected = np.linspace(0.0, 3.0, size)
         together = hl_sign_minimum(reflected, 9.0, model)
         alone = [hl_sign_minimum(reflected[k:k + 1], 9.0, model) for k in range(size)]
-        assert same_bits(together[0], [z[0] for z, _ in alone])
-        assert same_bits(together[1], [e[0] for _, e in alone])
+        for k in range(3):
+            assert same_bits(together[k], [values[k][0] for values in alone])
 
 
 def two_call_sign_terms(reflected, z, model):
@@ -343,7 +345,8 @@ def two_call_sign_terms(reflected, z, model):
 
 def compressing_sign_minimum(reflected, z_hi, model):
     """``hl_sign_minimum`` as a loop that compresses every open row's arrays and gathers
-    its amplitude at every Illinois step, on ``two_call_sign_terms``."""
+    its amplitude at every Illinois step, on ``two_call_sign_terms``; e0 at z = 0 from a
+    call of its own."""
     size, n = reflected.size, HL_SCAN_POINTS
     grid = z_hi * np.arange(n) / (n - 1)
     e0, slope = np.empty((size, n)), np.empty((size, n))
@@ -380,7 +383,7 @@ def compressing_sign_minimum(reflected, z_hi, model):
         a, slope_a = np.where(left, x, a), np.where(left, slope_x, slope_a)
         b, slope_b = np.where(left, b, x), np.where(left, slope_b, slope_x)
         kept = np.where(left, 1, -1).astype(np.int8)
-    return best_z, best_e
+    return best_z, best_e, two_call_sign_terms(reflected, np.zeros_like(reflected), model)[0]
 
 
 KERNEL_MODELS = [
@@ -417,13 +420,13 @@ class TestSignKernelsAgainstReferenceLoops:
         rng = np.random.default_rng(10 + m)
         reflected = np.concatenate(([0.0, 1e-3, 3.0], rng.uniform(0.0, 3.0, HL_SCAN_BLOCK + 20)))
         for z_hi in (9.0, 5.0 + 4.0 * 3.0):
-            z_star, e0_star = hl_sign_minimum(reflected, z_hi, model)
-            ref_z, ref_e0 = compressing_sign_minimum(reflected, z_hi, model)
-            assert same_bits(z_star, ref_z) and same_bits(e0_star, ref_e0)
+            found = hl_sign_minimum(reflected, z_hi, model)
+            reference = compressing_sign_minimum(reflected, z_hi, model)
+            assert all(same_bits(v, ref) for v, ref in zip(found, reference, strict=True))
 
     def test_sign_minimum_of_no_elements(self):
-        z_star, e0_star = hl_sign_minimum(np.empty(0), 9.0, IDEAL2)
-        assert z_star.shape == e0_star.shape == (0,)
+        z_star, e0_star, e0_zero = hl_sign_minimum(np.empty(0), 9.0, IDEAL2)
+        assert z_star.shape == e0_star.shape == e0_zero.shape == (0,)
 
 
 def term_loop_pnr_pmf(mu, m):
@@ -690,45 +693,6 @@ class TestThresholdKernel:
         assert raised(q_above_below(3), x, 1.0) == message
         assert raised(q_above_below(3), 1.0, x) == message
         assert raised(q_above_below(3), x, math.nan) == message  # x first
-
-    # exp underflows past 745.13; at 0.0450768100853598 and
-    # 0.9646329473090614 some partial sums round above 1 and are clamped
-    TABLE_RATES = [0.0, 5e-324, 1e-300, 1e-9, 0.0450768100853598, 0.5, 0.9646329473090614, 1.0,
-                   8.0, 30.0, 100.0, 745.0, 746.0, 1e3]
-
-    def test_table_equals_q_thresh_at_every_threshold(self):
-        x = np.array(self.TABLE_RATES)
-        y = x[::-1].copy()  # q1 of x and q0 of y: a swap would show
-        above, below = q_above_below_table(x, y, 64)
-        assert above.shape == below.shape == (64, x.size)
-        for n_th in range(1, 65):
-            assert same_bits(above[n_th - 1], [q_thresh(r, n_th)[1] for r in x.tolist()])
-            assert same_bits(below[n_th - 1], [q_thresh(r, n_th)[0] for r in y.tolist()])
-            if n_th > 1:
-                assert same_bits(np.array([q_above_below(n_th)(a, b) for a, b in zip(x, y)]).T,
-                                 [above[n_th - 1], below[n_th - 1]])
-        # a table of fewer thresholds is the first rows of a longer one
-        assert all(same_bits(t, full[:5]) for t, full in
-                   zip(q_above_below_table(x, y, 5), (above, below)))
-        # the rates reach the clamp (y = 5e-324, 0) and the underflow of exp
-        # (y = 746 and 1e3; e^-745 is subnormal)
-        assert (below[:, -2:] == 1.0).all() and (above[1:, :2] == 0.0).all()
-        assert (below[0, :2] == 0.0).all() and 0.0 < below[0, 2] < 1e-300
-
-    def test_table_on_off_row_takes_any_rate(self):
-        # a rate rounded below 0 at nulling: the on/off formulas, unchecked
-        x = np.array([-8.881784197001252e-16, 0.0, 1.0])
-        above, below = q_above_below_table(x, x, 1)
-        assert same_bits(above[0], [-math.expm1(-r) for r in x.tolist()])
-        assert same_bits(below[0], [math.exp(-r) for r in x.tolist()])
-        assert above[0, 0] < 0.0
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -5e-324])
-    def test_table_raises_q_thresh_error_of_first_bad_rate(self, bad):
-        x, y = np.array([1.0, 2.0, bad]), np.array([1.0, bad, -2.0])
-        # order x[0], y[0], x[1], y[1], ...: y[1] is the first bad rate
-        assert raised(q_above_below_table, x, y, 2) == raised(q_thresh, bad, 2)
-        assert raised(q_above_below_table, y, x, 2) == raised(q_thresh, bad, 2)
 
     # (p_prev, beta, amplitude, n_copies, model): the rates are NaN (a NaN
     # amplitude is rejected as an amplitude, a NaN or infinite beta as a
