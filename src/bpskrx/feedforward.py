@@ -60,10 +60,9 @@ from .photostatistics import (
     DetectorModel,
     _check_count,
     _check_rate,
-    _pnr_rows,
+    exp_rows,
     hl_sign_error,
     hl_sign_minimum,
-    q_above_below,
     q_above_below_rows,
     q_thresh,
 )
@@ -212,27 +211,34 @@ def _flip_tables(amplitude: float, n_copies: int, model: DetectorModel, resoluti
     probability, so one table serves every copy of a recursion, and its
     rows serve the recursions of every threshold. The rates are the step
     objective's, and Q0 at threshold t is the running sum of the first t
-    Poisson terms of ``_pnr_rows``, in the summation order of
-    ``q_above_below``, clamped to 1: the values equal the objective's
+    Poisson terms, the term recurrence of ``_pnr_rows`` summed in the
+    order of ``q_thresh``, clamped to 1: the values equal the objective's
     flips bit for bit. Row 0 is the on/off pair (-expm1(-rate_minus),
     exp(-rate_plus)), unclamped, which takes a rate rounded below 0 at a
-    nulling displacement; with rows above it, the first bad rate in the
-    order rate_minus[0], rate_plus[0], rate_minus[1], ... raises
-    ``q_thresh``'s ValueError.
+    nulling displacement; at resolution 1 it is the whole table. With rows
+    above it, the first bad rate in the order rate_minus[0], rate_plus[0],
+    rate_minus[1], ... raises ``q_thresh``'s ValueError.
     """
-    rate_minus, rate_plus = _copy_rates(amplitude, n_copies, model, np.array(spec.coarse_grid()))
+    rates = np.stack(_copy_rates(amplitude, n_copies, model, np.array(spec.coarse_grid())))
     if resolution > 1:
-        rates = np.stack((rate_minus, rate_plus), axis=1).ravel()
-        bad = ~((rates >= 0.0) & (rates < math.inf))
+        pairs = rates.T.ravel()
+        bad = ~((pairs >= 0.0) & (pairs < math.inf))
         if bad.any():
-            _check_rate(float(rates[np.argmax(bad)]))
-    # one row per threshold: the partial sums of the terms, in order
-    terms = _pnr_rows(np.concatenate((rate_minus, rate_plus)), resolution)[:, :resolution]
-    below = np.cumsum(terms.T, axis=0)
+            _check_rate(float(pairs[np.argmax(bad)]))
+    size = rates.shape[1]
+    false_flip = np.empty((resolution, size))
+    false_flip[0] = -np.fromiter(map(math.expm1, (-rates[0]).tolist()), float, size)
+    if resolution == 1:
+        return false_flip, exp_rows(-rates[1])[None]
+    # below[t] holds Q0 at threshold t + 1 of (rate_minus, rate_plus)
+    below = np.empty((resolution, 2, size))
+    below[0] = term = exp_rows(-rates.ravel()).reshape(2, size)
+    for n in range(1, resolution):
+        term = term * (rates / n)
+        np.add(below[n - 1], term, out=below[n])
     np.minimum(below[1:], 1.0, out=below[1:])
-    false_flip = 1.0 - below[:, :rate_minus.size]
-    false_flip[0] = -np.fromiter(map(math.expm1, (-rate_minus).tolist()), float, rate_minus.size)
-    return false_flip, below[:, rate_minus.size:]
+    np.subtract(1.0, below[1:, 0], out=false_flip[1:])
+    return false_flip, below[:, 1]
 
 
 def _step_objective(amplitude, n_copies: int, model: DetectorModel,
@@ -246,17 +252,18 @@ def _step_objective(amplitude, n_copies: int, model: DetectorModel,
     here, as q_thresh checks it (1.0 and True are no thresholds).
 
     The amplitude's type selects the arithmetic: a float gives Python-float
-    closures in math arithmetic for the scalar searches (at n_th >= 2 their
-    kernel checks each rate in line), an array the same closures in numpy
-    arithmetic, element by element, for the lockstep searches (e_prev holds
-    one error per element, and beta broadcasts against amplitude). Both
-    take the same IEEE operations in the same order; np.exp and math.exp
-    may still differ in the last bit. With an array amplitude, n_th may
-    also be an array of one threshold per element, in non-decreasing
-    order: the flips of all thresholds then come from one cumulative pass
-    (``q_above_below_rows``), and an element at n_th = 1 gets the on/off
-    step's value, which -(p F + e M) with F = -expm1(-rate_minus) and
-    M = exp(-rate_plus) equals bit for bit.
+    closures in math arithmetic for the scalar searches (at n_th >= 2 one
+    call runs ``q_thresh``'s partial-sum loop for both rates and checks
+    each rate in line, rate_minus first), an array the same closures in
+    numpy arithmetic, element by element, for the lockstep searches
+    (e_prev holds one error per element, and beta broadcasts against
+    amplitude). Both take the same IEEE operations in the same order;
+    np.exp and math.exp may still differ in the last bit. With an array
+    amplitude, n_th may also be an array of one threshold per element, in
+    non-decreasing order: the flips of all thresholds then come from one
+    cumulative pass (``q_above_below_rows``), and an element at n_th = 1
+    gets the on/off step's value, which -(p F + e M) with
+    F = -expm1(-rate_minus) and M = exp(-rate_plus) equals bit for bit.
     """
     thresholds = list(dict.fromkeys(n_th.tolist())) if isinstance(n_th, np.ndarray) else [n_th]
     for t in thresholds:
@@ -267,11 +274,11 @@ def _step_objective(amplitude, n_copies: int, model: DetectorModel,
     a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
     eta, nu = float(model.eta), float(model.nu)
     if isinstance(amplitude, np.ndarray):
-        exp, expm1, kernel = np.exp, np.expm1, q_above_below_rows
+        exp, expm1 = np.exp, np.expm1
     else:
         # Python floats throughout, as q_thresh's float(x) gave them
         a2n, cross_coef = float(a2n), float(cross_coef)
-        exp, expm1, kernel = math.exp, math.expm1, q_above_below
+        exp, expm1 = math.exp, math.expm1
 
     def on_off(e_prev: float) -> Callable[[float], float]:
         p_prev = 1.0 - e_prev
@@ -289,20 +296,51 @@ def _step_objective(amplitude, n_copies: int, model: DetectorModel,
 
     if thresholds == [1]:
         return on_off
-    flips = kernel(n_th)
+    if isinstance(amplitude, np.ndarray):
+        flips = q_above_below_rows(n_th)
 
-    def threshold(e_prev: float) -> Callable[[float], float]:
+        def threshold(e_prev: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+            p_prev = 1.0 - e_prev
+
+            def at(beta: np.ndarray) -> np.ndarray:
+                base = a2n + beta * beta
+                cross = cross_coef * beta
+                false_flip, missed_flip = flips(eta * (base - cross) + nu,
+                                                eta * (base + cross) + nu)
+                return -(p_prev * false_flip + e_prev * missed_flip)
+
+            return at
+
+        return threshold
+
+    inf = math.inf
+    divisors = tuple(float(s) for s in range(1, n_th))
+
+    def float_threshold(e_prev: float) -> Callable[[float], float]:
         p_prev = 1.0 - e_prev
 
         def at(beta: float) -> float:
             base = a2n + beta * beta
             cross = cross_coef * beta
-            false_flip, missed_flip = flips(eta * (base - cross) + nu, eta * (base + cross) + nu)
-            return -(p_prev * false_flip + e_prev * missed_flip)
+            x = eta * (base - cross) + nu
+            y = eta * (base + cross) + nu
+            if not (0.0 <= x < inf and 0.0 <= y < inf):
+                _check_rate(x)
+                _check_rate(y)
+            # q_thresh's partial sums at x and at y in one loop, clamped to 1
+            term_x = below_x = exp(-x)
+            term_y = below_y = exp(-y)
+            for divisor in divisors:
+                term_x *= x / divisor
+                below_x += term_x
+                term_y *= y / divisor
+                below_y += term_y
+            return -(p_prev * (1.0 - (below_x if below_x < 1.0 else 1.0))
+                     + e_prev * (below_y if below_y < 1.0 else 1.0))
 
         return at
 
-    return threshold
+    return float_threshold
 
 
 def _coarse_step(e_prev, false_flip: np.ndarray, missed_flip: np.ndarray) -> np.ndarray:

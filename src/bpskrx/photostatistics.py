@@ -37,7 +37,6 @@ __all__ = [
     "q_off",
     "q_on",
     "q_thresh",
-    "q_above_below",
     "q_above_below_rows",
     "exp_rows",
 ]
@@ -421,45 +420,16 @@ def q_on(x: float) -> float:
     return -math.expm1(-_check_rate(x))
 
 
-def q_above_below(n_th: int) -> Callable[[float, float], tuple[float, float]]:
-    """(q1 at rate x, q0 at rate y) of ``q_thresh``, for one threshold n_th >= 2.
-
-    The scalar Poisson partial sum q0 = P(count < n_th), term by term,
-    for two rates in one loop: a step of the feed-forward recursion needs
-    q1 of one rate and q0 of another, and ``q_thresh(x, n_th)`` is the
-    pair at (x, x), swapped. n_th is taken as given, so a caller that
-    evaluates many rates at one threshold validates it once; each rate
-    is checked in line and raises ``q_thresh``'s ValueError, x before y.
-    """
-    exp, inf = math.exp, math.inf
-    divisors = tuple(float(s + 1) for s in range(n_th - 1))
-
-    def pair(x: float, y: float) -> tuple[float, float]:
-        if not (0.0 <= x < inf and 0.0 <= y < inf):
-            _check_rate(x)
-            _check_rate(y)
-        # term_s = e^-rate rate^s / s!, summed for s < n_th, clamped to 1
-        term_x = exp(-x)
-        term_y = exp(-y)
-        below_x, below_y = term_x, term_y
-        for divisor in divisors:
-            term_x *= x / divisor
-            below_x += term_x
-            term_y *= y / divisor
-            below_y += term_y
-        return 1.0 - (below_x if below_x < 1.0 else 1.0), (below_y if below_y < 1.0 else 1.0)
-
-    return pair
-
-
 def q_thresh(x: float, n_th: int, resolution: int | None = None) -> tuple[float, float]:
     """Probabilities of counting below / at-or-above the threshold n_th.
 
     q0 = P(count < n_th) for a Poisson count at rate x, q1 = 1 - q0.
     n_th = 1 reduces exactly to the on/off pair (q_off, q_on); above it
-    q0 is the ``q_above_below`` kernel at (x, x) and q1 = 1 - q0, which
-    cancels to 0 at small rates (the direct upper-tail sum is not used
-    here).
+    q0 is the Poisson partial sum, term by term, clamped to 1, and
+    q1 = 1 - q0, which cancels to 0 at small rates (the direct
+    upper-tail sum is not used here). This is the one-rate reference of
+    the scalar step objective, whose threshold closure runs the same
+    loop for two rates.
     When ``resolution`` is given, n_th must not exceed it.
     """
     x = _check_rate(x)
@@ -468,8 +438,13 @@ def q_thresh(x: float, n_th: int, resolution: int | None = None) -> tuple[float,
         raise ValueError(f"n_th must be <= resolution {resolution}, got {n_th}")
     if n_th == 1:
         return math.exp(-x), -math.expm1(-x)
-    q1, q0 = q_above_below(n_th)(x, x)
-    return q0, q1
+    # term_s = e^-x x^s / s!, summed for s < n_th, clamped to 1
+    term = below = math.exp(-x)
+    for s in range(1, n_th):
+        term *= x / s
+        below += term
+    q0 = below if below < 1.0 else 1.0
+    return q0, 1.0 - q0
 
 
 def q_above_below_rows(
@@ -477,9 +452,9 @@ def q_above_below_rows(
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """(x, y) -> (q1 at x, q0 at y) of ``q_thresh``, element by element, in np.exp arithmetic.
 
-    The array twin of ``q_above_below``. x and y have one shape, with at
-    least one axis. n_th is one threshold for every element, or one per
-    row (the first axis) in non-decreasing order, and is taken as given.
+    x and y have one shape, with at least one axis. n_th is one
+    threshold for every element, or one per row (the first axis) in
+    non-decreasing order, and is taken as given.
     One cumulative pass serves every threshold: term s of the Poisson
     sum, term_(s-1) * (rate / s), runs over the suffix of rows whose
     threshold is above s, so each row's partial sum is the one its own

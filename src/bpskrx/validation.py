@@ -22,6 +22,7 @@ from .photostatistics import (
     DetectorModel,
     branch_means,
     hl_difference_pmf,
+    hl_sign_error,
     pnr_pmf,
     q_off,
     q_on,
@@ -84,7 +85,8 @@ def criterion_01(fast: bool = False, seed: int = 0) -> CheckResult:
 
 
 def criterion_02(fast: bool = False, seed: int = 0) -> CheckResult:
-    result = CheckResult("2 distribution kernel: normalization, mirror symmetry, Skellam limit")
+    result = CheckResult("2 distribution kernel: normalization, mirror symmetry, HL sign error, "
+                         "Skellam limit")
     mus = (0.0, 1e-6, 0.5, 1.0, 4.0, 17.3, 100.0)
     resolutions = (1, 2, 3, 16) if fast else (1, 2, 3, 8, 16)
     worst = 0.0
@@ -97,6 +99,7 @@ def criterion_02(fast: bool = False, seed: int = 0) -> CheckResult:
     models = [IDEAL2, DetectorModel(2, eta=0.7, nu=1e-3, xi=0.998)]
     worst_norm = 0.0
     worst_mirror = 0.0
+    worst_sign = 0.0
     for zeta, z in settings:
         for m in resolutions:
             for base in models:
@@ -105,8 +108,15 @@ def criterion_02(fast: bool = False, seed: int = 0) -> CheckResult:
                 worst_norm = max(worst_norm, abs(pmf.probs.sum() - 1.0))
                 mirrored = hl_difference_pmf(-zeta, z, model)
                 worst_mirror = max(worst_mirror, float(np.max(np.abs(mirrored.probs - pmf.probs[::-1]))))
+                # the HFFRE's e0, 1/2 [P(Delta >= 0 | -|zeta|) + P(Delta < 0 | |zeta|)]
+                at_plus, at_minus = (pmf, mirrored) if zeta >= 0.0 else (mirrored, pmf)
+                from_pmf = 0.5 * (at_minus.mass_nonnegative() + at_plus.mass_negative())
+                e0 = float(hl_sign_error(np.array([abs(zeta)]), np.array([z]), model)[0])
+                worst_sign = max(worst_sign, abs(e0 - from_pmf))
     result.check("difference PMF normalization", worst_norm <= 1e-12, f"sup={worst_norm:.2e}")
     result.check("mirror symmetry (1e-15)", worst_mirror <= 1e-15, f"sup={worst_mirror:.2e}")
+    result.check("HL sign error equals the PMF's (1e-15)", worst_sign <= 1e-15,
+                 f"sup={worst_sign:.2e}")
 
     pairs = [(0.5, 1.5), (1.0, 1.2), (0.0, 2.0), (1.4, 1.4)]
     model64 = DetectorModel(64)

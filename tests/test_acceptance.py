@@ -33,3 +33,14 @@ def test_acceptance_criterion(criterion):
     result = criterion(fast=False, seed=SEED)
     text = report(result)
     assert result.passed, f"\n{text}"
+
+
+def test_kernel_criterion_checks_the_running_hl_kernel(monkeypatch):
+    # criterion 2 compares hl_sign_error, the kernel behind the HFFRE's e0,
+    # with the difference PMF: an error of 1e-14 in it fails the criterion
+    kernel = validation.hl_sign_error
+    assert validation.criterion_02(fast=True).passed
+    monkeypatch.setattr(validation, "hl_sign_error", lambda *args: kernel(*args) + 1e-14)
+    result = validation.criterion_02(fast=True)
+    assert not result.passed
+    assert [line[:4] for line in result.details if "HL sign error" in line] == ["FAIL"]

@@ -932,6 +932,57 @@ class TestCoarseTable:
                 _flip_tables(1.0, 1, IDEAL2, 2, spec)
             assert str(info.value) == str(expected.value)
 
+    @staticmethod
+    def running_sum_table(amplitude, n, model, resolution, spec):
+        """(false_flip, missed_flip) as plain loops over the grid: row 0 the on/off pair, row t
+        1 - q0 and q0 with q0 the running sum of t + 1 Poisson terms, clamped to 1."""
+        rate_minus, rate_plus = grid_rates(amplitude, n, model, spec)
+
+        def running_sums(rate):
+            term = below = math.exp(-rate)
+            sums = [below]
+            for s in range(1, resolution):
+                term *= rate / s
+                below += term
+                sums.append(min(below, 1.0))
+            return sums
+
+        false_flip = [[-math.expm1(-r) for r in rate_minus]]
+        false_flip += [[1.0 - q0 for q0 in row] for row in
+                       zip(*map(running_sums, rate_minus))][1:]
+        missed_flip = [list(row) for row in zip(*map(running_sums, rate_plus))]
+        return np.array(false_flip), np.array(missed_flip)
+
+    @pytest.mark.parametrize("model", [IDEAL2, DetectorModel(2, eta=0.7), DARK2,
+                                       DetectorModel(2, xi=0.998)])
+    @pytest.mark.parametrize("amplitude, n", TABLE_CASES)
+    @pytest.mark.parametrize("resolution", [1, 2])
+    def test_figure_thresholds_equal_running_sum_loop(self, model, amplitude, n, resolution):
+        # the figures' tables, one and two thresholds, including rates
+        # past exp's underflow (amplitude 40 at N = 1)
+        spec = ScalarSearchSpec(0.0, amplitude / math.sqrt(n) + BETA_MARGIN,
+                                BETA_COARSE_POINTS, BETA_TOL)
+        table = _flip_tables(amplitude, n, model, resolution, spec)
+        expected = self.running_sum_table(amplitude, n, model, resolution, spec)
+        assert all(same_bits(got, want) for got, want in zip(table, expected))
+        assert table[0].shape == (resolution, BETA_COARSE_POINTS)
+
+    def test_nulled_rate_below_zero_at_one_and_two_thresholds(self):
+        # rate_minus rounds below 0 at the nulling end of the grid: the
+        # on/off table takes it, a two-threshold table raises q_thresh's error
+        amplitude, null = 1.5367617525666288, 1.5367617524113883
+        spec = ScalarSearchSpec(0.0, null)
+        rate_minus, _ = grid_rates(amplitude, 1, IDEAL2, spec)
+        assert rate_minus[-1] < 0.0 and min(rate_minus[:-1]) >= 0.0
+        table = _flip_tables(amplitude, 1, IDEAL2, 1, spec)
+        expected = self.running_sum_table(amplitude, 1, IDEAL2, 1, spec)
+        assert all(same_bits(got, want) for got, want in zip(table, expected))
+        with pytest.raises(ValueError) as info:
+            _flip_tables(amplitude, 1, IDEAL2, 2, spec)
+        with pytest.raises(ValueError) as reference:
+            q_thresh(rate_minus[-1], 2)
+        assert str(info.value) == str(reference.value)
+
     @pytest.mark.parametrize("model", [DetectorModel(64), DetectorModel(64, nu=1e-3),
                                        DetectorModel(64, eta=0.7, xi=0.998)])
     def test_step_equals_q_thresh_formula(self, model):

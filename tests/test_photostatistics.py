@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpskrx.feedforward import correct_probability_trace, step_correct_prob
+import bpskrx.feedforward as feedforward
+from bpskrx.feedforward import (
+    _copy_rates,
+    _step_objective,
+    correct_probability_trace,
+    step_correct_prob,
+)
 from bpskrx.photostatistics import (
     HL_MAX_STEPS,
     HL_SCAN_BLOCK,
@@ -25,7 +31,6 @@ from bpskrx.photostatistics import (
     hl_sign_error,
     hl_sign_minimum,
     pnr_pmf,
-    q_above_below,
     q_above_below_rows,
     q_off,
     q_on,
@@ -661,38 +666,91 @@ class TestRowKernels:
 
 
 class TestThresholdKernel:
-    """``q_above_below``, its table and ``q_thresh`` equal the plain loop bit for bit."""
+    """``q_thresh`` and the float threshold step equal the plain loop bit for bit."""
+
+    # (amplitude, n_copies, model, beta): rates from 0 to past exp's
+    # underflow, and rate_minus far from rate_plus
+    STEP_CASES = [(0.0, 1, DetectorModel(64, nu=0.0450768100853598), 0.0),
+                  (1.0, 1, DetectorModel(64), 0.3), (3.0, 1, DetectorModel(64, nu=1e-3), 2.9),
+                  (0.2, 2, DetectorModel(64, eta=0.7, xi=0.998), 5.0),
+                  (40.0, 1, DetectorModel(64, nu=1e-3), 39.0), (5.0, 4, DetectorModel(64), 0.0)]
+
+    @staticmethod
+    def step_from_loop(amplitude, n, model, n_th, e_prev, beta):
+        """The negated step error -(p q1(rate_minus) + e q0(rate_plus)) from the plain loop."""
+        x, y = _copy_rates(amplitude, n, model, beta)
+        return -((1.0 - e_prev) * term_by_term_q_thresh(x, n_th)[1]
+                 + e_prev * term_by_term_q_thresh(y, n_th)[0])
 
     @pytest.mark.parametrize("n_th", range(2, 65))
     def test_equals_loop(self, n_th):
-        kernel = q_above_below(n_th)
         # at 0.0450768100853598 (n_th = 9) and 0.9646329473090614 (n_th = 46)
         # the partial sum rounds to 1 + 2^-52 and is clamped
         rates = (0.0, 5e-324, 1e-12, 1e-3, 0.0450768100853598, 0.9646329473090614, 1.0,
                  n_th - 1.0, n_th + 1.0, 70.0, 1e3)
         for x in rates:
             expected = term_by_term_q_thresh(x, n_th)
-            assert kernel(x, x) == expected[::-1]
             assert q_thresh(x, n_th) == expected
+            # a zero amplitude leaves both rates at nu: e_prev = 0 reads
+            # q1, e_prev = 1 reads q0
+            step = _step_objective(0.0, 1, DetectorModel(64, nu=x), n_th)
+            assert (step(0.0)(0.0), step(1.0)(0.0)) == (-expected[1], -expected[0])
         # the two partial sums of one call do not mix
-        for x, y in zip(rates, rates[::-1]):
-            assert kernel(x, y) == (term_by_term_q_thresh(x, n_th)[1],
-                                    term_by_term_q_thresh(y, n_th)[0])
+        for case in self.STEP_CASES:
+            *args, beta = case
+            step = _step_objective(*args, n_th)
+            for e_prev in (0.0, 0.3, 1.0):
+                assert same_bits(step(e_prev)(beta),
+                                 self.step_from_loop(*args, n_th, e_prev, beta)), case
+
+    def test_step_cases_reach_underflow_and_clamp(self):
+        pairs = [_copy_rates(*args, beta) for *args, beta in self.STEP_CASES]
+        assert max(plus for _, plus in pairs) > 746.0 and math.exp(-746.0) == 0.0
+        assert pairs[0] == (0.0450768100853598,) * 2  # clamped at n_th = 9
+        # each displaced case sets rate_minus apart from rate_plus, some by 1000-fold
+        assert all(minus < plus for (minus, plus), case in zip(pairs, self.STEP_CASES)
+                   if case[-1] > 0.0)
+        assert max(plus / minus for minus, plus in pairs) > 1e3
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(x=st.floats(0.0, 1e4, allow_subnormal=True), y=st.floats(0.0, 1e4, allow_subnormal=True),
            n_th=st.integers(2, 64))
     def test_equals_loop_swept(self, x, y, n_th):
         expected = term_by_term_q_thresh(x, n_th)
-        assert q_above_below(n_th)(x, y) == (expected[1], term_by_term_q_thresh(y, n_th)[0])
         assert q_thresh(x, n_th) == expected
+        # rates sqrt(x) -+ sqrt(y) squared, plus the dark counts
+        args = math.sqrt(x), 1, DetectorModel(64, nu=1e-3)
+        step = _step_objective(*args, n_th)
+        for e_prev in (0.0, 0.3, 1.0):
+            assert same_bits(step(e_prev)(math.sqrt(y)),
+                             self.step_from_loop(*args, n_th, e_prev, math.sqrt(y)))
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
-    def test_kernel_raises_q_thresh_error(self, x):
-        message = raised(q_thresh, x, 3)
-        assert raised(q_above_below(3), x, 1.0) == message
-        assert raised(q_above_below(3), 1.0, x) == message
-        assert raised(q_above_below(3), x, math.nan) == message  # x first
+    def test_q_thresh_raises_rate_error(self, x):
+        assert raised(q_thresh, x, 3) == f"x must be finite and >= 0, got {x!r}"
+
+    # (a2n, cross_coef) of an ideal copy at beta = 1, whose rates are
+    # (a2n + 1) -+ cross_coef, and the first bad rate, rate_minus first
+    BAD_COEFFICIENTS = [((-1.0, 1.0), -1.0), ((-1.0, -1.0), -1.0), ((-1.0, 5e-324), -5e-324),
+                        ((-1.0, math.inf), -math.inf), ((-1.0, -math.inf), math.inf),
+                        ((math.inf, math.inf), math.nan), ((math.inf, -math.inf), math.inf),
+                        ((math.nan, 0.0), math.nan)]
+
+    @pytest.mark.parametrize("coefficients, first", BAD_COEFFICIENTS)
+    @pytest.mark.parametrize("n_th", [2, 3])
+    def test_step_raises_q_thresh_error_of_first_bad_rate(self, coefficients, first, n_th,
+                                                          monkeypatch):
+        a2n, cross_coef = coefficients
+        rates = (a2n + 1.0) - cross_coef, (a2n + 1.0) + cross_coef
+        bad = [r for r in rates if not 0.0 <= r < math.inf]
+        message = raised(q_thresh, first, n_th)
+        assert raised(q_thresh, bad[0], n_th) == message
+        if len(bad) == 2 and repr(bad[0]) != repr(bad[1]):
+            # both rates are bad, and only rate_minus's message is this one
+            assert raised(q_thresh, bad[1], n_th) != message
+        monkeypatch.setattr(feedforward, "_rate_coefficients", lambda *args: coefficients)
+        step = _step_objective(1.0, 1, DetectorModel(3), n_th)
+        assert raised(step(0.5), 1.0) == message
 
     # (p_prev, beta, amplitude, n_copies, model): the rates are NaN (a NaN
     # amplitude is rejected as an amplitude, a NaN or infinite beta as a
