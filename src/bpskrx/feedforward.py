@@ -176,7 +176,7 @@ def step_rates(beta: float, amplitude: float, n_copies: int, xi: float = 1.0) ->
     amplitude = _check_rate(amplitude, "amplitude")
     n_copies = _check_count("n_copies", n_copies)
     # eta = 1 and nu = 0 leave the rates exact: none of them is -0.0
-    rate_minus, rate_plus = _copy_rates(amplitude, n_copies, DetectorModel(1, xi=xi), beta)
+    rate_minus, rate_plus = _copy_rates(amplitude, n_copies, DetectorModel(1, xi=xi))(beta)
     return StepRates(rate_plus, rate_minus)
 
 
@@ -186,13 +186,19 @@ def _rate_coefficients(amplitude, n_copies: int, model: DetectorModel):
     return amplitude * amplitude / n_copies, 2.0 * model.xi * amplitude / math.sqrt(n_copies)
 
 
-def _copy_rates(amplitude, n_copies: int, model: DetectorModel, beta):
-    """(rate_minus, rate_plus) of a copy displaced by beta, in the step objective's operations;
-    floats or arrays, with beta broadcasting against amplitude."""
+def _copy_rates(amplitude, n_copies: int,
+                model: DetectorModel) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """beta -> (rate_minus, rate_plus) of a copy displaced by beta, in the step objective's
+    operations; floats or arrays, with beta broadcasting against amplitude."""
     a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
-    base = a2n + beta * beta
-    cross = cross_coef * beta
-    return model.eta * (base - cross) + model.nu, model.eta * (base + cross) + model.nu
+    eta, nu = model.eta, model.nu
+
+    def rates(beta):
+        base = a2n + beta * beta
+        cross = cross_coef * beta
+        return eta * (base - cross) + nu, eta * (base + cross) + nu
+
+    return rates
 
 
 def _beta_hi(amplitude, n_copies: int):
@@ -219,7 +225,7 @@ def _flip_tables(amplitude: float, n_copies: int, model: DetectorModel, resoluti
     above it, the first bad rate in the order rate_minus[0], rate_plus[0],
     rate_minus[1], ... raises ``q_thresh``'s ValueError.
     """
-    rates = np.stack(_copy_rates(amplitude, n_copies, model, np.array(spec.coarse_grid())))
+    rates = np.stack(_copy_rates(amplitude, n_copies, model)(np.array(spec.coarse_grid())))
     if resolution > 1:
         pairs = rates.T.ravel()
         bad = ~((pairs >= 0.0) & (pairs < math.inf))
@@ -241,44 +247,38 @@ def _flip_tables(amplitude: float, n_copies: int, model: DetectorModel, resoluti
     return false_flip, below[:, 1]
 
 
-def _step_objective(amplitude, n_copies: int, model: DetectorModel,
-                    n_th) -> Callable[[float], Callable[[float], float]]:
+def _check_thresholds(n_th, model: DetectorModel) -> None:
+    """Each threshold of n_th (one, or an array of them) checked as q_thresh checks it
+    (1.0 and True are no thresholds)."""
+    for t in dict.fromkeys(n_th.tolist()) if isinstance(n_th, np.ndarray) else (n_th,):
+        if t == 1:
+            _check_count("n_th", t)
+        else:
+            q_thresh(0.0, t, model.resolution)
+
+
+def _step_objective(amplitude: float, n_copies: int, model: DetectorModel,
+                    n_th: int) -> Callable[[float], Callable[[float], float]]:
     """The recursion's one step, negated, as a function of the error it starts from.
 
     step(e_prev) is beta -> -e', where e' = (1 - e_prev) F + e_prev M is
     the error after one more copy displaced by beta, with F = Q1(rate_minus)
     and M = Q0(rate_plus) as in ``_flip_tables``. It is negated so the
     maximizers can be reused for minimization. The threshold is checked
-    here, as q_thresh checks it (1.0 and True are no thresholds).
+    here, as q_thresh checks it.
 
-    The amplitude's type selects the arithmetic: a float gives Python-float
-    closures in math arithmetic for the scalar searches (at n_th >= 2 one
-    call runs ``q_thresh``'s partial-sum loop for both rates and checks
-    each rate in line, rate_minus first), an array the same closures in
-    numpy arithmetic, element by element, for the lockstep searches
-    (e_prev holds one error per element, and beta broadcasts against
-    amplitude). Both take the same IEEE operations in the same order;
-    np.exp and math.exp may still differ in the last bit. With an array
-    amplitude, n_th may also be an array of one threshold per element, in
-    non-decreasing order: the flips of all thresholds then come from one
-    cumulative pass (``q_above_below_rows``), and an element at n_th = 1
-    gets the on/off step's value, which -(p F + e M) with
-    F = -expm1(-rate_minus) and M = exp(-rate_plus) equals bit for bit.
+    The closures are Python floats in math arithmetic, for the scalar
+    searches: at n_th >= 2 one call runs ``q_thresh``'s partial-sum loop for
+    both rates and checks each rate in line, rate_minus first. The lockstep
+    searches step with ``_coarse_step`` over ``_flips`` instead, in numpy
+    arithmetic, whose np.exp may differ from math.exp in the last bit.
     """
-    thresholds = list(dict.fromkeys(n_th.tolist())) if isinstance(n_th, np.ndarray) else [n_th]
-    for t in thresholds:
-        if t == 1:
-            _check_count("n_th", t)
-        else:
-            q_thresh(0.0, t, model.resolution)
+    _check_thresholds(n_th, model)
     a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
+    # Python floats throughout, as q_thresh's float(x) gave them
+    a2n, cross_coef = float(a2n), float(cross_coef)
     eta, nu = float(model.eta), float(model.nu)
-    if isinstance(amplitude, np.ndarray):
-        exp, expm1 = np.exp, np.expm1
-    else:
-        # Python floats throughout, as q_thresh's float(x) gave them
-        a2n, cross_coef = float(a2n), float(cross_coef)
-        exp, expm1 = math.exp, math.expm1
+    exp, expm1 = math.exp, math.expm1
 
     def on_off(e_prev: float) -> Callable[[float], float]:
         p_prev = 1.0 - e_prev
@@ -294,29 +294,12 @@ def _step_objective(amplitude, n_copies: int, model: DetectorModel,
 
         return at
 
-    if thresholds == [1]:
+    if n_th == 1:
         return on_off
-    if isinstance(amplitude, np.ndarray):
-        flips = q_above_below_rows(n_th)
-
-        def threshold(e_prev: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            p_prev = 1.0 - e_prev
-
-            def at(beta: np.ndarray) -> np.ndarray:
-                base = a2n + beta * beta
-                cross = cross_coef * beta
-                false_flip, missed_flip = flips(eta * (base - cross) + nu,
-                                                eta * (base + cross) + nu)
-                return -(p_prev * false_flip + e_prev * missed_flip)
-
-            return at
-
-        return threshold
-
     inf = math.inf
     divisors = tuple(float(s) for s in range(1, n_th))
 
-    def float_threshold(e_prev: float) -> Callable[[float], float]:
+    def threshold(e_prev: float) -> Callable[[float], float]:
         p_prev = 1.0 - e_prev
 
         def at(beta: float) -> float:
@@ -340,16 +323,18 @@ def _step_objective(amplitude, n_copies: int, model: DetectorModel,
 
         return at
 
-    return float_threshold
+    return threshold
 
 
 def _coarse_step(e_prev, false_flip: np.ndarray, missed_flip: np.ndarray) -> np.ndarray:
-    """The step objective at e_prev on the coarse grid, from one threshold's table rows.
+    """The step objective at e_prev from flip probabilities: -(p F + e M) elementwise.
 
-    -(p F + e M) elementwise, each operation one IEEE operation as in the
-    objective, so the values equal it bit for bit, the sign of a zero
-    included. The scalar searches pass a float e_prev and one row, the
-    lockstep blocks an e_prev of shape (elements, 1) and one row each.
+    Each operation is one IEEE operation as in the objective, so the values
+    equal it bit for bit at equal F and M, the sign of a zero included. The
+    scalar searches pass a float e_prev and one threshold's ``_flip_tables``
+    row; the lockstep takes every value from it over ``_flips``, an e_prev
+    of shape (elements, 1) and one table row each in its coarse blocks, one
+    e_prev and one beta per element in its golden-section steps.
     """
     values = false_flip * (1.0 - e_prev)
     values += missed_flip * e_prev
@@ -488,12 +473,17 @@ def _hybrid_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float,
     return _result(alpha, *_threshold_scan(math.sqrt(tau) * alpha, cfg, e0, candidates), tau, z)
 
 
-def _flips(amplitude: np.ndarray, n_copies: int, model: DetectorModel, n_th,
-           beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, M) of the array step objective, element by element, at threshold n_th: one
-    threshold, or one per row in non-decreasing order (``q_above_below_rows``); beta
-    broadcasts against amplitude. The values equal the objective's flips bit for bit."""
-    return q_above_below_rows(n_th)(*_copy_rates(amplitude, n_copies, model, beta))
+def _flips(amplitude: np.ndarray, n_copies: int, model: DetectorModel,
+           n_th) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """beta -> (F, M) of the lockstep's step, element by element, at threshold n_th: one
+    threshold, or one per row (the first axis) in non-decreasing order; beta broadcasts against
+    amplitude. The thresholds are checked as in ``_step_objective``, and the threshold suffixes
+    (``q_above_below_rows``) and rate coefficients (``_copy_rates``) are formed once, for every
+    beta. The flips are ``q_thresh``'s in np.exp arithmetic, which may differ from math.exp in
+    the last bit."""
+    _check_thresholds(n_th, model)
+    flips, rates = q_above_below_rows(n_th), _copy_rates(amplitude, n_copies, model)
+    return lambda beta: flips(*rates(beta))
 
 
 def _hybrid_error_batch(
@@ -505,13 +495,13 @@ def _hybrid_error_batch(
     the copies' amplitude sqrt(tau) alpha.
     n_th holds the click threshold of each element, grouped in contiguous
     slices of non-decreasing threshold. The per-copy beta searches of all
-    elements, of every threshold, run in lockstep on the array step of
-    ``_step_objective``, whose flips come from one cumulative Poisson
-    pass per golden-section step. An element's coarse
-    beta grid depends on tau only, so the flip probabilities on it are
-    tabulated once per distinct (tau, n_th) of the round (``_flips``),
-    one row each; a block of elements reads its coarse rows with one
-    gather and forms its coarse values with ``_coarse_step``. The
+    elements, of every threshold, run in lockstep, and every value they
+    see is ``_coarse_step`` over ``_flips``: each golden-section step
+    takes the flips of all elements at their betas from one cumulative
+    Poisson pass. An element's coarse beta grid depends on tau only, so
+    the flip probabilities on it are tabulated once per distinct
+    (tau, n_th) of the round, one row each; a block of elements reads its
+    coarse rows with one gather. The
     lockstep values agree with the scalar recursion up to the last-bit
     differences between np.exp and math.exp, which the 1 - q0 tail of a
     threshold n_th >= 2 can raise to about 1e-16 absolute, so within each
@@ -531,7 +521,7 @@ def _hybrid_error_batch(
         bounds = [0, *(np.flatnonzero(n_th[1:] != n_th[:-1]) + 1).tolist(), tau.size]
         slices = [(lo, hi, int(n_th[lo])) for lo, hi in zip(bounds, bounds[1:])]
         amplitude = np.sqrt(tau) * alpha
-        step = _step_objective(amplitude, n, model, n_th)
+        flips = _flips(amplitude, n, model, n_th)
         beta_hi = _beta_hi(amplitude, n)
         # one table row per distinct tau of each slice; element k reads row rows[k]
         rows = np.empty(tau.size, dtype=np.intp)
@@ -544,15 +534,18 @@ def _hybrid_error_batch(
         amplitudes = np.sqrt(np.concatenate(taus))[:, None] * alpha
         grid = coarse_abscissae(0.0, _beta_hi(amplitudes, n), BETA_COARSE_POINTS)
         # one row per distinct (tau, n_th), one column per coarse grid index
-        false_table, missed_table = _flips(amplitudes, n, model, np.array(row_thresholds),
-                                           grid(indices))
+        false_table, missed_table = _flips(amplitudes, n, model,
+                                           np.array(row_thresholds))(grid(indices))
         errors = e0
         for _ in range(n):
+            def step(beta: np.ndarray) -> np.ndarray:
+                return _coarse_step(errors, *flips(beta))
+
             def coarse(block: slice) -> np.ndarray:  # element k reads row rows[k]
                 r = rows[block]
                 return _coarse_step(errors[block, None], false_table[r], missed_table[r])
 
-            _, negated = maximize_scalar_batch(step(errors), 0.0, beta_hi, BETA_COARSE_POINTS,
+            _, negated = maximize_scalar_batch(step, 0.0, beta_hi, BETA_COARSE_POINTS,
                                                BETA_TOL, coarse)
             errors = -negated
         values = -errors

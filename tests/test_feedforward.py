@@ -46,7 +46,7 @@ from bpskrx.optimize import (
     maximize_scalar,
     scan_discrete,
 )
-from bpskrx.photostatistics import DetectorModel, hl_sign_error, q_thresh
+from bpskrx.photostatistics import DetectorModel, hl_sign_error, q_above_below_rows, q_thresh
 
 IDEAL2 = DetectorModel(2)
 DARK2 = DetectorModel(2, nu=1e-3)
@@ -408,6 +408,25 @@ class TestBatchedSearch:
         got = (repr(p.tau), repr(p.z), p.n_th, tuple(repr(b) for b in p.betas), repr(result.p_err))
         assert got == expected
 
+    # two thresholds in one lockstep; the near-tie row also runs the settlement
+    @pytest.mark.parametrize("alpha2, n, model, expected", PINNED_HFFRE[2:4])
+    def test_lockstep_steps_without_the_float_objective(self, alpha2, n, model, expected,
+                                                        monkeypatch):
+        # every lockstep value is _coarse_step over _flips: the float step
+        # objective serves only the scalar recursions of the settlement and
+        # of the final replay, which the pinned row still reproduces
+        objective, scalar = feedforward._step_objective, []
+
+        def scalar_only(amplitude, *args):
+            if isinstance(amplitude, np.ndarray):
+                raise AssertionError("the lockstep called _step_objective")
+            scalar.append(amplitude)
+            return objective(amplitude, *args)
+
+        monkeypatch.setattr(feedforward, "_step_objective", scalar_only)
+        self.test_hffre_pinned_to_scalar_search(alpha2, n, model, expected)
+        assert scalar
+
     @pytest.mark.parametrize("m, expected", PINNED_HFFRE_HIGH_M)
     def test_hffre_pinned_above_m4(self, m, expected):
         result = hffre_error(1.0, cfg(1, DetectorModel(m, nu=1e-3), Receiver.HFFRE))
@@ -719,7 +738,8 @@ class TestSettlement:
 
 
 class TestStepRows:
-    """The lockstep step objective equals the one built from its flip probabilities."""
+    """The lockstep step, ``_coarse_step`` over ``_flips``, equals the step built from the
+    threshold kernel at the copy rates, and the float step's reference within the window."""
 
     @staticmethod
     def elements(n, model):
@@ -740,23 +760,48 @@ class TestStepRows:
         e = np.concatenate((e, np.resize([0.0, 1.0, 0.3], 1000), [0.0, 1.0, 0.5, -0.0]))
         return amplitude, beta, e
 
+    @staticmethod
+    def element_rates(amplitude, beta, n, model):
+        """(rate_minus, rate_plus) of each element, written out in the step's operations."""
+        base = amplitude * amplitude / n + beta * beta
+        cross = 2.0 * model.xi * amplitude / math.sqrt(n) * beta
+        return model.eta * (base - cross) + model.nu, model.eta * (base + cross) + model.nu
+
+    def assert_near_reference(self, values, amplitude, beta, e, n, model, n_th):
+        # element by element against the float step's reference, within the
+        # settlement window of one copy: np.exp and math.exp may differ in
+        # the last bit, which the 1 - q0 tail above n_th = 1 makes absolute.
+        # Rates rounded below 0 are skipped there, as q_thresh rejects them.
+        rate_minus, rate_plus = self.element_rates(amplitude, beta, n, model)
+        taken = np.broadcast_to(n_th, values.shape) == 1
+        taken |= (rate_minus >= 0.0) & (rate_plus >= 0.0)
+        for value, a, b, e_prev, t in zip(values[taken].tolist(), amplitude[taken].tolist(),
+                                          beta[taken].tolist(), e[taken].tolist(),
+                                          np.broadcast_to(n_th, values.shape)[taken].tolist()):
+            expected = reference_step_error(e_prev, a, n, model, t)(b)
+            window = (feedforward.BATCH_RTOL_PER_COPY * abs(expected)
+                      + (feedforward.BATCH_ATOL_PER_COPY if t > 1 else 0.0))
+            assert abs(value - expected) <= window, (a, b, e_prev, t)
+        assert taken[:3000].all()  # only nulled elements are skipped
+
     @pytest.mark.parametrize("model", [IDEAL2, DetectorModel(2, eta=0.7), DARK2,
                                        DetectorModel(2, xi=0.998)])
     @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("n_th", [1, 2])
     def test_step_equals_objective_of_flips(self, model, n, n_th):
         amplitude, beta, e = self.elements(n, model)
-        step = _step_objective(amplitude, n, model, n_th)
-        false_flip, missed_flip = _flips(amplitude, n, model, n_th, beta)
+        rate_minus, rate_plus = self.element_rates(amplitude, beta, n, model)
+        false_flip, missed_flip = q_above_below_rows(n_th)(rate_minus, rate_plus)
         expected = -((1.0 - e) * false_flip + e * missed_flip)
-        assert same_bits(step(e)(beta), expected)
+        flips = _flips(amplitude, n, model, n_th)(beta)
+        assert all(same_bits(got, want) for got, want in zip(flips, (false_flip, missed_flip)))
+        step = _coarse_step(e, *flips)
+        assert same_bits(step, expected)
+        self.assert_near_reference(step, amplitude, beta, e, n, model, n_th)
         if model.nu == 0.0 and model.xi == 1.0:
-            # the edge cases the rearranged n_th = 1 step must carry: a
-            # minus rate of exactly 0 and one below 0, a plus rate past
-            # exp's underflow
-            base = amplitude * amplitude / n + beta * beta
-            cross = 2.0 * amplitude / math.sqrt(n) * beta
-            assert (base - cross < 0.0).any() and (base - cross == 0.0).any()
+            # the edge cases the step must carry: a minus rate of exactly 0
+            # and one below 0, a plus rate past exp's underflow
+            assert (rate_minus < 0.0).any() and (rate_minus == 0.0).any()
             assert (missed_flip == 0.0).any()
 
     @pytest.mark.parametrize("model", [DARK2, DetectorModel(8, nu=1e-3),
@@ -768,11 +813,29 @@ class TestStepRows:
         # bits included: the on/off step at n_th = 1, the flips above it
         amplitude, beta, e = self.elements(n, model)
         n_th = np.sort(np.random.default_rng(n).integers(1, model.resolution + 1, beta.size))
-        together = _step_objective(amplitude, n, model, n_th)(e)(beta)
+        flips = _flips(amplitude, n, model, n_th)(beta)
+        together = _coarse_step(e, *flips)
         for t in range(1, model.resolution + 1):
             rows = n_th == t
-            alone = _step_objective(amplitude[rows], n, model, t)(e[rows])(beta[rows])
-            assert rows.any() and same_bits(together[rows], alone)
+            alone = _flips(amplitude[rows], n, model, t)(beta[rows])
+            assert rows.any()
+            assert all(same_bits(got[rows], want) for got, want in zip(flips, alone))
+            assert same_bits(together[rows], _coarse_step(e[rows], *alone))
+        self.assert_near_reference(together, amplitude, beta, e, n, model, n_th)
+
+    # (n_th, its first bad threshold): one threshold, or one per element
+    BAD_THRESHOLDS = [(0, 0), (3, 3), (True, True), (1.0, 1.0), (2.0, 2.0),
+                      (np.array([1, 3]), 3), (np.array([0, 2]), 0)]
+
+    @pytest.mark.parametrize("n_th, first", BAD_THRESHOLDS)
+    def test_flips_check_thresholds_as_the_float_step(self, n_th, first):
+        # the lockstep's kernel rejects a threshold before it is handed any
+        # beta, with the float step's message for the first bad one
+        with pytest.raises(ValueError) as expected:
+            _step_objective(1.0, 1, DARK2, first)
+        with pytest.raises(ValueError) as info:
+            _flips(np.array([0.5, 1.0]), 1, DARK2, n_th)
+        assert str(info.value) == str(expected.value)
 
     @pytest.mark.parametrize("model, n_th", [(IDEAL2, 1), (DARK2, 1), (DARK2, 2),
                                              (DetectorModel(2, xi=0.998), 1),
@@ -927,7 +990,8 @@ class TestCoarseTable:
         # order rate_minus[0], rate_plus[0], rate_minus[1], ...: the
         # second rate of the pair at index 1 is the first bad one
         for rates in ((x, y), (y, x)):
-            monkeypatch.setattr(feedforward, "_copy_rates", lambda *args, rates=rates: rates)
+            monkeypatch.setattr(feedforward, "_copy_rates",
+                                lambda *args, rates=rates: lambda beta: rates)
             with pytest.raises(ValueError) as info:
                 _flip_tables(1.0, 1, IDEAL2, 2, spec)
             assert str(info.value) == str(expected.value)

@@ -678,7 +678,7 @@ class TestThresholdKernel:
     @staticmethod
     def step_from_loop(amplitude, n, model, n_th, e_prev, beta):
         """The negated step error -(p q1(rate_minus) + e q0(rate_plus)) from the plain loop."""
-        x, y = _copy_rates(amplitude, n, model, beta)
+        x, y = _copy_rates(amplitude, n, model)(beta)
         return -((1.0 - e_prev) * term_by_term_q_thresh(x, n_th)[1]
                  + e_prev * term_by_term_q_thresh(y, n_th)[0])
 
@@ -704,7 +704,7 @@ class TestThresholdKernel:
                                  self.step_from_loop(*args, n_th, e_prev, beta)), case
 
     def test_step_cases_reach_underflow_and_clamp(self):
-        pairs = [_copy_rates(*args, beta) for *args, beta in self.STEP_CASES]
+        pairs = [_copy_rates(*args)(beta) for *args, beta in self.STEP_CASES]
         assert max(plus for _, plus in pairs) > 746.0 and math.exp(-746.0) == 0.0
         assert pairs[0] == (0.0450768100853598,) * 2  # clamped at n_th = 9
         # each displaced case sets rate_minus apart from rate_plus, some by 1000-fold
