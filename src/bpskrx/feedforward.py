@@ -50,6 +50,7 @@ from .baselines import helstrom_bound, sql_error
 from .optimize import (
     GridSearchSpec,
     ScalarSearchSpec,
+    _checked,
     coarse_abscissae,
     maximize_grid_searches,
     maximize_scalar,
@@ -164,6 +165,12 @@ def _check_beta(beta: float) -> float:
     return float(beta)
 
 
+def _check_tau(tau: float) -> None:
+    """The rule of every tap transmissivity tau: in [0, 1]."""
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError(f"tau must be in [0, 1], got {tau!r}")
+
+
 def step_rates(beta: float, amplitude: float, n_copies: int, xi: float = 1.0) -> StepRates:
     """Rates of one displaced copy: amplitude^2/N + beta^2 +- 2 xi beta amplitude / sqrt(N).
 
@@ -220,17 +227,13 @@ def _flip_tables(amplitude: float, n_copies: int, model: DetectorModel, resoluti
     Poisson terms, the term recurrence of ``_pnr_rows`` summed in the
     order of ``q_thresh``, clamped to 1: the values equal the objective's
     flips bit for bit. Row 0 is the on/off pair (-expm1(-rate_minus),
-    exp(-rate_plus)), unclamped, which takes a rate rounded below 0 at a
-    nulling displacement; at resolution 1 it is the whole table. With rows
-    above it, the first bad rate in the order rate_minus[0], rate_plus[0],
-    rate_minus[1], ... raises ``q_thresh``'s ValueError.
+    exp(-rate_plus)), unclamped; at resolution 1 it is the whole table.
+    The rates are the recursion's own and are taken as given, as the
+    objective takes them: a rate rounded below 0 at a nulling displacement
+    gives its flips at every threshold, and a NaN rate a NaN flip, which
+    the search rejects as a non-finite value at its abscissa.
     """
     rates = np.stack(_copy_rates(amplitude, n_copies, model)(np.array(spec.coarse_grid())))
-    if resolution > 1:
-        pairs = rates.T.ravel()
-        bad = ~((pairs >= 0.0) & (pairs < math.inf))
-        if bad.any():
-            _check_rate(float(pairs[np.argmax(bad)]))
     size = rates.shape[1]
     false_flip = np.empty((resolution, size))
     false_flip[0] = -np.fromiter(map(math.expm1, (-rates[0]).tolist()), float, size)
@@ -247,16 +250,6 @@ def _flip_tables(amplitude: float, n_copies: int, model: DetectorModel, resoluti
     return false_flip, below[:, 1]
 
 
-def _check_thresholds(n_th, model: DetectorModel) -> None:
-    """Each threshold of n_th (one, or an array of them) checked as q_thresh checks it
-    (1.0 and True are no thresholds)."""
-    for t in dict.fromkeys(n_th.tolist()) if isinstance(n_th, np.ndarray) else (n_th,):
-        if t == 1:
-            _check_count("n_th", t)
-        else:
-            q_thresh(0.0, t, model.resolution)
-
-
 def _step_objective(amplitude: float, n_copies: int, model: DetectorModel,
                     n_th: int) -> Callable[[float], Callable[[float], float]]:
     """The recursion's one step, negated, as a function of the error it starts from.
@@ -265,15 +258,17 @@ def _step_objective(amplitude: float, n_copies: int, model: DetectorModel,
     the error after one more copy displaced by beta, with F = Q1(rate_minus)
     and M = Q0(rate_plus) as in ``_flip_tables``. It is negated so the
     maximizers can be reused for minimization. The threshold is checked
-    here, as q_thresh checks it.
+    here, by q_thresh itself; the rates, which the step computes, are taken
+    as given.
 
     The closures are Python floats in math arithmetic, for the scalar
     searches: at n_th >= 2 one call runs ``q_thresh``'s partial-sum loop for
-    both rates and checks each rate in line, rate_minus first. The lockstep
-    searches step with ``_coarse_step`` over ``_flips`` instead, in numpy
-    arithmetic, whose np.exp may differ from math.exp in the last bit.
+    both rates, with a clamp to 1 that lets a NaN through, so a NaN rate
+    gives a NaN value, which the searches and ``_error_trace`` reject. The
+    lockstep searches step with ``_coarse_step`` over ``_flips`` instead, in
+    numpy arithmetic, whose np.exp may differ from math.exp in the last bit.
     """
-    _check_thresholds(n_th, model)
+    q_thresh(0.0, n_th, model.resolution)  # its check of the threshold
     a2n, cross_coef = _rate_coefficients(amplitude, n_copies, model)
     # Python floats throughout, as q_thresh's float(x) gave them
     a2n, cross_coef = float(a2n), float(cross_coef)
@@ -296,7 +291,6 @@ def _step_objective(amplitude: float, n_copies: int, model: DetectorModel,
 
     if n_th == 1:
         return on_off
-    inf = math.inf
     divisors = tuple(float(s) for s in range(1, n_th))
 
     def threshold(e_prev: float) -> Callable[[float], float]:
@@ -307,9 +301,6 @@ def _step_objective(amplitude: float, n_copies: int, model: DetectorModel,
             cross = cross_coef * beta
             x = eta * (base - cross) + nu
             y = eta * (base + cross) + nu
-            if not (0.0 <= x < inf and 0.0 <= y < inf):
-                _check_rate(x)
-                _check_rate(y)
             # q_thresh's partial sums at x and at y in one loop, clamped to 1
             term_x = below_x = exp(-x)
             term_y = below_y = exp(-y)
@@ -318,8 +309,9 @@ def _step_objective(amplitude: float, n_copies: int, model: DetectorModel,
                 below_x += term_x
                 term_y *= y / divisor
                 below_y += term_y
-            return -(p_prev * (1.0 - (below_x if below_x < 1.0 else 1.0))
-                     + e_prev * (below_y if below_y < 1.0 else 1.0))
+            # clamped as q_thresh clamps, except that a NaN passes
+            return -(p_prev * (1.0 - (1.0 if below_x > 1.0 else below_x))
+                     + e_prev * (1.0 if below_y > 1.0 else below_y))
 
         return at
 
@@ -343,12 +335,17 @@ def _coarse_step(e_prev, false_flip: np.ndarray, missed_flip: np.ndarray) -> np.
 
 def _error_trace(e_initial: float, betas: Sequence[float], amplitude: float, n_copies: int,
                  model: DetectorModel, n_th: int) -> list[float]:
-    """Error trace e_0..e_N of the recursion's step at fixed displacements."""
+    """Error trace e_0..e_N of the recursion's step at fixed displacements.
+
+    Each step's value is checked as the searches check it: the first that
+    is not finite (a NaN rate, where the rates overflow) raises a
+    ValueError naming its displacement, at every threshold.
+    """
     amplitude = _check_rate(amplitude, "amplitude")
     step = _step_objective(amplitude, n_copies, model, n_th)
     errors = [e_initial]
     for beta in betas:
-        errors.append(-step(errors[-1])(_check_beta(beta)))
+        errors.append(-_checked(step(errors[-1]), _check_beta(beta), "beta"))
     return errors
 
 
@@ -477,11 +474,10 @@ def _flips(amplitude: np.ndarray, n_copies: int, model: DetectorModel,
            n_th) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """beta -> (F, M) of the lockstep's step, element by element, at threshold n_th: one
     threshold, or one per row (the first axis) in non-decreasing order; beta broadcasts against
-    amplitude. The thresholds are checked as in ``_step_objective``, and the threshold suffixes
-    (``q_above_below_rows``) and rate coefficients (``_copy_rates``) are formed once, for every
-    beta. The flips are ``q_thresh``'s in np.exp arithmetic, which may differ from math.exp in
-    the last bit."""
-    _check_thresholds(n_th, model)
+    amplitude. The thresholds come from ``_threshold_candidates`` and the rates from the
+    recursion, so both are taken as given. The threshold suffixes (``q_above_below_rows``) and
+    rate coefficients (``_copy_rates``) are formed once, for every beta. The flips are
+    ``q_thresh``'s in np.exp arithmetic, which may differ from math.exp in the last bit."""
     flips, rates = q_above_below_rows(n_th), _copy_rates(amplitude, n_copies, model)
     return lambda beta: flips(*rates(beta))
 
@@ -670,8 +666,7 @@ def hffre_error_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float) -
     alpha = _check_rate(alpha, "alpha")
     if cfg.receiver is not Receiver.HFFRE:
         raise ValueError("cfg.receiver must be Receiver.HFFRE")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau!r}")
+    _check_tau(tau)
     z = _check_rate(z, "z")
     if alpha == 0.0:
         return _result(0.0, [0.5] * (cfg.n_copies + 1), (0.0,) * cfg.n_copies)

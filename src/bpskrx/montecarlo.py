@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .feedforward import FeedForwardConfig, Receiver, ReceiverParams
+from .feedforward import FeedForwardConfig, Receiver, ReceiverParams, _check_tau
 from .photostatistics import _check_count, _check_rate
 
 __all__ = [
@@ -115,8 +115,7 @@ def _check_params(params: ReceiverParams, cfg: FeedForwardConfig) -> None:
         )
     resolution = cfg.model.resolution
     _check_count("n_th", params.n_th, 1, resolution)
-    if not 0.0 <= params.tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {params.tau}")
+    _check_tau(params.tau)
     _check_rate(params.z, "z")
     for j, beta in enumerate(params.betas):
         _check_rate(beta, f"betas[{j}]")

@@ -11,7 +11,14 @@ import pytest
 from scipy.stats import chi2
 
 from bpskrx import montecarlo
-from bpskrx.feedforward import FeedForwardConfig, Receiver, ReceiverParams, dffre_error, hffre_error
+from bpskrx.feedforward import (
+    FeedForwardConfig,
+    Receiver,
+    ReceiverParams,
+    dffre_error,
+    hffre_error,
+    hffre_error_at,
+)
 from bpskrx.montecarlo import (
     BATCH_SIZE,
     RngSpec,
@@ -184,6 +191,19 @@ class TestEstimateError:
             estimate_error(1.0, params, hffre_cfg(1), 10_000, RngSpec(1))
         with pytest.raises(ValueError, match=r"betas\[0\]"):
             simulate_trial(1.0, params, hffre_cfg(1), RngSpec(1).generator())
+
+    @pytest.mark.parametrize("tau", [-0.1, 1.5, math.nan, np.float64(1.5)])
+    def test_invalid_tau_rejected_as_by_the_recursion(self, tau):
+        # one tau rule, one message, for the simulation and the HFFRE at a
+        # fixed tap; a numpy tau is reported by its repr, as a beta is
+        message = f"tau must be in [0, 1], got {tau!r}"
+        params = ReceiverParams(tau=tau, z=1.0, betas=(1.0,), n_th=1)
+        for run in (lambda: estimate_error(1.0, params, hffre_cfg(1), 10_000, RngSpec(1)),
+                    lambda: simulate_trial(1.0, params, hffre_cfg(1), RngSpec(1).generator()),
+                    lambda: hffre_error_at(1.0, hffre_cfg(1), tau, 1.0)):
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("n_th", [1.5, 2.0])
     def test_fractional_threshold_rejected(self, n_th):

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bpskrx.feedforward as feedforward
 from bpskrx.feedforward import (
     _copy_rates,
     _step_objective,
     correct_probability_trace,
     step_correct_prob,
+    step_rates,
 )
 from bpskrx.photostatistics import (
     HL_MAX_STEPS,
@@ -729,49 +729,33 @@ class TestThresholdKernel:
     def test_q_thresh_raises_rate_error(self, x):
         assert raised(q_thresh, x, 3) == f"x must be finite and >= 0, got {x!r}"
 
-    # (a2n, cross_coef) of an ideal copy at beta = 1, whose rates are
-    # (a2n + 1) -+ cross_coef, and the first bad rate, rate_minus first
-    BAD_COEFFICIENTS = [((-1.0, 1.0), -1.0), ((-1.0, -1.0), -1.0), ((-1.0, 5e-324), -5e-324),
-                        ((-1.0, math.inf), -math.inf), ((-1.0, -math.inf), math.inf),
-                        ((math.inf, math.inf), math.nan), ((math.inf, -math.inf), math.inf),
-                        ((math.nan, 0.0), math.nan)]
+    # (p_prev, beta, amplitude, n_copies, model) where a²/N and 2aβ/√N
+    # both overflow, so the minus rate is inf - inf (a NaN amplitude is
+    # rejected as an amplitude, a NaN or infinite beta as a beta)
+    OVERFLOWING = (0.5, 1e200, 1e200, 1, DetectorModel(2, nu=1e-3))
 
-    @pytest.mark.parametrize("coefficients, first", BAD_COEFFICIENTS)
-    @pytest.mark.parametrize("n_th", [2, 3])
-    def test_step_raises_q_thresh_error_of_first_bad_rate(self, coefficients, first, n_th,
-                                                          monkeypatch):
-        a2n, cross_coef = coefficients
-        rates = (a2n + 1.0) - cross_coef, (a2n + 1.0) + cross_coef
-        bad = [r for r in rates if not 0.0 <= r < math.inf]
-        message = raised(q_thresh, first, n_th)
-        assert raised(q_thresh, bad[0], n_th) == message
-        if len(bad) == 2 and repr(bad[0]) != repr(bad[1]):
-            # both rates are bad, and only rate_minus's message is this one
-            assert raised(q_thresh, bad[1], n_th) != message
-        monkeypatch.setattr(feedforward, "_rate_coefficients", lambda *args: coefficients)
-        step = _step_objective(1.0, 1, DetectorModel(3), n_th)
-        assert raised(step(0.5), 1.0) == message
-
-    # (p_prev, beta, amplitude, n_copies, model): the rates are NaN (a NaN
-    # amplitude is rejected as an amplitude, a NaN or infinite beta as a
-    # beta), or
-    # a²/N + β² - 2aβ/√N cancels below 0 in rounding
-    BAD_RATES = [
-        # a²/N and 2aβ/√N both overflow: the minus rate is inf - inf
-        ((0.5, 1e200, 1e200, 1, DetectorModel(2, nu=1e-3)), math.nan),
-        ((0.5, 1.5367617524113883, 1.5367617525666288, 1, DetectorModel(2)),
-         -8.881784197001252e-16),
-    ]
-
-    @pytest.mark.parametrize("args, rate", BAD_RATES, ids=["nan", "negative"])
-    def test_recursion_raises_q_thresh_error(self, args, rate):
-        message = raised(q_thresh, rate, 2)
-        assert raised(step_correct_prob, *args, n_th=2) == message
-        p_prev, beta, amplitude, _, model = args
-        assert raised(correct_probability_trace, 1.0, [beta], model, n_th=2,
+    @pytest.mark.parametrize("n_th", [1, 2])
+    def test_recursion_raises_non_finite_error(self, n_th):
+        # the searches' rule, naming the displacement, at every threshold
+        message = "objective returned non-finite value nan at beta = 1e+200"
+        p_prev, beta, amplitude, _, model = self.OVERFLOWING
+        assert raised(step_correct_prob, *self.OVERFLOWING, n_th=n_th) == message
+        assert raised(correct_probability_trace, 1.0, [beta], model, n_th=n_th,
                       p_initial=p_prev, amplitude=amplitude) == message
 
-    @pytest.mark.parametrize("n_th", [0, -1, 3, 9, 1.0, 2.0, None])
+    def test_recursion_takes_rate_rounded_below_zero(self):
+        # a²/N + β² - 2aβ/√N cancels to -8.9e-16 at this near-nulling β:
+        # the step takes the recursion's rate as given, and at n_th = 2 its
+        # partial sum clamps to 1, so only the missed flip is left
+        beta, amplitude = 1.5367617524113883, 1.5367617525666288
+        rates = step_rates(beta, amplitude, 1)
+        assert rates.lambda_minus == -8.881784197001252e-16
+        expected = 1.0 - 0.5 * q_thresh(rates.lambda_plus, 2)[0]
+        assert step_correct_prob(0.5, beta, amplitude, 1, IDEAL2, n_th=2) == expected
+        assert correct_probability_trace(1.0, [beta], IDEAL2, n_th=2,
+                                         amplitude=amplitude) == (0.5, expected)
+
+    @pytest.mark.parametrize("n_th", [0, -1, 3, 9, 1.0, 2.0, None, True, np.True_, np.int64(3)])
     def test_recursion_raises_threshold_error(self, n_th):
         model = DetectorModel(2, nu=1e-3)
         message = raised(q_thresh, 0.0, n_th, 2)
