@@ -158,10 +158,10 @@ class StepRates(NamedTuple):
     lambda_minus: float
 
 
-def _check_beta(beta: float) -> float:
-    """beta as a float, if it is >= 0 and finite: the rule of every displacement of the step."""
+def _check_beta(beta: float, name: str = "beta") -> float:
+    """beta as a float, if it is >= 0 and finite: the rule of every displacement, named ``name``."""
     if not 0.0 <= beta < math.inf:
-        raise ValueError(f"beta must be >= 0 and finite, got {beta!r}")
+        raise ValueError(f"{name} must be >= 0 and finite, got {beta!r}")
     return float(beta)
 
 
@@ -274,6 +274,8 @@ def _step_objective(amplitude: float, n_copies: int, model: DetectorModel,
     a2n, cross_coef = float(a2n), float(cross_coef)
     eta, nu = float(model.eta), float(model.nu)
     exp, expm1 = math.exp, math.expm1
+    # Both closures write out _copy_rates' formula, its only other copy: a call
+    # per beta made millisecond DFFRE points 6-16% slower
 
     def on_off(e_prev: float) -> Callable[[float], float]:
         p_prev = 1.0 - e_prev

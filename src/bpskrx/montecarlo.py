@@ -6,8 +6,8 @@ switch position, then each copy is displaced with the sign given by the
 switch, a PNR(M) count is drawn, and the switch flips whenever the count
 reaches the click threshold. The final switch position is the decision.
 
-Imperfections are applied at the rate level (eta * rate + nu, visibility
-in the interference cross terms), exactly mirroring the analytic model,
+Imperfections are applied at the rate level, at the analytic model's
+own rates (``feedforward._copy_rates``, ``photostatistics._hl_rates``),
 so a discrepancy between simulation and recursion isolates a recursion
 error rather than a modeling difference.
 
@@ -49,8 +49,9 @@ from typing import Callable
 
 import numpy as np
 
-from .feedforward import FeedForwardConfig, Receiver, ReceiverParams, _check_tau
-from .photostatistics import _check_count, _check_rate
+from .feedforward import (FeedForwardConfig, Receiver, ReceiverParams, _check_beta, _check_tau,
+                          _copy_rates, _tap_amplitude)
+from .photostatistics import _check_count, _check_rate, _hl_rates
 
 __all__ = [
     "RngSpec",
@@ -118,15 +119,7 @@ def _check_params(params: ReceiverParams, cfg: FeedForwardConfig) -> None:
     _check_tau(params.tau)
     _check_rate(params.z, "z")
     for j, beta in enumerate(params.betas):
-        _check_rate(beta, f"betas[{j}]")
-
-
-def _rate(eta: float, mean: float, nu: float) -> float:
-    """Detector rate eta * mean + nu, clamped at 0 (NaN passes through).
-
-    A nulled mean c^2 + beta^2 - 2 xi c beta can round to about -1e-15.
-    """
-    return max(eta * mean + nu, 0.0)
+        _check_beta(beta, f"betas[{j}]")
 
 
 def _simulate_batch(
@@ -139,6 +132,9 @@ def _simulate_batch(
 ):
     """Vectorized trial batch; returns (n_errors, detail arrays or None).
 
+    The rates are ``_hl_rates`` at ``_tap_amplitude(alpha, tau)`` and
+    ``_copy_rates(c, 1, model)`` at each beta, clamped at 0 (NaN passes).
+
     Each stage (the hypotheses, each HL detector, each copy) is drawn over
     consecutive chunks of CHUNK trials through one chunk-sized rate buffer
     and one flag buffer. Across the batch only the booleans ``plus`` and
@@ -150,7 +146,6 @@ def _simulate_batch(
     """
     model = cfg.model
     resolution = model.resolution
-    eta, nu, xi = model.eta, model.nu, model.xi
     rate = np.empty(min(CHUNK, n_trials))
     flag = np.empty(min(CHUNK, n_trials), dtype=bool)
     chunks = []  # (trial slice, rate view, flag view) of each chunk
@@ -170,14 +165,11 @@ def _simulate_batch(
     switch = np.zeros(n_trials, dtype=bool)
     delta = None
     if cfg.receiver is Receiver.HFFRE:
-        tau, z = params.tau, params.z
-        reflected = math.sqrt(max(0.0, 1.0 - tau)) * alpha
-        base = reflected * reflected + z * z
-        cross = 2.0 * xi * z * reflected
+        # a Python float, as c is: numpy scalars would warn where a rate overflows
+        reflected = float(_tap_amplitude(alpha, params.tau))
         # The reflected "+alpha" interferes destructively at the first
         # detector, "-alpha" at the second.
-        low = _rate(eta * 0.5, base - cross, nu)
-        high = _rate(eta * 0.5, base + cross, nu)
+        high, low = (max(rate, 0.0) for rate in _hl_rates(reflected, params.z, model))
         n = np.empty(n_trials, dtype=np.min_scalar_type(resolution))
         if collect:
             delta = np.empty(n_trials, dtype=np.int64)
@@ -197,19 +189,18 @@ def _simulate_batch(
                 np.subtract(n[trials], m, out=delta[trials])
             del m
         del n
-        amplitude = math.sqrt(tau) * alpha
+        amplitude = math.sqrt(params.tau) * alpha
     else:
         amplitude = alpha
 
-    c = amplitude / math.sqrt(cfg.n_copies)
+    # one copy of amplitude c, whose c^2 can differ from amplitude^2 / N in the last bit
+    copy_rates = _copy_rates(amplitude / math.sqrt(cfg.n_copies), 1, model)
     counts_log = np.empty((cfg.n_copies, n_trials), dtype=np.int64) if collect else None
     switch_log = np.empty((cfg.n_copies, n_trials), dtype=np.int64) if collect else None
     for j, beta in enumerate(params.betas):
         # The displacement adds to the signal when the switch points away
         # from the sent state, and nulls it otherwise.
-        base = c * c + beta * beta
-        cross = 2.0 * xi * c * beta
-        nulled, added = _rate(eta, base - cross, nu), _rate(eta, base + cross, nu)
+        nulled, added = (max(rate, 0.0) for rate in copy_rates(beta))
         for trials, r, f in chunks:
             np.not_equal(switch[trials], plus[trials], out=f)
             r.fill(nulled)

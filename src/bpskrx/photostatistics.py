@@ -163,18 +163,25 @@ def pnr_pmf(mu: float, resolution: int) -> np.ndarray:
 def branch_means(zeta: float, z: float, xi: float = 1.0) -> BranchMeans:
     """Mean photon numbers of the two HL outputs for signal amplitude zeta.
 
-    mu_pm = (zeta^2 + z^2 +- 2 xi z zeta) / 2. With xi = 1 this is exactly
-    |zeta +- z|^2 / 2 for the balanced beam splitter; xi < 1 models the
-    mode mismatch between signal and local oscillator.
+    mu_pm = (zeta^2 + z^2 +- 2 xi z zeta) / 2, ``_hl_rates`` at eta = 1 and nu = 0.
+    With xi = 1 this is exactly |zeta +- z|^2 / 2 for the balanced beam
+    splitter; xi < 1 models the mode mismatch between signal and local oscillator.
     """
     zeta = _check_finite("zeta", zeta)
     z = _check_finite("z", z)
     if z < 0.0:
         raise ValueError(f"z must be >= 0, got {z!r}")
-    DetectorModel(1, xi=xi)  # its check of xi
-    base = zeta * zeta + z * z
-    cross = 2.0 * xi * z * zeta
-    return BranchMeans(0.5 * (base + cross), 0.5 * (base - cross))
+    return BranchMeans(*_hl_rates(zeta, z, DetectorModel(1, xi=xi)))  # the model checks xi
+
+
+def _hl_rates(reflected, z, model: DetectorModel):
+    """(rate_plus, rate_minus) of the two HL detectors, eta (r^2 + z^2 +- 2 xi z r) / 2 + nu,
+    at signal amplitude r = reflected and local oscillator z; floats or arrays, unchecked.
+    The HL stage's one rate formula, for the kernels and the Monte Carlo alike."""
+    base = reflected * reflected + z * z
+    cross = 2.0 * model.xi * z * reflected
+    return (model.eta * (0.5 * (base + cross)) + model.nu,
+            model.eta * (0.5 * (base - cross)) + model.nu)
 
 
 def hl_difference_pmf(zeta: float, z: float, model: DetectorModel) -> DifferencePmf:
@@ -253,7 +260,8 @@ def _hl_sign_terms(reflected: np.ndarray, z: np.ndarray, model: DetectorModel,
                    slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """(e0, de0/dz) of ``hl_sign_error`` at every element, in O(M) per element; z unchecked.
 
-    With C+[n] = sum_(m <= n) p+[m] and T-[n] = sum_(m > n) p-[m],
+    p+ and p- are the PNR PMFs at the two ``_hl_rates``. With
+    C+[n] = sum_(m <= n) p+[m] and T-[n] = sum_(m > n) p-[m],
 
         e0 = 0.5 * [ sum_n p-[n] C+[n] + sum_(n < M) p+[n] T-[n] ],
 
@@ -269,12 +277,10 @@ def _hl_sign_terms(reflected: np.ndarray, z: np.ndarray, model: DetectorModel,
     S = sum_(n<M) p+[n] p-[n] and mu+-' = eta (z +- xi reflected).
     Without it the second entry is None.
     """
-    base = reflected * reflected + z * z
-    cross = 2.0 * model.xi * z * reflected
-    m, size = model.resolution, base.size
+    m = model.resolution
     # p+ and p- from one call: each row of _pnr_rows depends on its rate alone
-    p = _pnr_rows(model.eta * (0.5 * np.concatenate((base + cross, base - cross))) + model.nu, m)
-    p_plus, p_minus = p[:size], p[size:]
+    rates = np.concatenate(_hl_rates(reflected, z, model))
+    p_plus, p_minus = _pnr_rows(rates, m).reshape(2, -1, m + 1)
     at_or_below_plus = np.cumsum(p_plus, axis=1)
     above_minus = np.cumsum(p_minus[:, :0:-1], axis=1)[:, ::-1]  # T-[n] for n < M
     e0 = 0.5 * ((p_minus * at_or_below_plus).sum(axis=1)        # "+alpha": Delta >= 0

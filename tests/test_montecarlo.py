@@ -15,6 +15,9 @@ from bpskrx.feedforward import (
     FeedForwardConfig,
     Receiver,
     ReceiverParams,
+    _copy_rates,
+    _tap_amplitude,
+    correct_probability_trace,
     dffre_error,
     hffre_error,
     hffre_error_at,
@@ -28,7 +31,7 @@ from bpskrx.montecarlo import (
     sample_pnr,
     simulate_trial,
 )
-from bpskrx.photostatistics import DetectorModel, pnr_pmf
+from bpskrx.photostatistics import DetectorModel, _hl_rates, pnr_pmf
 
 IDEAL2 = DetectorModel(2)
 
@@ -449,6 +452,55 @@ class TestChunkedBatch:
         for array, reference in zip(got[1], want[1]):
             assert (array is None and reference is None) or np.array_equal(array, reference)
         assert _simulate_batch(alpha, params, cfg, spec.generator(), n_trials)[0] == want[0]
+
+
+class TestDrawsAtAnalyticRates:
+    # The simulation draws at the analytic layers' own rates: the HL detectors
+    # at _hl_rates of the tap's reflected amplitude, each copy at _copy_rates
+    # of one copy of amplitude c = amplitude / sqrt(N), each clamped at 0. So a
+    # change to either formula reaches the simulation by construction.
+    @pytest.mark.parametrize("index", range(len(STREAM_PINS)))
+    def test_every_poisson_rate(self, index):
+        receiver, n, model, n_th, alpha, betas, _ = STREAM_PINS[index]
+        tau, z = (1.0, 0.0) if receiver == "DFFRE" else (0.9, 1.1)
+        params = ReceiverParams(tau=tau, z=z, betas=betas, n_th=n_th)
+        cfg = FeedForwardConfig(n, model, Receiver[receiver])
+        n_trials = montecarlo.CHUNK + 977
+        rng = RecordingRng(RngSpec(1000 + index).generator())
+        _simulate_batch(alpha, params, cfg, rng, n_trials)
+
+        stages = []  # the rate pair of each stage, in the order drawn
+        if receiver == "HFFRE":
+            pair = _hl_rates(_tap_amplitude(alpha, tau), z, model)
+            stages += [pair, pair]
+            amplitude = math.sqrt(tau) * alpha
+        else:
+            amplitude = alpha
+        copy_rates = _copy_rates(amplitude / math.sqrt(n), 1, model)
+        stages += [copy_rates(beta) for beta in betas]
+        draws = [call[1] for call in rng.calls if call[0] == "poisson"]
+        per_stage = -(-n_trials // montecarlo.CHUNK)
+        assert len(draws) == per_stage * len(stages)
+        for k, lam in enumerate(draws):
+            allowed = {max(float(rate), 0.0) for rate in stages[k // per_stage]}
+            assert set(np.unique(lam).tolist()) <= allowed
+
+
+class TestBetaRule:
+    # One beta rule, feedforward._check_beta, for the simulation and the
+    # recursion; the simulation names the beta by its index.
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf, np.float64(-1.0)],
+                             ids=["-1.0", "nan", "inf", "np.float64(-1.0)"])
+    def test_one_rule_one_message(self, beta):
+        params = ReceiverParams(tau=0.5, z=1.0, betas=(beta,), n_th=1)
+        for run, name in (
+                (lambda: estimate_error(1.0, params, hffre_cfg(1), 10_000, RngSpec(1)), "betas[0]"),
+                (lambda: simulate_trial(1.0, params, hffre_cfg(1), RngSpec(1).generator()),
+                 "betas[0]"),
+                (lambda: correct_probability_trace(1.0, (beta,), IDEAL2), "beta")):
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == f"{name} must be >= 0 and finite, got {beta!r}"
 
 
 class TestBatchMemory:
