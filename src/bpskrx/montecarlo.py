@@ -15,8 +15,12 @@ Each copy's rate takes one of two values, eta (c^2 + beta^2 +- 2 xi c beta)
 + nu with c = amplitude / sqrt(N): the plus sign when the switch points
 away from the sent state. Both are computed once per copy as scalars and
 clamped at 0, since the nulled one can round to about -1e-15 at high
-energy; a boolean per trial picks between them. The two rates of each
-HL detector are chosen the same way by the hypothesis.
+energy (NaN and inf pass, and ``rng.poisson`` rejects them). A boolean
+per trial picks between them: viewed as uint8, it indexes the two-entry
+array of rates in one ``np.take`` into the chunk's rate buffer. The take
+uses ``mode="clip"``: with ``out=``, the default ``"raise"`` goes through
+a buffered path about 5x slower, and indices of 0 and 1 never clip. The
+two rates of each HL detector are picked the same way by the hypothesis.
 
 Reproducibility: every estimate is fully determined by an RngSpec
 (seed, stream_id). Trials are processed in fixed-size batches
@@ -34,9 +38,9 @@ Concurrency: ``estimate_error`` runs its batches on min(number of
 batches, usable CPUs) threads, the calling thread among them, and joins
 them all before it returns; usable CPUs are the process's affinity mask
 where the platform has one, else ``os.cpu_count()``. The Poisson draws,
-most of a batch's time, release the GIL. A batch of BATCH_SIZE trials
-peaks at about 1.0 MiB (DFFRE) to 1.3 MiB (HFFRE) of traced memory, so
-each extra thread adds about that much.
+about 86% of a batch's time on one CPU, release the GIL. A batch of
+BATCH_SIZE trials peaks at about 1.0 MiB (DFFRE) to 1.3 MiB (HFFRE) of
+traced memory, so each extra thread adds about that much.
 """
 
 from __future__ import annotations
@@ -134,6 +138,11 @@ def _simulate_batch(
 
     The rates are ``_hl_rates`` at ``_tap_amplitude(alpha, tau)`` and
     ``_copy_rates(c, 1, model)`` at each beta, clamped at 0 (NaN passes).
+    Each stage fills its chunk's rate buffer with one ``np.take`` from the
+    stage's two rates, indexed by a boolean per trial viewed as uint8:
+    ``plus`` for the HL detectors, ``switch != plus`` for a copy.
+    ``mode="clip"`` keeps the take off the buffered path that the default
+    ``"raise"`` takes with ``out=`` (about 5x slower); 0 and 1 never clip.
 
     Each stage (the hypotheses, each HL detector, each copy) is drawn over
     consecutive chunks of CHUNK trials through one chunk-sized rate buffer
@@ -173,15 +182,15 @@ def _simulate_batch(
         n = np.empty(n_trials, dtype=np.min_scalar_type(resolution))
         if collect:
             delta = np.empty(n_trials, dtype=np.int64)
+        pair = np.array((high, low))
         for trials, r, _ in chunks:
-            r.fill(high)
-            np.copyto(r, low, where=plus[trials])
+            np.take(pair, plus[trials].view(np.uint8), out=r, mode="clip")
             counts = rng.poisson(r)
             n[trials] = np.minimum(counts, resolution, out=counts)
             del counts
+        pair = np.array((low, high))
         for trials, r, _ in chunks:
-            r.fill(low)
-            np.copyto(r, high, where=plus[trials])
+            np.take(pair, plus[trials].view(np.uint8), out=r, mode="clip")
             m = rng.poisson(r)
             np.minimum(m, resolution, out=m)
             np.less(n[trials], m, out=switch[trials])  # delta < 0
@@ -200,11 +209,10 @@ def _simulate_batch(
     for j, beta in enumerate(params.betas):
         # The displacement adds to the signal when the switch points away
         # from the sent state, and nulls it otherwise.
-        nulled, added = (max(rate, 0.0) for rate in copy_rates(beta))
+        pair = np.array([max(rate, 0.0) for rate in copy_rates(beta)])  # (nulled, added)
         for trials, r, f in chunks:
             np.not_equal(switch[trials], plus[trials], out=f)
-            r.fill(nulled)
-            np.copyto(r, added, where=f)
+            np.take(pair, f.view(np.uint8), out=r, mode="clip")
             # Unclipped counts: with n_th <= M, min(count, M) >= n_th iff count >= n_th.
             counts = rng.poisson(r)
             switch[trials] ^= np.greater_equal(counts, params.n_th, out=f)
@@ -300,6 +308,12 @@ def estimate_error(
     """Monte Carlo error-probability estimate; returns (p_hat, std_err).
 
     std_err is the binomial standard error sqrt(p_hat (1 - p_hat) / trials).
+    When p_hat is 0 or 1, std_err is 0 and the estimate resolves nothing:
+    it cannot tell apart error probabilities within about 1/trials of 0
+    (or of 1), and no deviation can be measured in units of it. The check
+    is the CLI's ``mc_resolvable``: at least 10 expected errors, trials *
+    p_err, with the deviation measured in the analytic standard error.
+
     The trials run in batches of BATCH_SIZE, batch b drawn from
     ``rng_spec.generator(b)``, on min(number of batches, usable CPUs)
     threads (the calling thread included); every thread is joined before

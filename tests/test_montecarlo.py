@@ -503,6 +503,42 @@ class TestBetaRule:
             assert str(info.value) == f"{name} must be >= 0 and finite, got {beta!r}"
 
 
+class TestNonFiniteRates:
+    # A rate that overflows is neither drawn nor masked: inf, and the NaN of
+    # inf - inf, pass the max(rate, 0.0) clamp and the per-trial pick of the
+    # rate, and rng.poisson rejects them.
+    @pytest.mark.parametrize("receiver, alpha, z, beta", [
+        ("DFFRE", 1e200, 0.0, 0.5),  # both copy rates inf
+        ("DFFRE", 1e200, 0.0, 1e200),  # added inf, nulled inf - inf
+        ("HFFRE", 1e200, 0.5, 0.5),  # both HL rates inf
+        ("HFFRE", 1.0, 1e200, 0.5),  # the local oscillator overflows
+    ], ids=["dffre-alpha", "dffre-alpha-beta", "hffre-alpha", "hffre-z"])
+    def test_poisson_raises(self, receiver, alpha, z, beta):
+        tau = 1.0 if receiver == "DFFRE" else 0.9
+        params = ReceiverParams(tau=tau, z=z, betas=(beta, beta), n_th=1)
+        cfg = FeedForwardConfig(2, IDEAL2, Receiver[receiver])
+        with pytest.raises(ValueError, match="lam value too large"):
+            estimate_error(alpha, params, cfg, 10_000, RngSpec(1))
+        rng = RecordingRng(RngSpec(1).generator())
+        with pytest.raises(ValueError, match="lam value too large"):
+            simulate_trial(alpha, params, cfg, rng)
+        assert rng.calls[-1][0] == "poisson"
+        assert not np.isfinite(rng.calls[-1][1]).any()
+
+    @pytest.mark.parametrize("seed, hypothesis, rate", [(1, 0, math.nan), (0, 1, math.inf)])
+    def test_nan_rate_reaches_poisson(self, seed, hypothesis, rate):
+        # The switch starts at 0, so the first copy nulls the signal when 0
+        # was sent, at c^2 + beta^2 - 2 c beta = inf - inf, and adds to it
+        # otherwise.
+        assert RngSpec(seed).generator().integers(0, 2, size=1)[0] == hypothesis
+        params = ReceiverParams(tau=1.0, z=0.0, betas=(1e200,), n_th=1)
+        rng = RecordingRng(RngSpec(seed).generator())
+        with pytest.raises(ValueError, match="lam value too large"):
+            simulate_trial(1e200, params, dffre_cfg(1), rng)
+        assert [call[0] for call in rng.calls] == ["integers", "poisson"]
+        np.testing.assert_array_equal(rng.calls[1][1], [rate])
+
+
 class TestBatchMemory:
     # Only chunk-sized arrays and a few per-trial booleans and small integers
     # live through a batch; whole-batch float64 and int64 arrays of
