@@ -485,56 +485,56 @@ def _flips(amplitude: np.ndarray, n_copies: int, model: DetectorModel,
 
 
 def _hybrid_error_batch(
-    alpha: float, cfg: FeedForwardConfig
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """Negated HFFRE error at every (tau, e0, n_th) of a search round.
+    alpha: float, cfg: FeedForwardConfig, candidates: Sequence[int]
+) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray],
+           Callable[[float, float, int], tuple[list[float], tuple[float, ...], int]]]:
+    """(objective, run) of the HFFRE's tau rounds at the ascending click thresholds ``candidates``.
 
-    e0 is the error each element's recursion starts from, and tau sets
-    the copies' amplitude sqrt(tau) alpha.
-    n_th holds the click threshold of each element, grouped in contiguous
-    slices of non-decreasing threshold. The per-copy beta searches of all
-    elements, of every threshold, run in lockstep, and every value they
-    see is ``_coarse_step`` over ``_flips``: each golden-section step
-    takes the flips of all elements at their betas from one cumulative
-    Poisson pass. An element's coarse beta grid depends on tau only, so
-    the flip probabilities on it are tabulated once per distinct
-    (tau, n_th) of the round, one row each; a block of elements reads its
-    coarse rows with one gather. The
-    lockstep values agree with the scalar recursion up to the last-bit
+    objective(tau, e0) is the negated HFFRE error of a round, in the shape
+    of e0. tau holds one row of points per threshold, row k at
+    ``candidates[k]``, and sets the copies' amplitude sqrt(tau) alpha; e0,
+    of shape (thresholds, points, ends), holds the errors each point's
+    recursions start from, one per end of its HL stage. The per-copy beta
+    searches of every element run in lockstep, and every value they see
+    is ``_coarse_step`` over ``_flips``: each golden-section step takes
+    the flips of all elements at their betas from one cumulative Poisson
+    pass. An element's coarse beta grid depends on tau only, so the flip
+    probabilities on it are tabulated once per point, one row shared by
+    its ends; a block of elements reads its coarse rows with one gather.
+    The lockstep values agree with the scalar recursion up to the last-bit
     differences between np.exp and math.exp, which the 1 - q0 tail of a
     threshold n_th >= 2 can raise to about 1e-16 absolute, so within each
-    threshold's slice every value within the window of that slice's best
-    is replaced by the scalar recursion's (``_threshold_scan`` at that
-    n_th alone), from the element's own e0. Each slice's first maximum is
-    then a point-by-point search's at its threshold. The scalar runs are
-    memoised on (tau, e0, n_th).
+    threshold's row every value within the window of that row's best is
+    replaced by the scalar recursion's from the element's own e0. Each
+    row's first maximum is then a point-by-point search's at its threshold.
+
+    run(tau, e0, n_th) is that scalar recursion, ``_threshold_scan`` at
+    n_th alone: (error trace e_0..e_N, betas, n_th), memoised on
+    (tau, e0, n_th), so the run that settled a value also reports it.
     """
     model, n = cfg.model, cfg.n_copies
     indices = np.arange(BETA_COARSE_POINTS)
     relative = BATCH_RTOL_PER_COPY * n
-    settled: dict[tuple[float, float, int], float] = {}
+    runs: dict[tuple[float, float, int], tuple[list[float], tuple[float, ...], int]] = {}
 
-    def objective(tau: np.ndarray, e0: np.ndarray, n_th: np.ndarray) -> np.ndarray:
-        # the slices of equal threshold, in order
-        bounds = [0, *(np.flatnonzero(n_th[1:] != n_th[:-1]) + 1).tolist(), tau.size]
-        slices = [(lo, hi, int(n_th[lo])) for lo, hi in zip(bounds, bounds[1:])]
-        amplitude = np.sqrt(tau) * alpha
-        flips = _flips(amplitude, n, model, n_th)
-        beta_hi = _beta_hi(amplitude, n)
-        # one table row per distinct tau of each slice; element k reads row rows[k]
-        rows = np.empty(tau.size, dtype=np.intp)
-        taus, row_thresholds = [], []
-        for lo, hi, t in slices:
-            distinct, inverse = np.unique(tau[lo:hi], return_inverse=True)
-            rows[lo:hi] = inverse + len(row_thresholds)
-            taus.append(distinct)
-            row_thresholds += [t] * distinct.size
-        amplitudes = np.sqrt(np.concatenate(taus))[:, None] * alpha
+    def run(tau: float, e0: float, n_th: int) -> tuple[list[float], tuple[float, ...], int]:
+        if (tau, e0, n_th) not in runs:
+            runs[tau, e0, n_th] = _threshold_scan(math.sqrt(tau) * alpha, cfg, e0, (n_th,))
+        return runs[tau, e0, n_th]
+
+    def objective(tau: np.ndarray, e0: np.ndarray) -> np.ndarray:
+        points, ends = e0.shape[1:]
+        # one table row per point, one column per coarse grid index
+        amplitudes = np.sqrt(tau).reshape(-1, 1) * alpha
         grid = coarse_abscissae(0.0, _beta_hi(amplitudes, n), BETA_COARSE_POINTS)
-        # one row per distinct (tau, n_th), one column per coarse grid index
         false_table, missed_table = _flips(amplitudes, n, model,
-                                           np.array(row_thresholds))(grid(indices))
-        errors = e0
+                                           np.repeat(candidates, points))(grid(indices))
+        # element k, end k % ends of point k // ends, reads row rows[k]
+        rows = np.repeat(np.arange(tau.size), ends)
+        amplitude = amplitudes[rows, 0]
+        flips = _flips(amplitude, n, model, np.repeat(candidates, points * ends))
+        beta_hi = _beta_hi(amplitude, n)
+        errors = e0.ravel()
         for _ in range(n):
             def step(beta: np.ndarray) -> np.ndarray:
                 return _coarse_step(errors, *flips(beta))
@@ -546,20 +546,16 @@ def _hybrid_error_batch(
             _, negated = maximize_scalar_batch(step, 0.0, beta_hi, BETA_COARSE_POINTS,
                                                BETA_TOL, coarse)
             errors = -negated
-        values = -errors
-        for lo, hi, t in slices:
-            top = float(values[lo:hi].max())
+        values = -errors.reshape(e0.shape)
+        for t, row, row_tau, row_e0 in zip(candidates, values, tau.tolist(), e0.tolist()):
+            top = float(row.max())
             absolute = BATCH_ATOL_PER_COPY * n if t > 1 else 0.0
-            near = np.flatnonzero(values[lo:hi] >= top - (relative * abs(top) + absolute)) + lo
-            for i in near.tolist():
-                key = float(tau[i]), float(e0[i]), t
-                if key not in settled:
-                    settled[key] = -_threshold_scan(math.sqrt(key[0]) * alpha, cfg, key[1],
-                                                    (t,))[0][-1]
-                values[i] = settled[key]
+            near = np.argwhere(row >= top - (relative * abs(top) + absolute)).tolist()
+            for p, end in near:
+                row[p, end] = -run(row_tau[p], row_e0[p][end], t)[0][-1]
         return values
 
-    return objective
+    return objective, run
 
 
 def _oscillator_hi(alpha: float) -> float:
@@ -621,13 +617,13 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
     advance in lockstep (``maximize_grid_searches``, one search per
     threshold): each round takes z* and both e0 from ``_hl_minimum``, which
     searches only the taus no earlier round saw, and evaluates every
-    threshold's points from those e0 in one lockstep batch
+    threshold's points at both ends in one lockstep batch
     (``_hybrid_error_batch``), which settles each threshold's near-ties
     with the scalar recursion. The threshold is the first maximum over
     the per-threshold optima, so ties keep the smaller n_th. The reported
-    error, betas and trace come from the scalar recursion at the chosen
-    point, so the result is the one a point-by-point scalar search of
-    these settings gives.
+    error, betas and trace are the scalar run that settled the chosen
+    point's value, from the (tau, e0) of its winning end, so the result is
+    the one a point-by-point scalar search of these settings gives.
     """
     alpha = _check_rate(alpha, "alpha")
     if cfg.receiver is not Receiver.HFFRE:
@@ -637,30 +633,28 @@ def hffre_error(alpha: float, cfg: FeedForwardConfig) -> EvalResult:
 
     candidates = _threshold_candidates(cfg.model)
     minimum = _hl_minimum(alpha, cfg.model)
-    batch = _hybrid_error_batch(alpha, cfg)
-    # per threshold, tau -> the z of its latest value
-    oscillators: list[dict[float, float]] = [{} for _ in candidates]
+    batch, run = _hybrid_error_batch(alpha, cfg, candidates)
+    # per threshold, tau -> (z, e0) of the end its latest value came from
+    ends: list[dict[float, tuple[float, float]]] = [{} for _ in candidates]
 
     def objective(tau: np.ndarray) -> np.ndarray:
-        # tau holds one row of points per threshold; each row is evaluated
-        # at z* and at z = 0, the two halves of one slice of the batch
+        # tau holds one row of points per threshold; each point is evaluated
+        # at z* and at z = 0, the two ends of its e0
         z, e0_min, e0_zero = minimum(tau)
-        points = tau.shape[1]
-        values = batch(np.concatenate((tau, tau), axis=1).ravel(),
-                       np.concatenate((e0_min, e0_zero), axis=1).ravel(),
-                       np.repeat(candidates, 2 * points)).reshape(len(candidates), 2 * points)
-        at_min, at_half = values[:, :points], values[:, points:]
+        values = batch(tau, np.stack((e0_min, e0_zero), axis=-1))
+        at_min, at_half = values[..., 0], values[..., 1]
         half = at_half > at_min
-        for oscillator, row, z_row in zip(oscillators, tau.tolist(),
-                                          np.where(half, 0.0, z).tolist()):
-            oscillator.update(zip(row, z_row))
+        for found, row, z_row, e0_row in zip(ends, tau.tolist(), np.where(half, 0.0, z).tolist(),
+                                             np.where(half, e0_zero, e0_min).tolist()):
+            found.update(zip(row, zip(z_row, e0_row)))
         return np.where(half, at_half, at_min)
 
     optima = maximize_grid_searches(objective, TAU_SPEC, len(candidates))
     # the first maximum: ties keep the smaller threshold
     k = int(np.argmax([negated for _, negated in optima]))
     tau, _ = optima[k]
-    return _hybrid_at(alpha, cfg, tau, oscillators[k][tau], (candidates[k],))
+    z, e0 = ends[k][tau]
+    return _result(alpha, *run(tau, e0, candidates[k]), tau, z)
 
 
 def hffre_error_at(alpha: float, cfg: FeedForwardConfig, tau: float, z: float) -> EvalResult:

@@ -409,8 +409,8 @@ class TestBatchedSearch:
         tau, z = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 5.0 + 4.0 * alpha, 41),
                              indexing="ij")
         tau, z = tau.ravel(), z.ravel()
-        batch = _hybrid_error_batch(alpha, c)(tau, hl_error(alpha, tau, z, model),
-                                              np.full(tau.size, n_th))
+        batch = _hybrid_error_batch(alpha, c, (n_th,))[0](
+            tau[None], hl_error(alpha, tau, z, model)[None, :, None])[0, :, 0]
         scalar = [-_hybrid_at(alpha, c, t, osc, (n_th,)).p_err
                   for t, osc in zip(tau.tolist(), z.tolist())]
         np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-15)
@@ -422,13 +422,33 @@ class TestBatchedSearch:
         got = (repr(p.tau), repr(p.z), p.n_th, tuple(repr(b) for b in p.betas), repr(result.p_err))
         assert got == expected
 
+    @pytest.mark.parametrize("alpha2, n, model, expected", PINNED_HFFRE)
+    def test_report_is_the_settlements_run(self, alpha2, n, model, expected, monkeypatch):
+        # The reported point, betas and trace are the scalar run that settled
+        # the winning value, from the e0 the tau search was handed: no replay
+        # at the chosen (tau, z) and no HL error outside the search's memo.
+        # The report is still the scalar recursion at that point.
+        def forbidden(*args):
+            raise AssertionError("hffre_error evaluated its winner again")
+
+        alpha, c = math.sqrt(alpha2), cfg(n, model, Receiver.HFFRE)
+        with monkeypatch.context() as patched:
+            for module, name in ((feedforward, "_hybrid_at"), (feedforward, "hl_sign_error"),
+                                 (photostatistics, "hl_sign_error")):
+                patched.setattr(module, name, forbidden)
+            result = hffre_error(alpha, c)
+        p = result.params
+        got = (repr(p.tau), repr(p.z), p.n_th, tuple(repr(b) for b in p.betas), repr(result.p_err))
+        assert got == expected
+        assert result == _hybrid_at(alpha, c, p.tau, p.z, (p.n_th,))
+
     # two thresholds in one lockstep; the near-tie row also runs the settlement
     @pytest.mark.parametrize("alpha2, n, model, expected", PINNED_HFFRE[2:4])
     def test_lockstep_steps_without_the_float_objective(self, alpha2, n, model, expected,
                                                         monkeypatch):
         # every lockstep value is _coarse_step over _flips: the float step
-        # objective serves only the scalar recursions of the settlement and
-        # of the final replay, which the pinned row still reproduces
+        # objective serves only the scalar recursions of the settlement, one
+        # of which is the report, and the pinned row still reproduces
         objective, scalar = feedforward._step_objective, []
 
         def scalar_only(amplitude, *args):
@@ -484,12 +504,12 @@ class TestBatchedSearch:
         thresholds = (1,) if model.nu == 0.0 and model.xi == 1.0 else (1, 2)
         dense = math.inf
         for n_th in thresholds:
-            objective = _hybrid_error_batch(alpha, c)
+            objective = _hybrid_error_batch(alpha, c, (n_th,))[0]
             for rows in np.array_split(taus, 20):
                 tau, z = np.meshgrid(rows, zs, indexing="ij")
-                tau, z = tau.ravel(), z.ravel()
-                dense = min(dense, -float(objective(tau, hl_error(alpha, tau, z, model),
-                                                      np.full(tau.size, n_th)).max()))
+                # each tau of the chunk a point, each z one of its ends
+                e0 = hl_error(alpha, tau.ravel(), z.ravel(), model).reshape(tau.shape)
+                dense = min(dense, -float(objective(rows[None], e0[None]).max()))
         return hffre_error(alpha, c).p_err, dense
 
     @pytest.mark.parametrize("model", [IDEAL2, DetectorModel(2, eta=0.7), DARK2,
@@ -558,15 +578,14 @@ def per_threshold_hffre(alpha, c):
     best = {}
 
     def scan_threshold(n_th):
-        batch = _hybrid_error_batch(alpha, c)
+        batch = _hybrid_error_batch(alpha, c, (n_th,))[0]
         oscillator = {}
 
         def objective(rows):
             tau = rows[0]
             z, e0_min, e0_zero = minimum(tau)
-            values = batch(np.concatenate((tau, tau)), np.concatenate((e0_min, e0_zero)),
-                           np.full(2 * tau.size, n_th))
-            at_min, at_half = values[:tau.size], values[tau.size:]
+            values = batch(rows, np.stack((e0_min, e0_zero), axis=-1)[None])[0]
+            at_min, at_half = values[:, 0], values[:, 1]
             half = at_half > at_min
             oscillator.update(zip(tau.tolist(), np.where(half, 0.0, z).tolist()))
             return np.where(half, at_half, at_min)[None]
@@ -619,41 +638,38 @@ class TestThresholdLockstep:
         assert 1 <= calls["hl_sign_minimum"] <= rounds
 
     def test_thresholds_must_not_decrease(self):
-        objective = _hybrid_error_batch(1.0, cfg(1, DARK2, Receiver.HFFRE))
-        tau, e0 = np.array([0.5, 0.9]), np.array([0.2, 0.3])
+        c = cfg(1, DARK2, Receiver.HFFRE)
+        tau, e0 = np.array([[0.5], [0.9]]), np.array([[[0.2]], [[0.3]]])
         with pytest.raises(ValueError, match="non-decreasing"):
-            objective(tau, e0, np.array([2, 1]))
+            _hybrid_error_batch(1.0, c, (2, 1))[0](tau, e0)
         with pytest.raises(ValueError, match="n_th must be <= resolution 2, got 3"):
-            objective(tau, e0, np.array([1, 3]))
+            _hybrid_error_batch(1.0, c, (1, 3))[0](tau, e0)
 
 
 class TestSettlement:
     def test_near_ties_take_e0_from_the_round(self, monkeypatch):
         # At nu = 1e-3 and alpha2 ~ 3.31 the rounds leave near-ties at both
         # thresholds. Every scalar run starts from an e0 a lockstep round
-        # was handed, and the final replay, whose e0 is the one-element
-        # view of the memo's rows, reproduces one of them; no e0 comes from
-        # the O(M^2) diagonal sums.
-        rounds, starts, replays = set(), [], []
-        batch, scan, at = (feedforward._hybrid_error_batch, feedforward._threshold_scan,
-                           feedforward._hybrid_at)
+        # was handed, and the report is one of those runs, not a replay at
+        # the chosen (tau, z); no e0 comes from the O(M^2) diagonal sums.
+        rounds, starts = set(), []
+        batch, scan = feedforward._hybrid_error_batch, feedforward._threshold_scan
 
-        def recording_batch(alpha, c):
-            objective = batch(alpha, c)
+        def recording_batch(alpha, c, candidates):
+            objective, run = batch(alpha, c, candidates)
 
-            def recording(tau, e0, n_th):
-                rounds.update(e0.tolist())
-                return objective(tau, e0, n_th)
+            def recording(tau, e0):
+                rounds.update(e0.ravel().tolist())
+                return objective(tau, e0)
 
-            return recording
+            return recording, run
 
         def counting(amplitude, c, e_initial, candidates):
             starts.append(e_initial)
             return scan(amplitude, c, e_initial, candidates)
 
         def replaying(*args):
-            replays.append(args)
-            return at(*args)
+            raise AssertionError("hffre_error replayed its winner")
 
         def diagonal(*args):
             raise AssertionError("the HL error summed the diagonals")
@@ -664,9 +680,9 @@ class TestSettlement:
         monkeypatch.setattr(photostatistics, "_diagonal_mass", diagonal)
         result = hffre_error(self.ALPHA, cfg(1, DARK2, Receiver.HFFRE))
         assert result.params.n_th == 2
-        assert len(replays) == 1 and len(starts) > 1
+        assert len(starts) > 1
         assert set(starts) <= rounds
-        assert 1.0 - starts[-1] == result.per_step_correct[0]
+        assert result.per_step_correct[0] in {1.0 - e0 for e0 in rounds}
 
     def test_batch_makes_no_hl_kernel_call(self, monkeypatch):
         # the lockstep recursion and its settlement start from the e0 they
@@ -674,13 +690,15 @@ class TestSettlement:
         c = cfg(2, DARK2, Receiver.HFFRE)
         tau = np.repeat(np.linspace(0.0, 1.0, 11), 2)
         e0 = hl_error(self.ALPHA, tau, np.tile([0.0, 1.36], 11), c.model)
-        expected = _hybrid_error_batch(self.ALPHA, c)(tau, e0, np.repeat([1, 2], 11))
+        expected = _hybrid_error_batch(self.ALPHA, c, (1, 2))[0](tau.reshape(2, 11),
+                                                                 e0.reshape(2, 11, 1))
 
         def kernel(*args, **kwargs):
             raise AssertionError("the batch called the HL kernel")
 
         monkeypatch.setattr(photostatistics, "_hl_sign_terms", kernel)
-        got = _hybrid_error_batch(self.ALPHA, c)(tau, e0, np.repeat([1, 2], 11))
+        got = _hybrid_error_batch(self.ALPHA, c, (1, 2))[0](tau.reshape(2, 11),
+                                                            e0.reshape(2, 11, 1))
         assert same_bits(got, expected)
 
     ALPHA = math.sqrt(3.313455838415151)
@@ -689,17 +707,18 @@ class TestSettlement:
         # The mandatory tau followed by the 41-point tau grid, each at z*(tau)
         # and at z = 0, as hffre_error's first round hands them to the
         # objective, and the points within the settlement window of the
-        # round's best value.
+        # round's best value. Element i is end i % 2 of point i // 2.
         c = cfg(1, DARK2, Receiver.HFFRE)
         spec = feedforward.TAU_SPEC
         taus = np.concatenate((spec.mandatory, np.linspace(spec.lo, spec.hi, spec.points)))
         z_star, e0_min, e0_zero = _hl_minimum(self.ALPHA, c.model)(taus)
-        tau, z = np.concatenate((taus, taus)), np.concatenate((z_star, np.zeros_like(z_star)))
-        e0 = np.concatenate((e0_min, e0_zero))
-        batch = _hybrid_error_batch(self.ALPHA, c)
+        tau = np.repeat(taus, 2)
+        z = np.stack((z_star, np.zeros_like(z_star)), axis=-1).ravel()
+        e0 = np.stack((e0_min, e0_zero), axis=-1).ravel()
+        batch = _hybrid_error_batch(self.ALPHA, c, (n_th,))[0]
 
         def objective(tau, e0):
-            return batch(tau, e0, np.full(tau.size, n_th))
+            return batch(tau[None, ::2], e0.reshape(1, -1, 2)).ravel()
 
         values = objective(tau, e0)
         top = values.max()
@@ -715,6 +734,21 @@ class TestSettlement:
         for i in near:
             t, osc = float(tau[i]), float(z[i])
             assert values[i] == -_hybrid_at(self.ALPHA, c, t, osc, (n_th,)).p_err
+
+    @pytest.mark.parametrize("n_th", [2, 1])
+    def test_ends_couple_nothing(self, n_th):
+        # The lockstep is element by element, so each end of a point gets
+        # the value it gets run alone (one end per point), unless the
+        # settlement window of the two-end row replaced it by the scalar
+        # run at that element; every value in the window is that run's.
+        c, tau, _, e0, _, values, near = self.round_zero(n_th)
+        objective, run = _hybrid_error_batch(self.ALPHA, c, (n_th,))
+        ends = e0.reshape(1, -1, 2)
+        alone = np.stack([objective(tau[None, ::2], ends[..., [end]])[0, :, 0]
+                          for end in (0, 1)], axis=-1).ravel()
+        settled = {i: -run(float(tau[i]), float(e0[i]), n_th)[0][-1] for i in range(tau.size)
+                   if i in near or not same_bits(values[i], alone[i])}
+        assert near and all(same_bits(values[i], settled[i]) for i in settled)
 
     def test_scalar_runs_bounded_at_the_dark_count_floor(self, monkeypatch):
         # At alpha2 = 10, N = 2, nu = 1e-3, e_N sits on the dark-count floor
@@ -1102,7 +1136,7 @@ class TestCoarseTable:
                              indexing="ij")
         tau, z = np.concatenate(([1.0], tau.ravel())), np.concatenate(([0.0], z.ravel()))
         e0 = hl_error(alpha, tau, z, model)
-        _hybrid_error_batch(alpha, c)(tau, e0, np.full(tau.size, n_th))
+        _hybrid_error_batch(alpha, c, (n_th,))[0](tau[None], e0[None, :, None])
         assert copies == [1682, 1682]
 
     @pytest.mark.parametrize("alpha2, n, model, expected", PINNED_DFFRE)
